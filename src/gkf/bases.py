@@ -235,15 +235,10 @@ def _route(src: Basis, dst: Basis) -> tuple[Basis, ...]:
 def _compose(later: Matrix, first: Matrix) -> Matrix:
     cols = []
     for col in first:
-        acc: dict[int, PiScalar] = {}
+        dense = [ZERO] * len(later)
         for j, a in col:
-            for i, b in later[j]:
-                prod = b * a
-                if i in acc:
-                    acc[i] = acc[i] + prod
-                else:
-                    acc[i] = prod
-        cols.append(tuple((i, c) for i, c in sorted(acc.items()) if c))
+            dense[j] = a
+        cols.append(tuple((i, c) for i, c in enumerate(_apply(later, dense)) if c))
     return tuple(cols)
 
 
@@ -265,7 +260,8 @@ def _apply(matrix: Matrix, coeffs: tuple[PiScalar, ...]) -> tuple[PiScalar, ...]
         if not vk:
             continue
         for i, m in matrix[k]:
-            out[i] = out[i] + m * vk
+            term = m * vk
+            out[i] = out[i] + term if out[i] else term
     return tuple(out)
 
 
@@ -290,14 +286,5 @@ def lk_multiply(a: ValuationVector, b: ValuationVector) -> ValuationVector:
         raise ValueError("multiplication requires the T or U basis")
     if b.basis != a.basis:
         b = change_basis(b, a.basis)
-    n = a.N
-    out = [ZERO] * (n + 1)
-    for i, ai in enumerate(a.coeffs):
-        if not ai:
-            continue
-        for j, bj in enumerate(b.coeffs):
-            if i + j > n:
-                break
-            if bj:
-                out[i + j] = out[i + j] + ai * bj
-    return ValuationVector(n, a.basis, tuple(out))
+    product = series_mul(SeriesU(a.N, a.coeffs), SeriesU(b.N, b.coeffs))
+    return ValuationVector(a.N, a.basis, product.coeffs)

@@ -25,13 +25,8 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .bases import Basis, ValuationVector, change_basis
-from .drivers import (
-    estimate_lhs,
-    nu_convergence,
-    nu_value_on_set,
-    pull_back_set,
-)
+from .bases import EXACT_N_CAP, Basis, ValuationVector, change_basis
+from .drivers import estimate_lhs, nu_convergence, pull_back_set
 from .evaluate import mu_on_euclidean_ball
 from .gauss import (
     CenteredBall,
@@ -46,6 +41,7 @@ from .gauss import (
 from .kinematics import (
     gkf_coefficient,
     nu_defining_identity_holds,
+    nu_values_on_set,
     p_sigma,
     p_tau,
     tube_volume_identity,
@@ -123,7 +119,7 @@ def cmd_tables(args) -> tuple[list[dict], int]:
         if args.N is None:
             raise ConfigError("mu_ball table needs --N")
         for k in range(min(args.max, args.N) + 1):
-            if args.N <= 64:
+            if args.N <= EXACT_N_CAP:
                 mu = omega(args.N) * omega(args.N - k).reciprocal() * math.comb(args.N, k)
                 rows.append({"k": k, **_exact_cell(mu)})
             else:
@@ -161,14 +157,16 @@ def cmd_nu(args) -> tuple[list[dict], int]:
         D = parse_gauss_set(args.D)
         trace = pull_back_set(D, args.N)
     rows = []
-    k_max = args.k_max if args.k_max is not None else args.N
-    for k in range(min(k_max, args.N) + 1):
+    k_max = min(args.k_max if args.k_max is not None else args.N, args.N)
+    if trace is not None:
+        values = nu_values_on_set(args.N, trace, k_max)
+    for k in range(k_max + 1):
         expansion = " + ".join(
             f"{q}*sigma_{i}" for i, q in nu_in_sigma_column(k, args.N)
         )
         row = {"k": k, "sigma_expansion": expansion or "0"}
         if trace is not None:
-            row["value_on_trace"] = nu_value_on_set(k, args.N, trace)
+            row["value_on_trace"] = values[k]
         rows.append(row)
     return rows, 0
 
@@ -214,6 +212,13 @@ def cmd_simulate(args) -> tuple[list[dict], int]:
 
 
 def cmd_converge(args) -> tuple[list[dict], int]:
+    try:
+        return _converge(args)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _converge(args) -> tuple[list[dict], int]:
     n_list = tuple(int(x) for x in args.N_list.split(","))
     if args.mode == "nu":
         D = parse_gauss_set(args.D) if args.D else CenteredBall(2, 1.0)

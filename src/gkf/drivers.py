@@ -14,26 +14,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import nu_in_sigma_column
 from .evaluate import abs_sigma, sigma_evaluate, t_power_unit
-from .functionals import (
-    chi_halfspace_batch,
-    chi_quadratic_batch,
-    gauss_set_membership,
-    sample_uniform_on,
-)
+from .functionals import _chi_values, gauss_set_membership, sample_uniform_on
 from .gauss import CenteredBall, FullSpace, GaussSet, HalfSpace, gamma, gkf_predict
-from .kinematics import gkf_coefficient, u_power_on_great_subsphere
+from .kinematics import gkf_coefficient, nu_values_on_set, u_power_on_great_subsphere
 from .model_sets import (
     AmbientSphere,
     GeodesicBall,
     ModelSet,
     SubsphereTube,
-    UnitCap,
     UnitGreatSubsphere,
     UnitSphere,
     ball_volume_fraction,
-    euler_characteristic,
 )
 from .rng import RngStream
 from .sampling import pi_infinity_batch, pi_n_batch
@@ -108,16 +100,6 @@ def pull_back_set(D: GaussSet, N: int):
     raise ValueError(f"no sphere-side trace for {type(D).__name__}")
 
 
-def nu_value_on_set(k: int, N: int, model_set) -> float:
-    """nu_k of a sphere-side set through its sigma values."""
-    total = 0.0
-    for i, q in nu_in_sigma_column(k, N):
-        s = sigma_evaluate(i, model_set)
-        if s:
-            total += float(q) * s
-    return total
-
-
 def pi_n_prediction(A: ModelSet, D: GaussSet, N: int, m: int) -> float:
     """Exact finite-N expectation of the degree-m functional: the kinematic
     pairing 2^m sum_k u^(m+k)(embedded A) nu_k(trace of D)."""
@@ -127,12 +109,12 @@ def pi_n_prediction(A: ModelSet, D: GaussSet, N: int, m: int) -> float:
         n_embed = A.m
     else:
         raise ValueError("finite-N prediction supports spheres and subspheres")
-    trace = pull_back_set(D, N)
+    nu_vals = nu_values_on_set(N, pull_back_set(D, N), n_embed - m)
     total = 0.0
     for k in range(0, n_embed - m + 1):
         u_val = u_power_on_great_subsphere(m + k, N, n_embed)
         if u_val:
-            total += float(u_val) * nu_value_on_set(k, N, trace)
+            total += float(u_val) * nu_vals[k]
     return 2.0**m * total
 
 
@@ -163,21 +145,13 @@ def _draw_maps(A, D, law_n, size, gen):
     return pi_n_batch(n, d, law_n, size, gen)
 
 
-def _chi_values(A, D, F_batch) -> np.ndarray:
-    if isinstance(D, FullSpace):
-        return np.full(len(F_batch), euler_characteristic(A), dtype=np.int64)
-    if isinstance(D, HalfSpace):
-        if D.d != 1:
-            raise ValueError("half-space excursions require d = 1")
-        cap_theta = A.theta if isinstance(A, UnitCap) else None
-        if not isinstance(A, (UnitSphere, UnitCap)):
-            raise ValueError("half-space base must be the sphere or a cap")
-        return chi_halfspace_batch(A.n, cap_theta, F_batch[:, 0, :], D.u)
-    if isinstance(D, CenteredBall):
-        if not isinstance(A, UnitSphere):
-            raise ValueError("quadratic sublevel base must be the sphere")
-        return chi_quadratic_batch(F_batch, A.n, D.rho)
-    raise ValueError(f"unsupported pair ({type(A).__name__}, {type(D).__name__})")
+def _chunk_plan(n_samples: int):
+    """(index, size) of each fixed-size chunk; chunk i draws from
+    rng.child(i)."""
+    if n_samples < 2:
+        raise ValueError("need at least 2 samples for a standard error")
+    for index, offset in enumerate(range(0, n_samples, CHUNK_SIZE)):
+        yield index, min(CHUNK_SIZE, n_samples - offset)
 
 
 def _chunk_values(A, D, degree, law_n, n_points, rng, chunk_index, size) -> np.ndarray:
@@ -220,14 +194,10 @@ def estimate_lhs(
     the limit-theorem formula for the Gaussian ensemble, the exact kinematic
     pairing for the finite-N ensemble (where supported)."""
     degree = _resolve_degree(A, m)
-    chunks = []
-    offset = 0
-    index = 0
-    while offset < n_samples:
-        size = min(CHUNK_SIZE, n_samples - offset)
-        chunks.append((A, D, degree, law_n, n_points, rng, index, size))
-        offset += size
-        index += 1
+    chunks = [
+        (A, D, degree, law_n, n_points, rng, index, size)
+        for index, size in _chunk_plan(n_samples)
+    ]
 
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -249,15 +219,9 @@ def mean_abs_chi(
 ) -> float:
     """Empirical mean of |chi| (uniform-integrability proxy)."""
     total = 0.0
-    offset = 0
-    index = 0
-    while offset < n_samples:
-        size = min(CHUNK_SIZE, n_samples - offset)
-        gen = rng.child(index).generator()
-        F_batch = _draw_maps(A, D, law_n, size, gen)
-        total += float(np.abs(_chi_values(A, D, F_batch)).sum())
-        offset += size
-        index += 1
+    for index, size in _chunk_plan(n_samples):
+        chi = _chunk_values(A, D, 0, law_n, 1, rng, index, size)
+        total += float(np.abs(chi).sum())
     return total / n_samples
 
 
@@ -277,9 +241,8 @@ def nu_convergence(
     gammas = gamma(D, k_max)
     rows = []
     for N in N_list:
-        trace = pull_back_set(D, N)
-        for k in range(k_max + 1):
-            value = nu_value_on_set(k, N, trace)
+        values = nu_values_on_set(N, pull_back_set(D, N), k_max)
+        for k, value in enumerate(values):
             limit = nu_limit_constant(k) * gammas[k]
             # when the limit vanishes exactly (it does for the unit ball in
             # the plane at k = 2), fall back to the natural coefficient scale

@@ -165,8 +165,7 @@ def tau_evaluate(k: int, model_set: ModelSet):
     return _slog_value(*_tau_slog(k, model_set))
 
 
-def sigma_evaluate(k: int, model_set: ModelSet) -> float:
-    """Rescaled curvature value sigma_k; stays order-one for large N."""
+def _sigma_value(k: int, model_set: ModelSet, absolute: bool) -> float:
     if isinstance(model_set, UNIT_SIDE):
         raise ValueError("curvature-basis evaluation is sphere-side only")
     N = model_set.N
@@ -177,13 +176,13 @@ def sigma_evaluate(k: int, model_set: ModelSet) -> float:
     if isinstance(model_set, AmbientSphere):
         return 2.0 if k == 0 else 0.0
     if isinstance(model_set, SubsphereTube) and model_set.s == 0:
-        return sigma_evaluate(k, GreatSubsphere(N, N - model_set.d))
+        return _sigma_value(k, GreatSubsphere(N, N - model_set.d), absolute)
     if isinstance(model_set, GeodesicBall) and model_set.r == 0:
         return 0.0
     if k == 0:
         return 2.0 * _volume_fraction(model_set)
     profile = curvature_profile(model_set)
-    sign, log_sym = profile_sym_slog(profile, k - 1)
+    sign, log_sym = profile_sym_slog(profile, k - 1, absolute=absolute)
     if sign == 0:
         return 0.0
     log = (
@@ -195,6 +194,11 @@ def sigma_evaluate(k: int, model_set: ModelSet) -> float:
         + log_sym
     )
     return _slog_value(sign, log)
+
+
+def sigma_evaluate(k: int, model_set: ModelSet) -> float:
+    """Rescaled curvature value sigma_k; stays order-one for large N."""
+    return _sigma_value(k, model_set, absolute=False)
 
 
 def abs_sigma(k: int, model_set: ModelSet) -> float:
@@ -202,32 +206,7 @@ def abs_sigma(k: int, model_set: ModelSet) -> float:
 
     Agrees with sigma_evaluate on geodesically convex sets; differs on
     subsphere tubes, whose core-parallel curvatures are negative."""
-    if isinstance(model_set, UNIT_SIDE):
-        raise ValueError("curvature-basis evaluation is sphere-side only")
-    N = model_set.N
-    if not 0 <= k <= N:
-        raise ValueError("index out of range")
-    if isinstance(model_set, (GreatSubsphere, AmbientSphere)):
-        return abs(sigma_evaluate(k, model_set))
-    if isinstance(model_set, SubsphereTube) and model_set.s == 0:
-        return abs(sigma_evaluate(k, model_set))
-    if isinstance(model_set, GeodesicBall) and model_set.r == 0:
-        return 0.0
-    if k == 0:
-        return 2.0 * _volume_fraction(model_set)
-    profile = curvature_profile(model_set)
-    sign, log_sym = profile_sym_slog(profile, k - 1, absolute=True)
-    if sign == 0:
-        return 0.0
-    log = (
-        math.log(2)
-        - 0.5 * (N - k) * math.log(N)
-        - log_alpha(N - k)
-        - log_alpha(k - 1)
-        + profile.log_area
-        + log_sym
-    )
-    return _slog_value(sign, log)
+    return _sigma_value(k, model_set, absolute=True)
 
 
 # -- generator powers on geodesic balls at any N ---------------------------

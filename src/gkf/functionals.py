@@ -20,124 +20,58 @@ from functools import lru_cache
 import numpy as np
 
 from .gauss import CenteredBall, FullSpace, GaussSet, HalfSpace, Origin
-from .model_sets import ModelSet, UnitCap, UnitGreatSubsphere, UnitSphere
+from .model_sets import (
+    ModelSet,
+    UnitCap,
+    UnitGreatSubsphere,
+    UnitSphere,
+    euler_characteristic,
+)
 from .rng import RngStream
 from .sampling import LinearMapSample, uniform_cap_batch, uniform_sphere_batch
 
 
-# -- cap pair rule -------------------------------------------------------------
+# -- excursion Euler characteristics ------------------------------------------
 
 
-def chi_cap_pair(n: int, theta_a: float, theta_b: float, delta: float) -> int:
-    """Euler characteristic of the intersection of two caps on the n-sphere
-    with angular radii theta_a, theta_b (in [0, pi]) and center distance
-    delta.  A radius of pi means the whole sphere."""
-    full_a = theta_a >= math.pi - 1e-15
-    full_b = theta_b >= math.pi - 1e-15
-    if full_a and full_b:
-        return 1 + (-1) ** n
-    if full_a:
-        return 1
-    if full_b:
-        return 1
-    if delta > theta_a + theta_b:
-        return 0
-    if delta + theta_a + theta_b > 2 * math.pi:
-        # the union covers the sphere and both complements are nonempty:
-        # the intersection is a band around an equatorial (n-1)-sphere
-        return 1 + (-1) ** (n - 1)
-    return 1
-
-
-def _halfspace_excursion_chi(
-    n: int, cap_theta: float | None, xi: np.ndarray, u: float
-) -> int:
-    """chi of {x in base : <xi, x> >= u} where the base is the whole sphere
-    (cap_theta None) or the cap of radius cap_theta about the first axis."""
-    norm = float(np.linalg.norm(xi))
-    if norm == 0.0:
-        nonempty_everywhere = u <= 0
-        if not nonempty_everywhere:
-            return 0
-        return 1 + (-1) ** n if cap_theta is None else 1
-    if u > norm:
-        return 0
-    if u < -norm:
-        return 1 + (-1) ** n if cap_theta is None else 1
-    psi = math.acos(max(-1.0, min(1.0, u / norm)))
-    if cap_theta is None:
-        return chi_cap_pair(n, math.pi, psi, 0.0)
-    delta = math.acos(max(-1.0, min(1.0, float(xi[0]) / norm)))
-    return chi_cap_pair(n, cap_theta, psi, delta)
-
-
-# -- quadratic sublevel rule -----------------------------------------------------
-
-
-def chi_quadratic_sublevel(eigenvalues: np.ndarray, kernel_dim: int, level: float) -> int:
-    """chi of {x in S^n : q(x) <= level} for a positive semidefinite quadratic
-    form with the given positive eigenvalues and kernel dimension (so n+1 =
-    kernel_dim + len(eigenvalues)).
-
-    The kernel sphere is the minimum stratum; each positive eigenvalue at or
-    below the level contributes two critical points whose index is the
-    number of strictly smaller eigendirections.  Ties with the level count
-    as inside (a measure-zero convention).
-    """
-    lam = np.sort(np.asarray(eigenvalues))
-    chi = 0
-    if kernel_dim >= 1:
-        chi += 1 + (-1) ** (kernel_dim - 1)
-    elif lam.size == 0:
-        raise ValueError("empty spectrum")
-    for i, value in enumerate(lam, start=1):
-        if value <= level:
-            chi += 2 * (-1) ** (kernel_dim + i - 1)
-    return chi
-
-
-def chi_intersection(A: ModelSet, D: GaussSet, F: LinearMapSample) -> int:
-    """Euler characteristic of A intersect F^(-1) D for the supported pairs:
-    sphere-or-cap base with a 1-D half-space, or sphere base with a centered
-    ball in any dimension."""
-    entries = np.asarray(F.entries, dtype=float)
+def _chi_values(A: ModelSet, D: GaussSet, F_batch: np.ndarray) -> np.ndarray:
+    """chi of A intersect F^(-1) D for each map of a batch (size, d, n+1),
+    for the supported pairs: sphere-or-cap base with a 1-D half-space, or
+    sphere base with a centered ball in any dimension."""
+    if isinstance(D, FullSpace):
+        return np.full(len(F_batch), euler_characteristic(A), dtype=np.int64)
     if isinstance(D, HalfSpace):
-        if D.d != 1 or entries.shape[0] != 1:
+        if D.d != 1 or F_batch.shape[1] != 1:
             raise ValueError("half-space intersections require a 1-D map")
-        if isinstance(A, UnitSphere):
-            return _halfspace_excursion_chi(A.n, None, entries[0], D.u)
-        if isinstance(A, UnitCap):
-            return _halfspace_excursion_chi(A.n, A.theta, entries[0], D.u)
-        raise ValueError("half-space base must be the sphere or a cap")
+        if not isinstance(A, (UnitSphere, UnitCap)):
+            raise ValueError("half-space base must be the sphere or a cap")
+        cap_theta = A.theta if isinstance(A, UnitCap) else None
+        return chi_halfspace_batch(A.n, cap_theta, F_batch[:, 0, :], D.u)
     if isinstance(D, CenteredBall):
         if not isinstance(A, UnitSphere):
             raise ValueError("quadratic sublevel base must be the sphere")
-        n = A.n
-        d = entries.shape[0]
-        if entries.shape != (d, n + 1):
-            raise ValueError("map shape mismatch")
-        if d <= n:
-            lam = np.linalg.eigvalsh(entries @ entries.T)
-            kernel_dim = n + 1 - d
-        else:
-            lam = np.linalg.eigvalsh(entries.T @ entries)
-            kernel_dim = 0
-        return chi_quadratic_sublevel(lam, kernel_dim, D.rho**2)
-    if isinstance(D, FullSpace):
-        from .model_sets import euler_characteristic
-
-        return euler_characteristic(A)
+        return chi_quadratic_batch(F_batch, A.n, D.rho)
     raise ValueError(f"unsupported pair ({type(A).__name__}, {type(D).__name__})")
+
+
+def chi_intersection(A: ModelSet, D: GaussSet, F: LinearMapSample) -> int:
+    """Euler characteristic of A intersect F^(-1) D: the batch rule applied
+    to a batch of one map."""
+    entries = np.asarray(F.entries, dtype=float)
+    return int(_chi_values(A, D, entries[None])[0])
 
 
 def chi_halfspace_batch(
     n: int, cap_theta: float | None, xi_batch: np.ndarray, u: float
 ) -> np.ndarray:
-    """Vectorized half-space excursion count over a batch of coefficient rows."""
+    """Vectorized half-space excursion count over a batch of coefficient rows,
+    on the whole sphere (cap_theta None) or the cap of radius cap_theta about
+    the first axis.  The excursion is everything when u <= -|xi| (xi = 0
+    included)."""
     norms = np.linalg.norm(xi_batch, axis=1)
     chi_full = 1 + (-1) ** n if cap_theta is None else 1
     out = np.zeros(len(xi_batch), dtype=np.int64)
-    below = u < -norms
+    below = u <= -norms
     out[below] = chi_full
     proper = (~below) & (u <= norms)
     if cap_theta is None:
@@ -158,7 +92,9 @@ def chi_halfspace_batch(
 
 
 def chi_quadratic_batch(F_batch: np.ndarray, n: int, rho: float) -> np.ndarray:
-    """Vectorized Morse count over a batch of maps (size, d, n+1)."""
+    """Vectorized Morse count over a batch of maps (size, d, n+1).  Each
+    eigenvalue at or below rho^2 adds two critical points whose index is the
+    number of smaller eigendirections (ties count as inside)."""
     size, d, cols = F_batch.shape
     if cols != n + 1:
         raise ValueError("map shape mismatch")

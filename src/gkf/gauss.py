@@ -38,6 +38,8 @@ class HalfSpace:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("dimension must be positive")
+        if not math.isfinite(self.u):
+            raise ValueError("threshold must be finite")
 
 
 @dataclass(frozen=True)
@@ -48,8 +50,8 @@ class CenteredBall:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("dimension must be positive")
-        if self.rho <= 0:
-            raise ValueError("radius must be positive")
+        if not 0 < self.rho < math.inf:
+            raise ValueError("radius must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,8 @@ from scipy.integrate import quad
 
 from .bases import (
     Basis,
-    Matrix,
     ValuationVector,
+    _apply,
     conversion_matrix,
     nu_in_sigma_column,
 )
@@ -71,18 +71,20 @@ class KinematicTensor:
         if target == self.basis_left:
             return self
         matrix = conversion_matrix(self.N, self.basis_left, target)
+        columns = [_apply(matrix, column) for column in zip(*self.rows)]
         return KinematicTensor(
-            self.N, target, self.basis_right, _apply_left(matrix, self.rows)
+            self.N, target, self.basis_right, tuple(zip(*columns))
         )
 
     def convert_right(self, target: Basis) -> "KinematicTensor":
         if target == self.basis_right:
             return self
         matrix = conversion_matrix(self.N, self.basis_right, target)
-        transposed = tuple(zip(*self.rows))
-        converted = _apply_left(matrix, transposed)
         return KinematicTensor(
-            self.N, self.basis_left, target, tuple(zip(*converted))
+            self.N,
+            self.basis_left,
+            target,
+            tuple(_apply(matrix, row) for row in self.rows),
         )
 
     def __add__(self, other: "KinematicTensor") -> "KinematicTensor":
@@ -112,26 +114,13 @@ class KinematicTensor:
         )
 
 
-def _apply_left(matrix: Matrix, rows) -> tuple[tuple[PiScalar, ...], ...]:
-    n = len(rows)
-    out = [[ZERO] * n for _ in range(n)]
-    for i, row in enumerate(rows):
-        col = matrix[i]
-        for j, entry in enumerate(row):
-            if not entry:
-                continue
-            for i2, c in col:
-                out[i2][j] = out[i2][j] + c * entry
-    return tuple(tuple(row) for row in out)
-
-
 def _check_tensor_dim(N: int):
     from .bases import EXACT_N_CAP
 
     if N > EXACT_N_CAP:
         raise ValueError(
             f"dense exact tensors are capped at N = {EXACT_N_CAP}; the "
-            "per-row helpers (nu_value_on_set, sigma_evaluate) work at any N"
+            "per-row helpers (nu_values_on_set, sigma_evaluate) work at any N"
         )
 
 
@@ -219,21 +208,7 @@ def nu_defining_identity_holds(N: int) -> bool:
     """Exact check that sum_k u^k (x) nu_k, re-expanded over SIGMA (x) SIGMA
     via the binomial expansion of u^k, reproduces the independent telescoped
     form of the kinematic image of chi."""
-    table = nu_table(N)
-    u_to_sigma = conversion_matrix(N, Basis.U, Basis.SIGMA)
-    acc = [[ZERO] * (N + 1) for _ in range(N + 1)]
-    for k in range(N + 1):
-        nu_row = table.rows[k]
-        for s, c in u_to_sigma[k]:
-            for i, v in enumerate(nu_row):
-                if v:
-                    acc[s][i] = acc[s][i] + c * v
-    expected = p_chi(N, sigma_sigma=True)
-    return all(
-        acc[s][i] == expected.rows[s][i]
-        for s in range(N + 1)
-        for i in range(N + 1)
-    )
+    return p_chi(N).convert_left(Basis.SIGMA).rows == p_chi(N, sigma_sigma=True).rows
 
 
 def printed_nu_closed_form(k: int) -> tuple[tuple[int, Fraction], ...]:
@@ -340,19 +315,16 @@ def pair_tensor(tensor: KinematicTensor, left_set: ModelSet, right_set: ModelSet
 # -- the tube identity -------------------------------------------------------
 
 
-def nu_values_on_tube(N: int, d: int, s: float, k_max: int | None = None) -> list[float]:
-    """nu_k evaluated on the subsphere tube, through the sigma machinery."""
-    if k_max is None:
-        k_max = N
-    tube = SubsphereTube(N, d, s)
-    sigma_vals = [sigma_evaluate(i, tube) for i in range(min(k_max, N) + 1)]
+def nu_values_on_set(N: int, model_set: ModelSet, k_max: int) -> list[float]:
+    """nu_0 ... nu_k_max of a sphere-side set through its sigma values, each
+    evaluated once."""
+    sigma_vals = [sigma_evaluate(i, model_set) for i in range(k_max + 1)]
     out = []
     for k in range(k_max + 1):
         total = 0.0
-        if k <= N:
-            for i, q in nu_in_sigma_column(k, N):
-                if sigma_vals[i]:
-                    total += float(q) * sigma_vals[i]
+        for i, q in nu_in_sigma_column(k, N):
+            if sigma_vals[i]:
+                total += float(q) * sigma_vals[i]
         out.append(total)
     return out
 
@@ -378,7 +350,7 @@ def tube_volume_identity(N: int, d: int, s: float, r: float) -> tuple[float, flo
     log_prefactor = log_alpha(d - 1) + log_alpha(N - d) - log_alpha(N)
     lhs = math.exp(log_prefactor) * integral
 
-    nu_vals = nu_values_on_tube(N, d, s)
+    nu_vals = nu_values_on_set(N, SubsphereTube(N, d, s), N)
     rhs = 0.0
     for k in range(N + 1):
         if nu_vals[k]:

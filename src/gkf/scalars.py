@@ -18,7 +18,6 @@ evaluation paths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Union
@@ -61,7 +60,7 @@ class PiScalar:
     """Immutable exact number: sum of q * pi^(m/2) * sqrt(r) terms.
 
     Terms are keyed by (m, r) with r squarefree; zero coefficients are never
-    stored, so equality and hashing are term-wise.
+    stored, so equality is term-wise.
     """
 
     __slots__ = ("_terms",)
@@ -211,6 +210,9 @@ class PiScalar:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
+        # rational values equal their Fraction, so they must hash like it
+        if self.is_rational():
+            return hash(self.as_fraction())
         return hash(self.terms)
 
     def __bool__(self) -> bool:
@@ -238,17 +240,6 @@ class PiScalar:
 
     def __repr__(self) -> str:
         return f"PiScalar({self})"
-
-
-def pi_scalar_arith(a: PiScalar, b: PiScalar, op: str) -> PiScalar:
-    """Dispatch form of the ring operations: op in {'add', 'sub', 'mul'}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
 
 
 def float_of(x: ScalarLike, digits: int = 50) -> float:
@@ -318,23 +309,6 @@ def alpha(n: int) -> PiScalar:
     return omega(n + 1) * (n + 1)
 
 
-@dataclass(frozen=True)
-class ConstantTable:
-    """Precomputed omega / alpha values up to a fixed index."""
-
-    max_index: int
-    omega: tuple[PiScalar, ...] = field(repr=False)
-    alpha: tuple[PiScalar, ...] = field(repr=False)
-
-    @classmethod
-    def build(cls, max_index: int) -> "ConstantTable":
-        return cls(
-            max_index=max_index,
-            omega=tuple(omega(n) for n in range(max_index + 1)),
-            alpha=tuple(alpha(n) for n in range(max_index + 1)),
-        )
-
-
 def generalized_binomial(top, j: int) -> Fraction:
     """binom(top, j) = top (top-1) ... (top-j+1) / j! for half-integer top."""
     if j < 0:
@@ -363,7 +337,3 @@ def log_alpha(n: int) -> float:
 
 def omega_float(n: int) -> float:
     return math.exp(log_omega(n))
-
-
-def alpha_float(n: int) -> float:
-    return math.exp(log_alpha(n))

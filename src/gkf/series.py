@@ -70,13 +70,6 @@ def series_scale(a: SeriesU, c) -> SeriesU:
     return SeriesU(a.N, tuple(c * x for x in a.coeffs))
 
 
-def series_pow(a: SeriesU, k: int) -> SeriesU:
-    out = SeriesU(a.N, (ONE,))
-    for _ in range(k):
-        out = series_mul(out, a)
-    return out
-
-
 def substitute(f: SeriesU, g: SeriesU) -> SeriesU:
     """f(g(x)) truncated; g must have zero constant term."""
     if g.coeff(0):
@@ -139,12 +132,6 @@ def phi_in_t(N: int) -> SeriesU:
 
 
 @lru_cache(maxsize=None)
-def phi_in_u(N: int) -> SeriesU:
-    base = _shift(binomial_x2_series(N, Fraction(-1, 2), Fraction(1)), 1)
-    return series_scale(base, sqrt_pow(4 * N, 1))
-
-
-@lru_cache(maxsize=None)
 def u_in_phi(N: int) -> SeriesU:
     return series_scale(t_in_phi(N), sqrt_pow(4 * N, -1))
 
@@ -178,6 +165,16 @@ def contraction_power_series(i: int, N: int) -> SeriesU:
 
 # -- named composition rules ------------------------------------------------
 
+# rule -> (basis the input coefficients index, basis of the result)
+_RULES = {
+    "PhiOfU": ("PHI", "U"),
+    "UOfPhi": ("U", "PHI"),
+    "SigmaFromU": ("SIGMA", "U"),
+    "UFromSigma": ("U", "SIGMA"),
+    "MuFromT": ("T", "MU"),
+    "TFromMu": ("MU", "T"),
+}
+
 
 def series_compose(f, rule: str):
     """Apply one of the named basis expansions.
@@ -190,10 +187,12 @@ def series_compose(f, rule: str):
       MuFromT:   series in t    -> intrinsic-volume coefficient list
       TFromMu:   intrinsic-volume coefficient list -> series in t
 
-    Vector-valued results are returned as ValuationVector (imported lazily
-    to keep this module dependency-free).
+    Each rule is the exact change of basis between the two named bases.
+    Results in a generator power (phi, t, u) are series; the others are
+    returned as ValuationVector (imported lazily to keep this module
+    dependency-free).
     """
-    from .bases import Basis, ValuationVector
+    from .bases import Basis, ValuationVector, _apply, conversion_matrix
 
     if isinstance(f, ValuationVector):
         series = SeriesU(f.N, f.coeffs)
@@ -201,45 +200,11 @@ def series_compose(f, rule: str):
         series = f
     else:
         raise TypeError("expected SeriesU or ValuationVector")
+    if rule not in _RULES:
+        raise ValueError(f"unknown rule {rule!r}")
+    src, dst = (Basis[name] for name in _RULES[rule])
     N = series.N
-
-    if rule == "PhiOfU":
-        return substitute(series, phi_in_u(N))
-    if rule == "UOfPhi":
-        return substitute(series, u_in_phi(N))
-    if rule == "SigmaFromU":
-        out = SeriesU(N, (ZERO,))
-        for m in range(N + 1):
-            cm = series.coeff(m)
-            if cm:
-                out = series_add(out, series_scale(sigma_as_u_series(m, N), cm))
-        return out
-    if rule == "UFromSigma":
-        coeffs = [ZERO] * (N + 1)
-        for k in range(N + 1):
-            ck = series.coeff(k)
-            if not ck:
-                continue
-            for idx, q in u_power_in_sigma(k, N):
-                coeffs[idx] = coeffs[idx] + ck * q
-        return ValuationVector(N, Basis.SIGMA, tuple(coeffs))
-    if rule == "MuFromT":
-        from .scalars import omega
-        import math
-
-        coeffs = [
-            series.coeff(k) * math.factorial(k) * omega(k) * PiScalar.pi_power(-2 * k)
-            for k in range(N + 1)
-        ]
-        return ValuationVector(N, Basis.MU, tuple(coeffs))
-    if rule == "TFromMu":
-        from .scalars import omega
-        import math
-
-        coeffs = [
-            series.coeff(k)
-            * (math.factorial(k) * omega(k) * PiScalar.pi_power(-2 * k)).reciprocal()
-            for k in range(N + 1)
-        ]
-        return SeriesU(N, tuple(coeffs))
-    raise ValueError(f"unknown rule {rule!r}")
+    coeffs = _apply(conversion_matrix(N, src, dst), tuple(series.padded()))
+    if dst in (Basis.PHI, Basis.T, Basis.U):
+        return SeriesU(N, coeffs)
+    return ValuationVector(N, dst, coeffs)

@@ -122,6 +122,12 @@ class TestPredict:
         assert code == 0
         assert doc["results"][0]["prediction"] == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("D", ["ball:2:nan", "ball:2:inf", "halfspace:1:nan"])
+    def test_non_finite_set_exit_two(self, capsys, D):
+        code, out = run_cli(["predict", "--A", "sphere:2", "--D", D], capsys)
+        assert code == 2
+        assert out == ""
+
     def test_degree_too_large(self, capsys):
         code, _ = run_cli(
             ["predict", "--A", "sphere:2", "--D", "fullspace:1", "--m", "5"], capsys
@@ -188,6 +194,13 @@ class TestConverge:
         )
         assert code == 0
         assert [row["law"] for row in doc["results"]] == ["infinity", "50"]
+
+    @pytest.mark.parametrize("samples", ["0", "1"])
+    def test_too_few_samples_exit_two(self, capsys, samples):
+        argv = ["converge", "--mode", "law", "--N-list", "50", "--samples", samples]
+        code, out = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
 
 
 class TestCheckCommand:

@@ -78,6 +78,13 @@ class TestTubeMeasure:
         with pytest.raises(ValueError):
             gauss_measure_tube(Origin(2), -0.1)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters_rejected(self, value):
+        with pytest.raises(ValueError):
+            CenteredBall(2, value)
+        with pytest.raises(ValueError):
+            HalfSpace(1, value)
+
 
 class TestGammaFamily:
     def test_full_space_derivatives_vanish(self):

@@ -17,19 +17,17 @@ from gkf.drivers import (
     mean_abs_chi,
     nu_convergence,
     nu_limit_constant,
-    nu_value_on_set,
     pi_n_prediction,
     pull_back_set,
 )
 from gkf.functionals import (
-    chi_cap_pair,
     chi_intersection,
-    chi_quadratic_sublevel,
     icosphere,
     mesh_chi_quadratic,
     volume_fraction,
 )
 from gkf.gauss import CenteredBall, FullSpace, HalfSpace, gauss_measure_tube, gkf_predict
+from gkf.kinematics import nu_values_on_set
 from gkf.model_sets import (
     AmbientSphere,
     GeodesicBall,
@@ -180,9 +178,25 @@ class TestChiIntersection:
             )
 
     def test_band_case_on_two_sphere(self):
-        # two huge caps whose union covers the 2-sphere intersect in a band
-        assert chi_cap_pair(2, 2.8, 2.8, 3.0) == 0
-        assert chi_cap_pair(3, 2.8, 2.8, 3.0) == 2
+        # a cap and an excursion cap whose union covers the sphere intersect
+        # in a band: {cos 1.5 <= x_0 <= 0.9}
+        for n, expected in [(2, 0), (3, 2)]:
+            xi = np.zeros((1, n + 1))
+            xi[0, 0] = -1.0
+            value = chi_intersection(UnitCap(n, 1.5), HalfSpace(1, -0.9), LinearMapSample(xi))
+            assert value == expected
+
+    def test_degenerate_halfspace_maps(self):
+        # xi = 0 or u = -|xi|: the excursion is empty or the whole sphere
+        for xi, u, on_sphere, on_cap in [
+            ([0.0, 0.0, 0.0], 0.0, 2, 1),
+            ([0.0, 0.0, 0.0], 0.5, 0, 0),
+            ([0.0, 0.0, 0.0], -0.5, 2, 1),
+            ([0.6, 0.0, 0.8], -1.0, 2, 1),
+        ]:
+            F = LinearMapSample(np.array([xi]))
+            assert chi_intersection(UnitSphere(2), HalfSpace(1, u), F) == on_sphere
+            assert chi_intersection(UnitCap(2, 0.7), HalfSpace(1, u), F) == on_cap
 
     def test_quadratic_full_count_is_sphere_chi(self):
         gen = RngStream(14).generator()
@@ -204,8 +218,12 @@ class TestChiIntersection:
         )
 
     def test_kernel_sphere_bottom_stratum(self):
-        # level below every positive eigenvalue leaves the kernel sphere
-        assert chi_quadratic_sublevel(np.array([4.0, 9.0]), 3, 1.0) == 1 + (-1) ** 2
+        # level below every positive eigenvalue (4 and 9) leaves the kernel
+        # 2-sphere of the map on S^4
+        F = np.zeros((2, 5))
+        F[0, 0], F[1, 1] = 2.0, 3.0
+        value = chi_intersection(UnitSphere(4), CenteredBall(2, 1.0), LinearMapSample(F))
+        assert value == 1 + (-1) ** 2
 
     def test_mesh_oracle_agreement_sample(self):
         gen = RngStream(16).generator()
@@ -295,6 +313,13 @@ class TestEstimateLhs:
         with pytest.raises(ValueError):
             estimate_lhs(UnitSphere(2), FullSpace(1), 1, 10, RngStream(0))
 
+    @pytest.mark.parametrize("n_samples", [0, 1])
+    def test_too_few_samples(self, n_samples):
+        with pytest.raises(ValueError):
+            estimate_lhs(UnitSphere(2), HalfSpace(1, 0.5), 0, n_samples, RngStream(0))
+        with pytest.raises(ValueError):
+            mean_abs_chi(UnitSphere(2), HalfSpace(1, 0.5), n_samples, RngStream(0))
+
 
 class TestFiniteNPrediction:
     def test_full_space_is_unit_value(self):
@@ -381,7 +406,7 @@ class TestNuConvergence:
         trace = pull_back_set(CenteredBall(2, 1.0), 300)
         from gkf.model_sets import tube_volume_fraction
 
-        assert nu_value_on_set(0, 300, trace) == pytest.approx(
+        assert nu_values_on_set(300, trace, 0)[0] == pytest.approx(
             tube_volume_fraction(300, 2, trace.s), rel=1e-12
         )
 
