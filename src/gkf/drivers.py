@@ -194,6 +194,11 @@ def estimate_lhs(
     the limit-theorem formula for the Gaussian ensemble, the exact kinematic
     pairing for the finite-N ensemble (where supported)."""
     degree = _resolve_degree(A, m)
+    # the prediction rejects unsupported pairs, so it runs before any draw
+    if law_n is None:
+        prediction = gkf_predict(A, D, degree)
+    else:
+        prediction = pi_n_prediction(A, D, law_n, degree)
     chunks = [
         (A, D, degree, law_n, n_points, rng, index, size)
         for index, size in _chunk_plan(n_samples)
@@ -206,11 +211,6 @@ def estimate_lhs(
         results = [_chunk_task(c) for c in chunks]
     total = sum(r[1] for r in results)
     total_sq = sum(r[2] for r in results)
-
-    if law_n is None:
-        prediction = gkf_predict(A, D, degree)
-    else:
-        prediction = pi_n_prediction(A, D, law_n, degree)
     return _make_report(total, total_sq, n_samples, prediction, rng)
 
 

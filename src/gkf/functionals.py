@@ -38,10 +38,14 @@ def _chi_values(A: ModelSet, D: GaussSet, F_batch: np.ndarray) -> np.ndarray:
     """chi of A intersect F^(-1) D for each map of a batch (size, d, n+1),
     for the supported pairs: sphere-or-cap base with a 1-D half-space, or
     sphere base with a centered ball in any dimension."""
+    if not isinstance(A, (UnitSphere, UnitCap, UnitGreatSubsphere)):
+        raise ValueError("excursion base must be a unit-side set")
+    if F_batch.ndim != 3 or F_batch.shape[1:] != (D.d, A.n + 1):
+        raise ValueError("map shape mismatch")
     if isinstance(D, FullSpace):
         return np.full(len(F_batch), euler_characteristic(A), dtype=np.int64)
     if isinstance(D, HalfSpace):
-        if D.d != 1 or F_batch.shape[1] != 1:
+        if D.d != 1:
             raise ValueError("half-space intersections require a 1-D map")
         if not isinstance(A, (UnitSphere, UnitCap)):
             raise ValueError("half-space base must be the sphere or a cap")
@@ -95,9 +99,7 @@ def chi_quadratic_batch(F_batch: np.ndarray, n: int, rho: float) -> np.ndarray:
     """Vectorized Morse count over a batch of maps (size, d, n+1).  Each
     eigenvalue at or below rho^2 adds two critical points whose index is the
     number of smaller eigendirections (ties count as inside)."""
-    size, d, cols = F_batch.shape
-    if cols != n + 1:
-        raise ValueError("map shape mismatch")
+    d = F_batch.shape[1]
     if d <= n:
         gram = np.einsum("bij,bkj->bik", F_batch, F_batch)
         kernel_dim = n + 1 - d

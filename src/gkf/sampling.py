@@ -2,10 +2,18 @@
 points on spheres and caps.
 
 The Gaussian ensemble has i.i.d. standard normal entries.  The finite-N
-ensemble is sqrt(N) times the upper-left block of a Haar rotation, realized
-by orthonormalizing a Gaussian matrix with the positive-diagonal
-normalization (Cholesky of the Gram matrix), which gives the uniform
-distribution on orthonormal frames; only the first d rows are kept.
+ensemble is sqrt(N) times the upper-left d x (n+1) block of a Haar
+rotation of (N+1)-space.  Orthonormalizing an (N+1) x (n+1) Gaussian
+matrix G with the positive-diagonal normalization (G L^-T, where L L^T is
+the Cholesky factorization of G^T G) gives a uniform orthonormal frame, and
+its top d rows are T L^-T for the top d rows T of G.  The rest of G enters
+only through the Gram matrix of its other m = N+1-d rows, which is
+Wishart(m, I_{n+1}); it is drawn as R^T R with R the Bartlett factor
+(Bartlett 1933; Kshirsagar 1959, "Bartlett decomposition and Wishart
+distribution"), the R of a QR decomposition of an m x (n+1) Gaussian
+matrix: independent chi(m - i) on the diagonal, standard normals above it.
+So a finite-N draw costs the same at every N, and as N grows it converges
+pathwise to the Gaussian draw made from the same generator.
 """
 
 from __future__ import annotations
@@ -42,15 +50,29 @@ def pi_n_batch(
     n: int, d: int, N: int, size: int, gen: np.random.Generator
 ) -> np.ndarray:
     """sqrt(N) times the top d rows of uniform orthonormal (n+1)-frames in
-    (N+1)-space."""
+    (N+1)-space, in O(d n + n^2) draws per map at every N.
+
+    The top d rows T of the Gaussian matrix are drawn first, as
+    pi_infinity_batch draws them; the Gram matrix of the other m = N+1-d
+    rows is R^T R for the Bartlett factor R, with min(m, n+1) rows
+    (R[i, i] = sqrt(chisquare(m - i)), standard normals above the diagonal,
+    zeros below; exact also when m < n+1).  The result is
+    sqrt(N) T L^-T with L L^T = T^T T + R^T R."""
     if N < max(n, d):
         raise ValueError("block does not fit in the rotation group")
-    g = gen.standard_normal((size, N + 1, n + 1))
-    gram = np.einsum("bij,bik->bjk", g, g)
+    top = gen.standard_normal((size, d, n + 1))
+    m = N + 1 - d
+    rows = min(m, n + 1)
+    upper = np.triu_indices(rows, k=1, m=n + 1)
+    bartlett = np.zeros((size, rows, n + 1))
+    diag = np.arange(rows)
+    bartlett[:, diag, diag] = np.sqrt(gen.chisquare(m - diag, (size, rows)))
+    bartlett[:, upper[0], upper[1]] = gen.standard_normal((size, len(upper[0])))
+    gram = np.einsum("bij,bik->bjk", top, top) + np.einsum(
+        "bij,bik->bjk", bartlett, bartlett
+    )
     chol = np.linalg.cholesky(gram)  # lower, positive diagonal
     inv = np.linalg.inv(chol)
-    # frame = g @ inv(L)^T; keep only the first d rows
-    top = g[:, :d, :]
     return math.sqrt(N) * np.einsum("bij,bkj->bik", top, inv)
 
 

@@ -18,9 +18,10 @@ ZERO = PiScalar.zero()
 ONE = PiScalar.one()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SeriesU:
-    """Coefficients of a series in one formal variable, modulo degree N+1."""
+    """Coefficients of a series in one formal variable, modulo degree N+1.
+    Equality and hashing ignore trailing zero coefficients."""
 
     N: int
     coeffs: tuple[PiScalar, ...]
@@ -41,6 +42,14 @@ class SeriesU:
         out = list(self.coeffs)
         out.extend(ZERO for _ in range(self.N + 1 - len(out)))
         return out
+
+    def __eq__(self, other):
+        if not isinstance(other, SeriesU):
+            return NotImplemented
+        return self.N == other.N and self.padded() == other.padded()
+
+    def __hash__(self):
+        return hash((self.N, tuple(self.padded())))
 
 
 def series_add(a: SeriesU, b: SeriesU) -> SeriesU:

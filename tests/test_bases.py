@@ -93,6 +93,14 @@ class TestSeriesSubstitution:
         back = series_compose(as_phi, "PhiOfU")
         assert back.padded() == t_series.padded()
 
+    def test_series_equality_ignores_trailing_zeros(self):
+        short = SeriesU(3, (PiScalar.zero(),))
+        long = SeriesU(3, (PiScalar.zero(),) * 4)
+        assert short == long
+        assert hash(short) == hash(long)
+        assert short != SeriesU(4, (PiScalar.zero(),))
+        assert SeriesU(3, (PiScalar.one(),)) != long
+
     def test_unknown_rule(self):
         with pytest.raises(ValueError):
             series_compose(SeriesU(3, (PiScalar.one(),)), "NoSuchRule")

@@ -166,6 +166,18 @@ class TestSimulate:
         code, _ = run_cli(argv, capsys)
         assert code == 2
 
+    def test_unsupported_finite_law_exits_before_drawing(self, capsys, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("pi_n_batch called")
+
+        monkeypatch.setattr("gkf.drivers.pi_n_batch", no_draws)
+        argv = [
+            "simulate", "--A", "cap:2:1.0", "--D", "halfspace:1:0.5",
+            "--law", "1000", "--samples", "16384",
+        ]
+        code, _ = run_cli(argv, capsys)
+        assert code == 2
+
 
 class TestConverge:
     def test_nu_mode(self, capsys):
@@ -194,6 +206,14 @@ class TestConverge:
         )
         assert code == 0
         assert [row["law"] for row in doc["results"]] == ["infinity", "50"]
+
+    def test_law_mode_far_out(self, capsys):
+        code, doc = run_json(
+            ["converge", "--mode", "law", "--N-list", "100000", "--samples", "2048"],
+            capsys,
+        )
+        assert code == 0
+        assert [row["law"] for row in doc["results"]] == ["infinity", "100000"]
 
     @pytest.mark.parametrize("samples", ["0", "1"])
     def test_too_few_samples_exit_two(self, capsys, samples):

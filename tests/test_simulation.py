@@ -34,11 +34,13 @@ from gkf.model_sets import (
     GreatSubsphere,
     SubsphereTube,
     UnitCap,
+    UnitGreatSubsphere,
     UnitSphere,
 )
 from gkf.rng import RngStream
 from gkf.sampling import (
     LinearMapSample,
+    pi_infinity_batch,
     pi_n_batch,
     poincare_test,
     projected_coordinate_cdf,
@@ -77,14 +79,29 @@ class TestGaussianEnsemble:
 
 
 class TestRotationBlockEnsemble:
-    def test_frame_orthonormality(self):
-        n, d, N = 2, 2, 60
-        gen = RngStream(5).generator()
-        g = gen.standard_normal((N + 1, n + 1))
-        gram = g.T @ g
-        chol = np.linalg.cholesky(gram)
-        frame = g @ np.linalg.inv(chol).T
-        assert np.abs(frame.T @ frame - np.eye(n + 1)).max() < 1e-12
+    @pytest.mark.parametrize("n, d, N", [(2, 2, 60), (2, 2, 2), (3, 4, 5)])
+    def test_blocks_are_contractions(self, n, d, N):
+        # a block of an orthonormal frame has spectral norm at most 1, also
+        # when the Bartlett factor has fewer rows than columns (N+1-d < n+1)
+        batch = pi_n_batch(n, d, N, 4000, RngStream(5).generator())
+        assert batch.shape == (4000, d, n + 1)
+        norms = np.linalg.norm(batch, ord=2, axis=(1, 2))
+        assert np.all(norms <= math.sqrt(N) * (1 + 1e-6))
+
+    def test_rank_deficient_second_moment(self):
+        # at N = 2 one entry over sqrt(N) is a coordinate of a uniform point
+        # on the unit 2-sphere, so E[X_00^2] = N / (N+1)
+        N, size = 2, 40000
+        squares = pi_n_batch(2, 2, N, size, RngStream(6).generator())[:, 0, 0] ** 2
+        stderr = squares.std(ddof=1) / math.sqrt(size)
+        assert abs(squares.mean() - N / (N + 1)) < 3 * stderr
+
+    def test_pathwise_gaussian_limit(self):
+        # the top Gaussian rows are drawn first, so at large N a draw is
+        # close to the Gaussian draw made from the same generator
+        finite = pi_n_batch(2, 2, 10**8, 1000, RngStream(7).generator())
+        gaussian = pi_infinity_batch(2, 2, 1000, RngStream(7).generator())
+        assert np.abs(finite - gaussian).max() < 0.01
 
     def test_block_scaling_column_norms(self):
         # each column of the pre-scaled frame is a unit vector, so each
@@ -197,6 +214,19 @@ class TestChiIntersection:
             F = LinearMapSample(np.array([xi]))
             assert chi_intersection(UnitSphere(2), HalfSpace(1, u), F) == on_sphere
             assert chi_intersection(UnitCap(2, 0.7), HalfSpace(1, u), F) == on_cap
+
+    def test_map_shape_checked_in_every_branch(self):
+        wide = LinearMapSample(np.ones((1, 7)))
+        for A in (UnitSphere(2), UnitCap(2, 1.0), UnitGreatSubsphere(2, 1)):
+            for D in (HalfSpace(1, 0.5), FullSpace(1)):
+                with pytest.raises(ValueError, match="map shape mismatch"):
+                    chi_intersection(A, D, wide)
+        for rows, cols in [(2, 7), (3, 3)]:
+            F = LinearMapSample(np.ones((rows, cols)))
+            with pytest.raises(ValueError, match="map shape mismatch"):
+                chi_intersection(UnitSphere(2), CenteredBall(2, 1.0), F)
+        with pytest.raises(ValueError, match="unit-side"):
+            chi_intersection(AmbientSphere(3), FullSpace(1), LinearMapSample(np.ones((1, 4))))
 
     def test_quadratic_full_count_is_sphere_chi(self):
         gen = RngStream(14).generator()
