@@ -24,7 +24,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .scalars import PiScalar, generalized_binomial, omega
+from .scalars import PiScalar, omega
 from .series import (
     SeriesU,
     phi_in_t,
@@ -163,7 +163,7 @@ def _edge_matrix(N: int, src: Basis, dst: Basis) -> Matrix:
     if (src, dst) == (Basis.NU, Basis.SIGMA):
         return tuple(
             tuple(
-                (i, PiScalar.from_rational(q)) for i, q in nu_in_sigma_column(k, N)
+                (i, PiScalar.from_rational(q)) for i, q in nu_in_sigma_column(k)
             )
             for k in range(N + 1)
         )
@@ -173,16 +173,18 @@ def _edge_matrix(N: int, src: Basis, dst: Basis) -> Matrix:
 
 
 @lru_cache(maxsize=None)
-def nu_in_sigma_column(k: int, N: int) -> tuple[tuple[int, Fraction], ...]:
+def nu_in_sigma_column(k: int) -> tuple[tuple[int, Fraction], ...]:
     """nu_k in sigma coordinates: half the u^k-coefficients of the
-    contraction powers, nu_k = 1/2 sum_i [u^k](u/sqrt(1+u^2))^i sigma_i."""
-    out = []
-    for i in range(k % 2, k + 1, 2):
-        j = (k - i) // 2
-        q = generalized_binomial(Fraction(-i, 2), j) / 2
-        if q:
-            out.append((i, q))
-    return tuple(out)
+    contraction powers, nu_k = 1/2 sum_i [u^k](u/sqrt(1+u^2))^i sigma_i,
+    as (i, binom(-i/2, (k-i)/2) / 2) in ascending i.  The column does not
+    depend on the sphere dimension."""
+    # i/2 + j = k/2 is fixed along the column, so the entry at i is the
+    # one at i + 2 times -i/(2j) = -i/(k-i); the entry at i = 0 vanishes
+    # unless k = 0
+    out = [(k, Fraction(1, 2))]
+    for i in range(k - 2, 0, -2):
+        out.append((i, out[-1][1] * Fraction(-i, k - i)))
+    return tuple(reversed(out))
 
 
 @lru_cache(maxsize=None)
@@ -192,7 +194,7 @@ def _sigma_to_nu_matrix(N: int) -> Matrix:
     sigma_in_nu: list[dict[int, Fraction]] = []
     for k in range(N + 1):
         acc: dict[int, Fraction] = {k: Fraction(2)}
-        for i, q in nu_in_sigma_column(k, N):
+        for i, q in nu_in_sigma_column(k):
             if i == k:
                 continue
             for idx, v in sigma_in_nu[i].items():

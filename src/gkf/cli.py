@@ -104,7 +104,14 @@ def _exact_cell(x: PiScalar) -> dict:
 # -- command handlers -----------------------------------------------------------
 
 
+def _nonnegative(**values) -> None:
+    for flag, value in values.items():
+        if value is not None and value < 0:
+            raise ConfigError(f"--{flag.replace('_', '-')} must be nonnegative")
+
+
 def cmd_tables(args) -> tuple[list[dict], int]:
+    _nonnegative(max=args.max, N=args.N)
     rows = []
     if args.what == "omega":
         for n in range(args.max + 1):
@@ -152,20 +159,20 @@ def cmd_convert(args) -> tuple[list[dict], int]:
 def cmd_nu(args) -> tuple[list[dict], int]:
     from .bases import nu_in_sigma_column
 
-    trace = None
+    _nonnegative(N=args.N, k_max=args.k_max)
+    k_max = min(args.k_max if args.k_max is not None else args.N, args.N)
+    values = None
     if args.D is not None:
         D = parse_gauss_set(args.D)
-        trace = pull_back_set(D, args.N)
+        try:
+            values = nu_values_on_set(args.N, pull_back_set(D, args.N), k_max)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     rows = []
-    k_max = min(args.k_max if args.k_max is not None else args.N, args.N)
-    if trace is not None:
-        values = nu_values_on_set(args.N, trace, k_max)
     for k in range(k_max + 1):
-        expansion = " + ".join(
-            f"{q}*sigma_{i}" for i, q in nu_in_sigma_column(k, args.N)
-        )
+        expansion = " + ".join(f"{q}*sigma_{i}" for i, q in nu_in_sigma_column(k))
         row = {"k": k, "sigma_expansion": expansion or "0"}
-        if trace is not None:
+        if values is not None:
             row["value_on_trace"] = values[k]
         rows.append(row)
     return rows, 0

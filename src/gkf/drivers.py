@@ -193,6 +193,8 @@ def estimate_lhs(
     excursion A intersect F^(-1) D, with the matching closed-form prediction:
     the limit-theorem formula for the Gaussian ensemble, the exact kinematic
     pairing for the finite-N ensemble (where supported)."""
+    if n_points < 1:
+        raise ValueError(f"n_points must be at least 1, got {n_points}")
     degree = _resolve_degree(A, m)
     # the prediction rejects unsupported pairs, so it runs before any draw
     if law_n is None:

@@ -322,7 +322,7 @@ def nu_values_on_set(N: int, model_set: ModelSet, k_max: int) -> list[float]:
     out = []
     for k in range(k_max + 1):
         total = 0.0
-        for i, q in nu_in_sigma_column(k, N):
+        for i, q in nu_in_sigma_column(k):
             if sigma_vals[i]:
                 total += float(q) * sigma_vals[i]
         out.append(total)

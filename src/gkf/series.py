@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .scalars import PiScalar, generalized_binomial
+from .scalars import PiScalar
 
 ZERO = PiScalar.zero()
 ONE = PiScalar.one()
@@ -97,9 +97,11 @@ def substitute(f: SeriesU, g: SeriesU) -> SeriesU:
 def binomial_x2_series(N: int, exponent: Fraction, inner: Fraction) -> SeriesU:
     """(1 + inner * x^2)^exponent truncated at degree N; rational coefficients."""
     coeffs = [ZERO] * (N + 1)
+    q = Fraction(1)
     for j in range(N // 2 + 1):
-        q = generalized_binomial(exponent, j) * inner**j
+        # q = binom(exponent, j) * inner^j
         coeffs[2 * j] = PiScalar.from_rational(q)
+        q = q * (exponent - j) * inner / (j + 1)
     return SeriesU(N, tuple(coeffs))
 
 
@@ -160,8 +162,10 @@ def u_power_in_sigma(k: int, N: int) -> tuple[tuple[int, Fraction], ...]:
     if not 0 <= k <= N:
         raise ValueError("index out of range")
     out = []
+    q = Fraction(1)
     for j in range((N - k) // 2 + 1):
-        out.append((N - k - 2 * j, generalized_binomial(Fraction(k, 2) + j, j)))
+        out.append((N - k - 2 * j, q))
+        q = q * Fraction(k + 2 * j + 2, 2 * j + 2)
     return tuple(out)
 
 

@@ -17,9 +17,10 @@ from gkf.bases import (
     lk_multiply,
     nu_in_sigma_column,
 )
-from gkf.scalars import PiScalar, omega
+from gkf.scalars import PiScalar, generalized_binomial, omega
 from gkf.series import (
     SeriesU,
+    binomial_x2_series,
     series_compose,
     series_mul,
     sigma_as_u_series,
@@ -28,6 +29,7 @@ from gkf.series import (
     phi_in_t,
     t_in_phi,
     u_in_phi,
+    u_power_in_sigma,
 )
 
 ALL_BASES = list(Basis)
@@ -224,17 +226,55 @@ class TestNuColumns:
     def test_bottom_rows(self):
         # 2 nu_0 = sigma_0, 2 nu_1 = sigma_1, 2 nu_2 = sigma_2,
         # 2 nu_3 = sigma_3 - sigma_1/2, 2 nu_4 = sigma_4 - sigma_2
-        assert nu_in_sigma_column(0, 10) == ((0, Fraction(1, 2)),)
-        assert nu_in_sigma_column(1, 10) == ((1, Fraction(1, 2)),)
-        assert nu_in_sigma_column(2, 10) == ((2, Fraction(1, 2)),)
-        assert dict(nu_in_sigma_column(3, 10)) == {
+        assert nu_in_sigma_column(0) == ((0, Fraction(1, 2)),)
+        assert nu_in_sigma_column(1) == ((1, Fraction(1, 2)),)
+        assert nu_in_sigma_column(2) == ((2, Fraction(1, 2)),)
+        assert dict(nu_in_sigma_column(3)) == {
             1: Fraction(-1, 4),
             3: Fraction(1, 2),
         }
-        assert dict(nu_in_sigma_column(4, 10)) == {
+        assert dict(nu_in_sigma_column(4)) == {
             2: Fraction(-1, 2),
             4: Fraction(1, 2),
         }
+
+
+class TestBinomialRecurrences:
+    """The running-product families against one generalized_binomial call
+    per entry, the loop form they replace; equality is exact."""
+
+    def test_nu_columns(self):
+        for k in range(151):
+            expected = []
+            for i in range(k % 2, k + 1, 2):
+                q = generalized_binomial(Fraction(-i, 2), (k - i) // 2) / 2
+                if q:
+                    expected.append((i, q))
+            assert nu_in_sigma_column(k) == tuple(expected)
+            # binom(0, j) = 0 cuts sigma_0 out of every even column but nu_0
+            assert (0 in dict(expected)) == (k == 0)
+
+    @pytest.mark.parametrize("N", [1, 2, 7, 40, 64])
+    def test_u_powers_in_sigma(self, N):
+        for k in range(N + 1):
+            expected = tuple(
+                (N - k - 2 * j, generalized_binomial(Fraction(k, 2) + j, j))
+                for j in range((N - k) // 2 + 1)
+            )
+            assert u_power_in_sigma(k, N) == expected
+
+    @pytest.mark.parametrize("N", [1, 2, 7, 40, 64])
+    def test_binomial_x2_series(self, N):
+        cases = [(Fraction(-1, 2), Fraction(s, 4 * N)) for s in (1, -1)]
+        cases += [(Fraction(-k - 2, 2), Fraction(1)) for k in range(N + 1)]
+        cases += [(Fraction(-i, 2), Fraction(1)) for i in range(N + 1)]
+        for exponent, inner in cases:
+            expected = [PiScalar.zero()] * (N + 1)
+            for j in range(N // 2 + 1):
+                expected[2 * j] = PiScalar.from_rational(
+                    generalized_binomial(exponent, j) * inner**j
+                )
+            assert binomial_x2_series(N, exponent, inner).coeffs == tuple(expected)
 
 
 class TestMultiplication:

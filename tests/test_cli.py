@@ -66,6 +66,20 @@ class TestTables:
         code, _ = run_cli(["tables", "--what", "mu_ball"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--what", "omega", "--max", "-2"], "--max"),
+            (["--what", "mu_ball", "--N", "-1"], "--N"),
+        ],
+    )
+    def test_negative_sizes_exit_two(self, capsys, argv, flag):
+        code = main(["tables", *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert flag in captured.err
+
 
 class TestConvert:
     def test_round_trip(self, capsys):
@@ -111,6 +125,22 @@ class TestNu:
         )
         assert code == 0
         assert doc["results"][0]["value_on_trace"] == pytest.approx(0.392, abs=0.01)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--N", "-3"], "--N must be nonnegative"),
+            (["--N", "10", "--k-max", "-2"], "--k-max must be nonnegative"),
+            (["--N", "2", "--D", "ball:3:1.0"], "codimension"),
+            (["--N", "0", "--D", "ball:2:1.0"], "ball must fit"),
+        ],
+    )
+    def test_bad_input_exit_two(self, capsys, argv, message):
+        code = main(["nu", *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert message in captured.err
 
 
 class TestPredict:
@@ -177,6 +207,17 @@ class TestSimulate:
         ]
         code, _ = run_cli(argv, capsys)
         assert code == 2
+
+    def test_no_points_exit_two(self, capsys):
+        argv = [
+            "simulate", "--A", "sphere:2", "--D", "ball:2:1.0", "--m", "top",
+            "--points", "0", "--samples", "64",
+        ]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "n_points" in captured.err
 
 
 class TestConverge:
