@@ -165,7 +165,7 @@ def cmd_nu(args) -> tuple[list[dict], int]:
     if args.D is not None:
         D = parse_gauss_set(args.D)
         try:
-            values = nu_values_on_set(args.N, pull_back_set(D, args.N), k_max)
+            values = nu_values_on_set(pull_back_set(D, args.N), k_max)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     rows = []

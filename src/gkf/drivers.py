@@ -29,7 +29,7 @@ from .model_sets import (
 )
 from .rng import RngStream
 from .sampling import pi_infinity_batch, pi_n_batch
-from .scalars import PiScalar, float_of
+from .scalars import float_of
 
 CHUNK_SIZE = 8192
 
@@ -109,7 +109,7 @@ def pi_n_prediction(A: ModelSet, D: GaussSet, N: int, m: int) -> float:
         n_embed = A.m
     else:
         raise ValueError("finite-N prediction supports spheres and subspheres")
-    nu_vals = nu_values_on_set(N, pull_back_set(D, N), n_embed - m)
+    nu_vals = nu_values_on_set(pull_back_set(D, N), n_embed - m)
     total = 0.0
     for k in range(0, n_embed - m + 1):
         u_val = u_power_on_great_subsphere(m + k, N, n_embed)
@@ -160,10 +160,7 @@ def _chunk_values(A, D, degree, law_n, n_points, rng, chunk_index, size) -> np.n
     if degree == 0:
         return _chi_values(A, D, F_batch).astype(float)
     top = _top_degree(A)
-    top_value = t_power_unit(A, top)
-    t_top = (
-        float_of(top_value) if isinstance(top_value, PiScalar) else float(top_value)
-    )
+    t_top = float_of(t_power_unit(A, top))
     points = sample_uniform_on(A, len(F_batch) * n_points, gen)
     points = points.reshape(len(F_batch), n_points, -1)
     images = np.einsum("bij,bpj->bpi", F_batch, points)
@@ -243,7 +240,7 @@ def nu_convergence(
     gammas = gamma(D, k_max)
     rows = []
     for N in N_list:
-        values = nu_values_on_set(N, pull_back_set(D, N), k_max)
+        values = nu_values_on_set(pull_back_set(D, N), k_max)
         for k, value in enumerate(values):
             limit = nu_limit_constant(k) * gammas[k]
             # when the limit vanishes exactly (it does for the unit ball in

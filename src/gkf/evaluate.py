@@ -1,11 +1,12 @@
 """Evaluation of invariant valuations on model sets.
 
-Sphere-side evaluation factors through the curvature basis: the index-k
-curvature element of a domain is a normalized boundary integral of the
-(N-k-1)-th elementary symmetric function of the principal curvatures, and
-every supported boundary is isoparametric, so the integrals are closed
-forms.  Everything is assembled in signed log scale because the raw
-curvature-basis values scale like (4N)^(k/2) and overflow floats well below
+Sphere-side evaluation factors through the curvature basis: sigma_k of a
+domain is a normalized boundary integral of the (k-1)-th elementary
+symmetric function of the principal curvatures (twice the volume fraction
+at k = 0), and every supported boundary is isoparametric, so the integrals
+are closed forms.  sigma is the one closed form; tau and the generator
+powers u^k on balls are read off it.  Everything is assembled in signed log
+scale because tau_k = (4N)^(k/2) sigma_(N-k) overflows floats well below
 the dimensions we need.
 
 Unit-sphere-side values come from the euclidean tube expansion of the unit
@@ -38,12 +39,6 @@ from .series import sqrt_pow
 NEG_INF = float("-inf")
 
 # -- signed log-scale arithmetic -----------------------------------------
-
-
-def _slog(x: float) -> tuple[int, float]:
-    if x == 0:
-        return 0, NEG_INF
-    return (1 if x > 0 else -1), math.log(abs(x))
 
 
 def _slog_sum(terms) -> tuple[int, float]:
@@ -102,10 +97,10 @@ def profile_sym_slog(
 
 
 # -- curvature-basis values on sphere-side sets ---------------------------
-
-
-def _log_sphere_volume(N: int) -> float:
-    return log_alpha(N) + 0.5 * N * math.log(N)
+#
+# sigma_k is the one closed form; tau_k = (4N)^(k/2) sigma_(N-k) and the
+# generator powers u^k = sum_p binom(k/2 + p, p) sigma_(N-k-2p) are read off
+# it through the SIGMA -> TAU and U -> SIGMA bridges of `bases`/`series`.
 
 
 def _volume_fraction(model_set) -> float:
@@ -118,73 +113,42 @@ def _volume_fraction(model_set) -> float:
     raise ValueError(f"no volume for {type(model_set).__name__}")
 
 
-def _tau_slog(k: int, model_set) -> tuple[int, float]:
-    """Curvature-basis value tau_k in signed log scale, for domains."""
-    N = model_set.N
-    if k == N:
-        # top element is (2^(N+1)/alpha_N) * volume
-        vf = _volume_fraction(model_set)
-        if vf == 0:
-            return 0, NEG_INF
-        return 1, (N + 1) * math.log(2) + 0.5 * N * math.log(N) + math.log(vf)
-    profile = curvature_profile(model_set)
-    sign, log_sym = profile_sym_slog(profile, N - k - 1)
-    if sign == 0:
-        return 0, NEG_INF
-    log = (
-        (k + 1) * math.log(2)
-        - log_alpha(k)
-        - log_alpha(N - k - 1)
-        + profile.log_area
-        + log_sym
-    )
-    return sign, log
-
-
-def tau_evaluate(k: int, model_set: ModelSet):
-    """tau_k of a sphere-side model set; exact where the set is a great
-    subsphere or the whole sphere, float otherwise."""
+def _sphere_dim(model_set: ModelSet) -> int:
     if isinstance(model_set, UNIT_SIDE):
         raise ValueError("curvature-basis evaluation is sphere-side only")
-    N = model_set.N
-    if not 0 <= k <= N:
-        raise ValueError("index out of range")
-    if isinstance(model_set, GreatSubsphere):
-        if k == model_set.j:
-            return 2 * sqrt_pow(4 * N, k)
-        return PiScalar.zero()
-    if isinstance(model_set, AmbientSphere):
-        if k == N:
-            return 2 * sqrt_pow(4 * N, N)
-        return PiScalar.zero()
-    if isinstance(model_set, SubsphereTube) and model_set.s == 0:
-        return tau_evaluate(k, GreatSubsphere(N, N - model_set.d))
-    if isinstance(model_set, GeodesicBall) and model_set.r == 0:
-        # single point: chi-consistent degenerate values
-        return PiScalar.one() if k == 0 else PiScalar.zero()
-    return _slog_value(*_tau_slog(k, model_set))
+    return model_set.N
 
 
-def _sigma_value(k: int, model_set: ModelSet, absolute: bool) -> float:
-    if isinstance(model_set, UNIT_SIDE):
-        raise ValueError("curvature-basis evaluation is sphere-side only")
-    N = model_set.N
+def _exact_sigma(k: int, model_set: ModelSet) -> int | None:
+    """sigma_k where it is an integer (sets without a hypersurface
+    boundary), else None."""
+    N = _sphere_dim(model_set)
     if not 0 <= k <= N:
         raise ValueError("index out of range")
-    if isinstance(model_set, GreatSubsphere):
-        return 2.0 if k == N - model_set.j else 0.0
-    if isinstance(model_set, AmbientSphere):
-        return 2.0 if k == 0 else 0.0
     if isinstance(model_set, SubsphereTube) and model_set.s == 0:
-        return _sigma_value(k, GreatSubsphere(N, N - model_set.d), absolute)
+        model_set = GreatSubsphere(N, N - model_set.d)
+    if isinstance(model_set, GreatSubsphere):
+        return 2 if k == N - model_set.j else 0
+    if isinstance(model_set, AmbientSphere):
+        return 2 if k == 0 else 0
     if isinstance(model_set, GeodesicBall) and model_set.r == 0:
-        return 0.0
+        # the point: chi = 1 = tau_0 = sigma_N, the r -> 0 limit of a ball
+        return 1 if k == N else 0
+    return None
+
+
+def _sigma_slog(k: int, model_set: ModelSet, absolute: bool) -> tuple[int, float]:
+    """sigma_k of a set with a hypersurface boundary, in signed log scale:
+    twice the volume fraction at k = 0, a boundary curvature integral
+    otherwise."""
+    N = model_set.N
     if k == 0:
-        return 2.0 * _volume_fraction(model_set)
+        vf = _volume_fraction(model_set)
+        return (1, math.log(2.0 * vf)) if vf else (0, NEG_INF)
     profile = curvature_profile(model_set)
     sign, log_sym = profile_sym_slog(profile, k - 1, absolute=absolute)
     if sign == 0:
-        return 0.0
+        return 0, NEG_INF
     log = (
         math.log(2)
         - 0.5 * (N - k) * math.log(N)
@@ -193,7 +157,16 @@ def _sigma_value(k: int, model_set: ModelSet, absolute: bool) -> float:
         + profile.log_area
         + log_sym
     )
-    return _slog_value(sign, log)
+    return sign, log
+
+
+def _sigma_value(k: int, model_set: ModelSet, absolute: bool) -> float:
+    exact = _exact_sigma(k, model_set)
+    if exact is not None:
+        return float(exact)
+    if k == 0:  # direct, not exp(log(...)), so sigma_0 is 2.0 * vf to the bit
+        return 2.0 * _volume_fraction(model_set)
+    return _slog_value(*_sigma_slog(k, model_set, absolute))
 
 
 def sigma_evaluate(k: int, model_set: ModelSet) -> float:
@@ -209,16 +182,33 @@ def abs_sigma(k: int, model_set: ModelSet) -> float:
     return _sigma_value(k, model_set, absolute=True)
 
 
+def tau_evaluate(k: int, model_set: ModelSet):
+    """tau_k = (4N)^(k/2) sigma_(N-k) of a sphere-side model set; exact where
+    sigma is (great subspheres, the whole sphere, the point), float
+    otherwise.  Raises ValueError where the float overflows."""
+    N = _sphere_dim(model_set)
+    exact = _exact_sigma(N - k, model_set)
+    if exact is not None:
+        return exact * sqrt_pow(4 * N, k)
+    sign, log = _sigma_slog(N - k, model_set, absolute=False)
+    try:
+        return _slog_value(sign, log + 0.5 * k * math.log(4 * N))
+    except OverflowError:
+        raise ValueError(
+            f"tau_{k} exceeds the float range at N = {N}; "
+            f"use sigma_evaluate({N - k}, ...) times (4N)^({k}/2)"
+        ) from None
+
+
 # -- generator powers on geodesic balls at any N ---------------------------
 
 
 def u_power_on_ball(k: int, N: int, r: float) -> float:
     """u^k evaluated on the geodesic ball of radius r, valid at any N.
 
-    Expands u^k over the curvature basis (coefficients are partial sums of a
-    binomial series, independent of the ball) and pairs with the closed-form
-    curvature values, all in log scale.  Requires r <= hemisphere so that all
-    the terms are positive.
+    Pairs the expansion u^k = sum_p binom(k/2 + p, p) sigma_(N-k-2p) (see
+    `series.u_power_in_sigma`) with the closed-form sigma values, all in log
+    scale.  Requires r <= hemisphere so that all the terms are positive.
     """
     if not 0 <= k <= N:
         raise ValueError("index out of range")
@@ -226,20 +216,15 @@ def u_power_on_ball(k: int, N: int, r: float) -> float:
         return 1.0 if k == 0 else 0.0
     if r > 0.5 * math.pi * math.sqrt(N) + 1e-12:
         raise ValueError("log-scale ball expansion requires r <= hemisphere")
-    log4n = math.log(4 * N)
-    # A_p = sum_{j <= p} binom(k/2 + j - 1, j), accumulated as floats
-    b = 1.0
-    a = 1.0
+    ball = GeodesicBall(N, r)
+    q = 1.0  # binom(k/2 + p, p), by a running product
     logs = []
-    p_max = (N - k) // 2
-    for p in range(p_max + 1):
+    for p in range((N - k) // 2 + 1):
         if p > 0:
-            b *= (k / 2 + p - 1) / p
-            a += b
-        sign, log_tau = _tau_slog(k + 2 * p, GeodesicBall(N, r))
-        if sign <= 0:
-            continue
-        logs.append(log_tau - (k / 2 + p) * log4n + math.log(a))
+            q *= (k / 2 + p) / p
+        sign, log_sigma = _sigma_slog(N - k - 2 * p, ball, absolute=False)
+        if sign > 0:
+            logs.append(log_sigma + math.log(q))
     if not logs:
         return 0.0
     top = max(logs)
@@ -309,13 +294,28 @@ def t_power_unit(model_set: ModelSet, j: int):
 # -- the general evaluator --------------------------------------------------
 
 
+def _pair(coeffs, values):
+    """sum c_k * value_k: exact when every value is, float otherwise."""
+    if all(isinstance(val, PiScalar) for val in values):
+        out = PiScalar.zero()
+        for c, val in zip(coeffs, values):
+            out = out + c * val
+        return out
+    total = 0.0
+    for c, val in zip(coeffs, values):
+        if c:
+            total += float_of(c) * float_of(val)
+    return total
+
+
 def evaluate(v: ValuationVector, model_set: ModelSet):
     """Pair an invariant valuation with a model set.
 
     Sphere-side evaluation converts to the curvature basis; the result is an
     exact scalar when every curvature value is (great subspheres, the whole
-    sphere) and a float otherwise.  Unit-side sets take vectors in the T
-    basis interpreted as intrinsic generator powers of the unit sphere.
+    sphere, the point) and a float otherwise.  Unit-side sets take vectors
+    in the T basis interpreted as intrinsic generator powers of the unit
+    sphere.
     """
     if isinstance(model_set, UNIT_SIDE):
         n = model_set.n
@@ -325,13 +325,7 @@ def evaluate(v: ValuationVector, model_set: ModelSet):
             raise ValueError(
                 "unit-side sets pair with T-basis vectors (intrinsic powers)"
             )
-        values = [t_power_unit(model_set, j) for j in range(n + 1)]
-        if all(isinstance(val, PiScalar) for val in values):
-            out = PiScalar.zero()
-            for c, val in zip(v.coeffs, values):
-                out = out + c * val
-            return out
-        return sum(float_of(c) * float(val) for c, val in zip(v.coeffs, values))
+        return _pair(v.coeffs, [t_power_unit(model_set, j) for j in range(n + 1)])
 
     N = model_set.N
     if v.N != N:
@@ -353,18 +347,5 @@ def evaluate(v: ValuationVector, model_set: ModelSet):
             "use the dedicated large-N helpers"
         )
 
-    if isinstance(model_set, GeodesicBall) and model_set.r == 0:
-        return change_basis(v, Basis.T).coeff(0)
-
     in_tau = change_basis(v, Basis.TAU)
-    values = [tau_evaluate(k, model_set) for k in range(N + 1)]
-    if all(isinstance(val, PiScalar) for val in values):
-        out = PiScalar.zero()
-        for c, val in zip(in_tau.coeffs, values):
-            out = out + c * val
-        return out
-    total = 0.0
-    for c, val in zip(in_tau.coeffs, values):
-        if c:
-            total += float_of(c) * float(val)
-    return total
+    return _pair(in_tau.coeffs, [tau_evaluate(k, model_set) for k in range(N + 1)])

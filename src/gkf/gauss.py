@@ -25,7 +25,7 @@ from scipy.special import gammainc, ndtr
 from .evaluate import t_power_unit
 from .kinematics import gkf_coefficient
 from .model_sets import UNIT_SIDE, ModelSet
-from .scalars import PiScalar, float_of
+from .scalars import float_of
 
 
 @dataclass(frozen=True)
@@ -270,8 +270,7 @@ def gkf_predict(A: ModelSet, D: GaussSet, m: int) -> float:
     for k in range(k_top + 1):
         if gammas[k] == 0.0:
             continue
-        t_val = t_power_unit(A, k + m)
-        t_val = float_of(t_val) if isinstance(t_val, PiScalar) else float(t_val)
+        t_val = float_of(t_power_unit(A, k + m))
         if t_val:
             total += float_of(gkf_coefficient(k)) * t_val * gammas[k]
     return total

@@ -298,15 +298,13 @@ def pair_tensor(tensor: KinematicTensor, left_set: ModelSet, right_set: ModelSet
     rvals = basis_values(tensor.basis_right, tensor.N, right_set)
     total = 0.0
     for i, row in enumerate(tensor.rows):
-        lv = lvals[i]
-        lv = float_of(lv) if isinstance(lv, PiScalar) else float(lv)
+        lv = float_of(lvals[i])
         if lv == 0:
             continue
         for j, entry in enumerate(row):
             if not entry:
                 continue
-            rv = rvals[j]
-            rv = float_of(rv) if isinstance(rv, PiScalar) else float(rv)
+            rv = float_of(rvals[j])
             if rv:
                 total += float_of(entry) * lv * rv
     return total
@@ -315,7 +313,7 @@ def pair_tensor(tensor: KinematicTensor, left_set: ModelSet, right_set: ModelSet
 # -- the tube identity -------------------------------------------------------
 
 
-def nu_values_on_set(N: int, model_set: ModelSet, k_max: int) -> list[float]:
+def nu_values_on_set(model_set: ModelSet, k_max: int) -> list[float]:
     """nu_0 ... nu_k_max of a sphere-side set through its sigma values, each
     evaluated once."""
     sigma_vals = [sigma_evaluate(i, model_set) for i in range(k_max + 1)]
@@ -350,7 +348,7 @@ def tube_volume_identity(N: int, d: int, s: float, r: float) -> tuple[float, flo
     log_prefactor = log_alpha(d - 1) + log_alpha(N - d) - log_alpha(N)
     lhs = math.exp(log_prefactor) * integral
 
-    nu_vals = nu_values_on_set(N, SubsphereTube(N, d, s), N)
+    nu_vals = nu_values_on_set(SubsphereTube(N, d, s), N)
     rhs = 0.0
     for k in range(N + 1):
         if nu_vals[k]:

@@ -115,7 +115,6 @@ ModelSet = Union[
     UnitCap,
 ]
 
-SPHERE_SIDE = (AmbientSphere, GeodesicBall, GreatSubsphere, SubsphereTube)
 UNIT_SIDE = (UnitSphere, UnitGreatSubsphere, UnitCap)
 
 
@@ -132,9 +131,6 @@ class PrincipalCurvatureProfile:
     @property
     def area(self) -> float:
         return math.exp(self.log_area)
-
-    def hypersurface_dim(self) -> int:
-        return sum(mult for _, mult in self.curvatures)
 
 
 def curvature_profile(model_set: ModelSet) -> PrincipalCurvatureProfile:

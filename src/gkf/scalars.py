@@ -22,8 +22,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Union
 
-Rational = Fraction
-
 # sqrt(pi) to 90 digits; float_of truncates this to the requested precision
 # so the only float rounding happens in the final conversion.
 _SQRT_PI_DIGITS = (
@@ -242,13 +240,17 @@ class PiScalar:
         return f"PiScalar({self})"
 
 
-def float_of(x: ScalarLike, digits: int = 50) -> float:
-    """Numeric value of an exact scalar.
+def float_of(x: ScalarLike | float, digits: int = 50) -> float:
+    """Numeric value of a real number.
 
-    The sum is assembled as one exact Fraction using sqrt(pi) and integer
-    square roots truncated to `digits` decimal digits, then converted to
-    float, so only the final conversion rounds.
+    A float (numpy's float64 is one) comes back unchanged, and any other
+    inexact real goes through float().  An exact scalar is assembled as one
+    exact Fraction using sqrt(pi) and integer square roots truncated to
+    `digits` decimal digits, then converted to float, so only the final
+    conversion rounds.
     """
+    if not isinstance(x, (PiScalar, int, Fraction)):
+        return x if isinstance(x, float) else float(x)
     x = PiScalar._coerce(x)
     if x.is_rational():
         return float(x.as_fraction())

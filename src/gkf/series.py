@@ -30,11 +30,6 @@ class SeriesU:
         if len(self.coeffs) > self.N + 1:
             raise ValueError("series degree exceeds truncation order")
 
-    @classmethod
-    def from_coeffs(cls, N: int, coeffs) -> "SeriesU":
-        padded = [PiScalar._coerce(c) for c in coeffs[: N + 1]]
-        return cls(N, tuple(padded))
-
     def coeff(self, k: int) -> PiScalar:
         return self.coeffs[k] if k < len(self.coeffs) else ZERO
 

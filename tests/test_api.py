@@ -1,7 +1,13 @@
-"""The package namespace: every exported name resolves, and no two names are
-aliases of one object."""
+"""The package namespace: every exported name resolves, no two names are
+aliases of one object, and no name defined in the package is dead."""
+
+import ast
+from pathlib import Path
 
 import gkf
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "gkf"
 
 
 def test_exported_names_resolve():
@@ -14,3 +20,59 @@ def test_no_aliases():
     for name in gkf.__all__:
         owners.setdefault(id(getattr(gkf, name)), []).append(name)
     assert [names for names in owners.values() if len(names) > 1] == []
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _definitions(tree: ast.Module):
+    """(qualified name, name, class or None, is a classmethod/staticmethod)
+    of every module-level function, class and constant, and every
+    non-dunder method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.name, None, False
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and not _is_dunder(target.id):
+                    yield target.id, target.id, None, False
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not _is_dunder(item.name):
+                    on_class = any(
+                        isinstance(d, ast.Name) and d.id in ("classmethod", "staticmethod")
+                        for d in item.decorator_list
+                    )
+                    yield f"{node.name}.{item.name}", item.name, node.name, on_class
+
+
+def test_every_definition_is_referenced():
+    """A name counts as used when code in `src/gkf`, `tests` or `perfbench`
+    reads it (an import, a string in `__all__` or the definition itself
+    does not count). A class-level constructor counts only when read off
+    its class (`SeriesU.from_coeffs`, `cls.from_coeffs`)."""
+    files = sorted(PACKAGE.glob("*.py"))
+    files += sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    names, attributes, on_class = set(), set(), set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+                if isinstance(node.value, ast.Name):
+                    on_class.add((node.value.id, node.attr))
+    dead = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for qualified, name, owner, class_level in _definitions(ast.parse(path.read_text())):
+            if owner is None:
+                used = name in names or name in attributes
+            elif class_level:
+                used = (owner, name) in on_class or ("cls", name) in on_class
+            else:
+                used = name in attributes
+            if not used:
+                dead.append(f"{path.stem}.{qualified}")
+    assert dead == []

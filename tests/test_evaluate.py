@@ -37,7 +37,7 @@ from gkf.model_sets import (
     tube_volume_fraction,
 )
 from gkf.scalars import PiScalar, alpha, float_of, omega, omega_float
-from gkf.series import sqrt_pow
+from gkf.series import sqrt_pow, u_power_in_sigma
 
 
 # -- finite-difference second-fundamental-form oracle ----------------------
@@ -215,7 +215,7 @@ class TestVolumeFractions:
 
 
 class TestTauAndSigma:
-    @pytest.mark.parametrize("N,j", [(6, 2), (9, 5), (11, 0)])
+    @pytest.mark.parametrize("N,j", [(6, 2), (9, 5), (11, 0), (40, 17)])
     def test_great_subsphere_delta(self, N, j):
         for i in range(N + 1):
             value = tau_evaluate(i, GreatSubsphere(N, j))
@@ -264,6 +264,68 @@ class TestTauAndSigma:
         assert sigma_evaluate(1, band) == pytest.approx(2 * math.cos(beta), rel=1e-12)
         assert sigma_evaluate(2, band) == pytest.approx(-2 * math.sin(beta), rel=1e-12)
 
+    @pytest.mark.parametrize("N", [3, 5, 12, 40])
+    def test_point_is_the_small_ball_limit(self, N):
+        point = GeodesicBall(N, 0.0)
+        assert sigma_evaluate(N, point) == 1.0
+        assert abs_sigma(N, point) == 1.0
+        assert all(sigma_evaluate(k, point) == 0.0 for k in range(N))
+        small = GeodesicBall(N, 1e-6)
+        assert sigma_evaluate(N, small) == pytest.approx(1.0, rel=1e-9)
+        # chi paired through the sigma coordinates
+        in_sigma = change_basis(chi_vector(N), Basis.SIGMA)
+        chi = sum(
+            float_of(c) * sigma_evaluate(k, point) for k, c in enumerate(in_sigma.coeffs)
+        )
+        assert chi == 1.0
+
+    @pytest.mark.parametrize("N", [3, 12, 40])
+    def test_tau_is_rescaled_sigma(self, N):
+        # tau_k = (4N)^(k/2) sigma_(N-k), the SIGMA -> TAU bridge: exact on
+        # sets without a hypersurface boundary, to float rounding elsewhere
+        R = math.sqrt(N)
+        exact_sets = [
+            AmbientSphere(N),
+            GeodesicBall(N, 0.0),
+            SubsphereTube(N, 2, 0.0),
+        ] + [GreatSubsphere(N, j) for j in (0, 1, N // 2, N)]
+        float_sets = [
+            GeodesicBall(N, 0.5 * math.pi * R),
+            GeodesicBall(N, 1.0),
+            SubsphereTube(N, 1, 0.4 * math.pi * R),
+            SubsphereTube(N, 2, 0.2 * math.pi * R),
+        ]
+        for model_set in exact_sets + float_sets:
+            for k in range(N + 1):
+                tau = tau_evaluate(N - k, model_set)
+                sigma = sigma_evaluate(k, model_set)
+                if model_set in exact_sets:
+                    assert tau == int(sigma) * sqrt_pow(4 * N, N - k), (model_set, k)
+                else:
+                    assert sigma == pytest.approx(
+                        tau * (4 * N) ** (-(N - k) / 2), rel=1e-12, abs=0
+                    ), (model_set, k)
+
+    def test_tau_refuses_past_the_float_range(self):
+        tube = SubsphereTube(300, 2, 1.0)
+        with pytest.raises(ValueError, match="float range.*sigma_evaluate"):
+            tau_evaluate(232, tube)
+        # the same curvature value is order-one on the sigma scale
+        assert math.isfinite(sigma_evaluate(300 - 232, tube))
+
+    @pytest.mark.parametrize("N", [1, 2, 7, 20, 40])
+    def test_u_power_is_the_sigma_expansion(self, N):
+        R = math.sqrt(N)
+        for r in [0.3, 1.0, 0.5 * math.pi * R]:
+            ball = GeodesicBall(N, r)
+            for k in range(N + 1):
+                expansion = sum(
+                    float(q) * sigma_evaluate(i, ball) for i, q in u_power_in_sigma(k, N)
+                )
+                assert u_power_on_ball(k, N, r) == pytest.approx(
+                    expansion, rel=1e-12, abs=0
+                ), (r, k)
+
 
 class TestEvaluate:
     @pytest.mark.parametrize(
@@ -274,6 +336,8 @@ class TestEvaluate:
             GreatSubsphere(12, 0),
             AmbientSphere(8),
             AmbientSphere(9),
+            GeodesicBall(7, 0.0),
+            SubsphereTube(9, 3, 0.0),
         ],
     )
     def test_chi_exact(self, model_set):

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gkf.scalars import (
@@ -169,3 +170,9 @@ class TestFloatBridge:
     def test_radical_value(self):
         x = PiScalar.sqrt_int(2)
         assert float_of(x) == pytest.approx(math.sqrt(2), rel=1e-14)
+
+    def test_floats_pass_through(self):
+        for x in [0.1, -3.5, float("inf"), np.float64(0.7)]:
+            assert float_of(x) is x
+        assert float_of(np.float32(0.25)) == 0.25
+        assert float_of(3) == 3.0 and float_of(Fraction(1, 4)) == 0.25

@@ -436,7 +436,7 @@ class TestNuConvergence:
         trace = pull_back_set(CenteredBall(2, 1.0), 300)
         from gkf.model_sets import tube_volume_fraction
 
-        assert nu_values_on_set(300, trace, 0)[0] == pytest.approx(
+        assert nu_values_on_set(trace, 0)[0] == pytest.approx(
             tube_volume_fraction(300, 2, trace.s), rel=1e-12
         )
 
