@@ -246,14 +246,20 @@ def _compose(later: Matrix, first: Matrix) -> Matrix:
 
 @lru_cache(maxsize=None)
 def conversion_matrix(N: int, src: Basis, dst: Basis) -> Matrix:
-    route = _route(src, dst)
-    matrix = None
-    for a, b in zip(route, route[1:]):
-        edge = _edge_matrix(N, a, b)
-        matrix = edge if matrix is None else _compose(edge, matrix)
-    if matrix is None:  # src == dst
-        matrix = tuple(((k, ONE),) for k in range(N + 1))
-    return matrix
+    return _route_matrix(N, _route(src, dst))
+
+
+@lru_cache(maxsize=None)
+def _route_matrix(N: int, route: tuple[Basis, ...]) -> Matrix:
+    """The product of the edges along a route: its last edge composed onto
+    the cached product along the route's prefix, which is the route to
+    its second-to-last basis."""
+    if len(route) == 1:
+        return tuple(((k, ONE),) for k in range(N + 1))
+    edge = _edge_matrix(N, route[-2], route[-1])
+    if len(route) == 2:
+        return edge
+    return _compose(edge, _route_matrix(N, route[:-1]))
 
 
 def _apply(matrix: Matrix, coeffs: tuple[PiScalar, ...]) -> tuple[PiScalar, ...]:

@@ -240,13 +240,6 @@ def mu_on_euclidean_ball(k: int, N: int, radius: float = 1.0) -> float:
     return math.exp(log + k * math.log(radius)) if radius > 0 else (1.0 if k == 0 else 0.0)
 
 
-def u_power_on_euclidean_ball(k: int, N: int, radius: float = 1.0) -> float:
-    """u^k of the euclidean N-ball via the intrinsic-volume closed form."""
-    mu_log = log_omega(N) - log_omega(N - k) + _log_binom(N, k) + k * math.log(radius)
-    t_log = mu_log + math.lgamma(k + 1) + log_omega(k) - k * math.log(math.pi)
-    return math.exp(t_log - 0.5 * k * math.log(4 * N))
-
-
 # -- unit-sphere side -------------------------------------------------------
 
 

@@ -9,7 +9,11 @@ quadratic sublevel set and the count comes from the critical structure of
 the induced quadratic form: a minimum stratum on the kernel sphere plus a
 pair of antipodal nondegenerate critical points per positive eigenvalue.
 A triangulated Euler count on the 2-sphere serves as the independent oracle
-for the quadratic branch.
+for the quadratic branch.  Subdivision only appends vertices, so each
+level's vertices are a prefix of the next level's and one quadric
+evaluation serves two levels; every edge lies in two faces, so the count
+V_in - (n_2 + 3 n_3) / 2 + n_3 needs only n_s, the number of faces with s
+inside vertices.
 """
 
 from __future__ import annotations
@@ -117,59 +121,79 @@ def chi_quadratic_batch(F_batch: np.ndarray, n: int, rho: float) -> np.ndarray:
 # -- triangulated oracle on the 2-sphere ----------------------------------------
 
 
+_PHI = (1 + math.sqrt(5)) / 2
+_ICOSAHEDRON_VERTICES = (
+    (-1, _PHI, 0), (1, _PHI, 0), (-1, -_PHI, 0), (1, -_PHI, 0),
+    (0, -1, _PHI), (0, 1, _PHI), (0, -1, -_PHI), (0, 1, -_PHI),
+    (_PHI, 0, -1), (_PHI, 0, 1), (-_PHI, 0, -1), (-_PHI, 0, 1),
+)
+_ICOSAHEDRON_FACES = (
+    (0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),
+    (1, 5, 9), (5, 11, 4), (11, 10, 2), (10, 7, 6), (7, 1, 8),
+    (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
+    (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
+)
+
+
 @lru_cache(maxsize=None)
 def icosphere(depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Subdivided icosahedron projected to the unit sphere: (vertices,
-    edges, faces).  Deterministic; cached per depth."""
-    phi = (1 + math.sqrt(5)) / 2
-    verts = [
-        (-1, phi, 0), (1, phi, 0), (-1, -phi, 0), (1, -phi, 0),
-        (0, -1, phi), (0, 1, phi), (0, -1, -phi), (0, 1, -phi),
-        (phi, 0, -1), (phi, 0, 1), (-phi, 0, -1), (-phi, 0, 1),
-    ]
-    faces = [
-        (0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),
-        (1, 5, 9), (5, 11, 4), (11, 10, 2), (10, 7, 6), (7, 1, 8),
-        (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
-        (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
-    ]
-    vertices = [np.array(v, dtype=float) / np.linalg.norm(v) for v in verts]
-    for _ in range(depth):
-        midpoint: dict[tuple[int, int], int] = {}
-
-        def midpoint_index(a: int, b: int) -> int:
-            key = (a, b) if a < b else (b, a)
-            if key not in midpoint:
-                m = vertices[a] + vertices[b]
-                vertices.append(m / np.linalg.norm(m))
-                midpoint[key] = len(vertices) - 1
-            return midpoint[key]
-
-        new_faces = []
-        for a, b, c in faces:
-            ab = midpoint_index(a, b)
-            bc = midpoint_index(b, c)
-            ca = midpoint_index(c, a)
-            new_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
-        faces = new_faces
-    V = np.array(vertices)
-    F = np.array(faces, dtype=np.int64)
-    edges = np.unique(
-        np.sort(np.concatenate([F[:, [0, 1]], F[:, [1, 2]], F[:, [2, 0]]]), axis=1),
-        axis=0,
-    )
-    return V, edges, F
+    edges, faces).  Each level splits every face of the level below into
+    four at its edge midpoints and appends the midpoints in order of first
+    appearance, so the vertices of depth d are a prefix of those of depth
+    d + 1.  Edges are (lo, hi) rows in ascending order.  Cached per depth."""
+    if depth == 0:
+        V = np.array([np.array(v) / np.linalg.norm(v) for v in _ICOSAHEDRON_VERTICES])
+        F = np.array(_ICOSAHEDRON_FACES, dtype=np.int64)
+    else:
+        V_prev, _, F_prev = icosphere(depth - 1)
+        n = len(V_prev)
+        codes, first, inverse = np.unique(
+            _edge_codes(F_prev, n), return_index=True, return_inverse=True
+        )
+        # number the midpoints in the order a walk over the faces meets them
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        a, b, c = F_prev.T
+        ab, bc, ca = (n + rank[inverse]).reshape(-1, 3).T
+        lo, hi = np.divmod(codes[order], n)
+        mid = V_prev[lo] + V_prev[hi]
+        V = np.concatenate([V_prev, mid / np.linalg.norm(mid, axis=1, keepdims=True)])
+        F = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1).reshape(-1, 3)
+    # every edge lies in exactly two faces, so its code appears twice
+    n = len(V)
+    codes = np.sort(_edge_codes(F, n))[::2]
+    return V, np.stack(np.divmod(codes, n), axis=1), F
 
 
-def mesh_chi_sublevel(inside_fn, depth: int) -> int:
-    """V - E + F of the full subcomplex spanned by vertices with
-    inside_fn(vertices) true."""
-    V, E, F = icosphere(depth)
-    inside = np.asarray(inside_fn(V), dtype=bool)
-    v_count = int(inside.sum())
-    e_count = int((inside[E[:, 0]] & inside[E[:, 1]]).sum())
-    f_count = int((inside[F[:, 0]] & inside[F[:, 1]] & inside[F[:, 2]]).sum())
-    return v_count - e_count + f_count
+def _edge_codes(F: np.ndarray, n: int) -> np.ndarray:
+    """lo * n + hi of the edges ab, bc, ca of every face abc, face by face."""
+    a, b = F.ravel(), F[:, [1, 2, 0]].ravel()
+    return np.minimum(a, b) * n + np.maximum(a, b)
+
+
+@lru_cache(maxsize=None)
+def _vertex_monomials(depth: int) -> np.ndarray:
+    """Rows x^2, y^2, z^2, 2xy, 2xz, 2yz over the vertices of
+    icosphere(depth): a quadratic form on every vertex is one product of
+    its six coefficients with this (6, V) array."""
+    x, y, z = icosphere(depth)[0].T
+    return np.stack([x * x, y * y, z * z, 2 * x * y, 2 * x * z, 2 * y * z])
+
+
+def mesh_chi_sublevel(inside: np.ndarray, depth: int) -> int:
+    """V - E + F of the full subcomplex of icosphere(depth) spanned by the
+    vertices marked inside.  The mask may belong to a finer level: its
+    prefix is this level's.  Every edge lies in exactly two faces, so with
+    n_s the number of faces holding s inside vertices the count is
+    V_in - (n_2 + 3 n_3) / 2 + n_3, read off the faces alone."""
+    V, _, F = icosphere(depth)
+    inside = inside[: len(V)].astype(np.int8)
+    per_face = inside[F[:, 0]] + inside[F[:, 1]] + inside[F[:, 2]]
+    n2 = np.count_nonzero(per_face == 2)
+    n3 = np.count_nonzero(per_face == 3)
+    return int(np.count_nonzero(inside) - (n2 + 3 * n3) // 2 + n3)
 
 
 def mesh_chi_quadratic(
@@ -177,19 +201,27 @@ def mesh_chi_quadratic(
 ) -> int:
     """Triangulation oracle for the quadratic excursion chi on the 2-sphere:
     refine until two successive subdivision levels agree (the value is an
-    integer, so stability is a sharp stopping rule)."""
+    integer, so stability is a sharp stopping rule) and refuse if none do
+    by max_depth.  One quadric evaluation at start_depth + 1 serves the
+    first two levels, whose vertices it holds as a prefix."""
+    F_map = np.asarray(F_map, dtype=float)
+    if F_map.ndim != 2 or F_map.shape[1] != 3:
+        raise ValueError("map shape mismatch")
+    if not (np.isfinite(F_map).all() and math.isfinite(rho)):
+        raise ValueError("map and level must be finite")
     Q = F_map.T @ F_map
-
-    def inside(V):
-        return np.einsum("vi,ij,vj->v", V, Q, V) <= rho * rho
-
+    weights = Q[[0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]]
+    level = rho * rho
+    inside = weights @ _vertex_monomials(start_depth + 1) <= level
     previous = mesh_chi_sublevel(inside, start_depth)
     for depth in range(start_depth + 1, max_depth + 1):
+        if depth > start_depth + 1:
+            inside = weights @ _vertex_monomials(depth) <= level
         current = mesh_chi_sublevel(inside, depth)
         if current == previous:
             return current
         previous = current
-    return previous
+    raise ValueError(f"mesh count did not settle by depth {max_depth}")
 
 
 # -- volume functionals -----------------------------------------------------------

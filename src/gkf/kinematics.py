@@ -28,11 +28,10 @@ from .bases import (
     conversion_matrix,
     nu_in_sigma_column,
 )
-from .evaluate import sigma_evaluate, tau_evaluate, u_power_on_ball
-from .model_sets import GeodesicBall, GreatSubsphere, ModelSet, SubsphereTube
+from .evaluate import sigma_evaluate, u_power_on_ball
+from .model_sets import ModelSet, SubsphereTube
 from .scalars import (
     PiScalar,
-    float_of,
     generalized_binomial,
     log_alpha,
     omega,
@@ -211,33 +210,6 @@ def nu_defining_identity_holds(N: int) -> bool:
     return p_chi(N).convert_left(Basis.SIGMA).rows == p_chi(N, sigma_sigma=True).rows
 
 
-def printed_nu_closed_form(k: int) -> tuple[tuple[int, Fraction], ...]:
-    """The closed forms of the dual family with the even-degree sign read as
-    (-1)^(k-1-j) (the printed source's (-1)^j does not satisfy the defining
-    identity; the discrepancy is pinned in tests)."""
-    if k == 0:
-        return ((0, Fraction(1, 2)),)
-    out: dict[int, Fraction] = {}
-    if k % 2 == 0:
-        half_k = k // 2
-        for j in range(half_k):
-            q = Fraction((-1) ** (half_k - 1 - j) * math.comb(half_k - 1, j), 2)
-            out[2 * j + 2] = out.get(2 * j + 2, Fraction(0)) + q
-    else:
-        half_k = (k - 1) // 2
-        for j in range(half_k + 1):
-            bj = generalized_binomial(Fraction(1, 2), j)
-            for i in range(half_k - j + 1):
-                q = (
-                    bj
-                    * (-1) ** (half_k - j - i)
-                    * math.comb(half_k - j, i)
-                    / 2
-                )
-                out[2 * i + 1] = out.get(2 * i + 1, Fraction(0)) + q
-    return tuple((i, q) for i, q in sorted(out.items()) if q)
-
-
 def p_u_power(m: int, N: int) -> KinematicTensor:
     """Kinematic image of u^m: shift the chi expansion by multiplicativity,
     so the left degrees all sit at m + k."""
@@ -261,25 +233,7 @@ def gkf_coefficient(k: int) -> PiScalar:
     )
 
 
-# -- evaluation of tensors on model-set pairs -------------------------------
-
-
-def basis_values(basis: Basis, N: int, model_set: ModelSet) -> list:
-    """Values of all basis elements of the given kind on a sphere-side set."""
-    if basis == Basis.SIGMA:
-        return [sigma_evaluate(i, model_set) for i in range(N + 1)]
-    if basis == Basis.TAU:
-        return [tau_evaluate(i, model_set) for i in range(N + 1)]
-    if basis == Basis.U:
-        if isinstance(model_set, GeodesicBall):
-            return [u_power_on_ball(k, N, model_set.r) for k in range(N + 1)]
-        if isinstance(model_set, GreatSubsphere):
-            return [
-                float(u_power_on_great_subsphere(k, N, model_set.j))
-                for k in range(N + 1)
-            ]
-        raise ValueError("generator-power values supported on balls and subspheres")
-    raise ValueError(f"no direct evaluation for basis {basis}")
+# -- generator powers on great subspheres -----------------------------------
 
 
 def u_power_on_great_subsphere(k: int, N: int, n: int) -> Fraction:
@@ -290,24 +244,6 @@ def u_power_on_great_subsphere(k: int, N: int, n: int) -> Fraction:
     if k > n or (n - k) % 2 == 1:
         return Fraction(0)
     return 2 * generalized_binomial(Fraction(n, 2), (n - k) // 2)
-
-
-def pair_tensor(tensor: KinematicTensor, left_set: ModelSet, right_set: ModelSet) -> float:
-    """Bilinear pairing of a tensor with a pair of sphere-side sets."""
-    lvals = basis_values(tensor.basis_left, tensor.N, left_set)
-    rvals = basis_values(tensor.basis_right, tensor.N, right_set)
-    total = 0.0
-    for i, row in enumerate(tensor.rows):
-        lv = float_of(lvals[i])
-        if lv == 0:
-            continue
-        for j, entry in enumerate(row):
-            if not entry:
-                continue
-            rv = float_of(rvals[j])
-            if rv:
-                total += float_of(entry) * lv * rv
-    return total
 
 
 # -- the tube identity -------------------------------------------------------

@@ -111,14 +111,6 @@ def uniform_cap_batch(
 # -- the projection limit ------------------------------------------------------
 
 
-def projected_coordinate_cdf(x: float, N: int) -> float:
-    """Exact CDF of one coordinate of a uniform point on the sphere of
-    radius sqrt(N): the squared normalized coordinate is Beta(1/2, N/2)."""
-    t2 = min(x * x / N, 1.0)
-    tail = 0.5 * betainc(0.5, N / 2.0, t2)
-    return 0.5 + math.copysign(tail, x)
-
-
 def _ks_statistic(samples: np.ndarray, cdf) -> float:
     """Two-sided KS distance between the empirical law and a vectorized CDF."""
     xs = np.sort(samples)

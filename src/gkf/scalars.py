@@ -335,7 +335,3 @@ def log_omega(n: int) -> float:
 def log_alpha(n: int) -> float:
     """log of the unit-sphere surface measure alpha(n)."""
     return math.log(n + 1) + log_omega(n + 1)
-
-
-def omega_float(n: int) -> float:
-    return math.exp(log_omega(n))

@@ -47,12 +47,6 @@ class SeriesU:
         return hash((self.N, tuple(self.padded())))
 
 
-def series_add(a: SeriesU, b: SeriesU) -> SeriesU:
-    if a.N != b.N:
-        raise ValueError("truncation orders differ")
-    return SeriesU(a.N, tuple(a.coeff(k) + b.coeff(k) for k in range(a.N + 1)))
-
-
 def series_mul(a: SeriesU, b: SeriesU) -> SeriesU:
     if a.N != b.N:
         raise ValueError("truncation orders differ")
@@ -67,26 +61,6 @@ def series_mul(a: SeriesU, b: SeriesU) -> SeriesU:
             if bj:
                 out[i + j] = out[i + j] + ai * bj
     return SeriesU(n, tuple(out))
-
-
-def series_scale(a: SeriesU, c) -> SeriesU:
-    c = PiScalar._coerce(c)
-    return SeriesU(a.N, tuple(c * x for x in a.coeffs))
-
-
-def substitute(f: SeriesU, g: SeriesU) -> SeriesU:
-    """f(g(x)) truncated; g must have zero constant term."""
-    if g.coeff(0):
-        raise ValueError("substitution requires zero constant term")
-    n = f.N
-    out = SeriesU(n, (f.coeff(0),))
-    power = SeriesU(n, (ONE,))
-    for k in range(1, n + 1):
-        power = series_mul(power, g)
-        ck = f.coeff(k)
-        if ck:
-            out = series_add(out, series_scale(power, ck))
-    return out
 
 
 def binomial_x2_series(N: int, exponent: Fraction, inner: Fraction) -> SeriesU:
@@ -135,11 +109,6 @@ def t_in_phi(N: int) -> SeriesU:
 @lru_cache(maxsize=None)
 def phi_in_t(N: int) -> SeriesU:
     return _shift(binomial_x2_series(N, Fraction(-1, 2), Fraction(1, 4 * N)), 1)
-
-
-@lru_cache(maxsize=None)
-def u_in_phi(N: int) -> SeriesU:
-    return series_scale(t_in_phi(N), sqrt_pow(4 * N, -1))
 
 
 @lru_cache(maxsize=None)

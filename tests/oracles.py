@@ -1,0 +1,126 @@
+"""Reference oracles the package itself does not need: closed forms, series
+and pairings that the tests check the package against, each computed
+another way than the code it is compared with.
+"""
+
+import math
+from fractions import Fraction
+
+from scipy.special import betainc
+
+from gkf.bases import Basis
+from gkf.evaluate import sigma_evaluate, tau_evaluate, u_power_on_ball
+from gkf.kinematics import KinematicTensor, u_power_on_great_subsphere
+from gkf.model_sets import GeodesicBall, GreatSubsphere, ModelSet
+from gkf.scalars import PiScalar, float_of, generalized_binomial, log_omega
+from gkf.series import SeriesU, series_mul, sqrt_pow, t_in_phi
+
+
+# -- scalars and series --------------------------------------------------------
+
+
+def omega_float(n: int) -> float:
+    """Volume of the euclidean unit n-ball as a float."""
+    return math.exp(log_omega(n))
+
+
+def substitute(f: SeriesU, g: SeriesU) -> SeriesU:
+    """f(g(x)) truncated; g must have zero constant term."""
+    if g.coeff(0):
+        raise ValueError("substitution requires zero constant term")
+    n = f.N
+    out = [f.coeff(0)] + [PiScalar.zero()] * n
+    power = SeriesU(n, (PiScalar.one(),))
+    for k in range(1, n + 1):
+        power = series_mul(power, g)
+        for i, c in enumerate(power.padded()):
+            out[i] = out[i] + f.coeff(k) * c
+    return SeriesU(n, tuple(out))
+
+
+def u_in_phi(N: int) -> SeriesU:
+    """u = t / sqrt(4N) as a series in phi."""
+    scale = sqrt_pow(4 * N, -1)
+    return SeriesU(N, tuple(scale * c for c in t_in_phi(N).coeffs))
+
+
+# -- closed forms ------------------------------------------------------------------
+
+
+def projected_coordinate_cdf(x: float, N: int) -> float:
+    """Exact CDF of one coordinate of a uniform point on the sphere of
+    radius sqrt(N): the squared normalized coordinate is Beta(1/2, N/2)."""
+    t2 = min(x * x / N, 1.0)
+    tail = 0.5 * betainc(0.5, N / 2.0, t2)
+    return 0.5 + math.copysign(tail, x)
+
+
+def u_power_on_euclidean_ball(k: int, N: int, radius: float = 1.0) -> float:
+    """u^k of the euclidean N-ball via the intrinsic-volume closed form
+    mu_k = (omega_N / omega_(N-k)) binom(N, k) radius^k."""
+    log_binom = math.lgamma(N + 1) - math.lgamma(k + 1) - math.lgamma(N - k + 1)
+    mu_log = log_omega(N) - log_omega(N - k) + log_binom + k * math.log(radius)
+    t_log = mu_log + math.lgamma(k + 1) + log_omega(k) - k * math.log(math.pi)
+    return math.exp(t_log - 0.5 * k * math.log(4 * N))
+
+
+def printed_nu_closed_form(k: int) -> tuple[tuple[int, Fraction], ...]:
+    """The printed closed forms of the dual family nu_k in sigma
+    coordinates, with the even-degree sign read as (-1)^(k-1-j) (the printed
+    (-1)^j does not satisfy the defining identity)."""
+    if k == 0:
+        return ((0, Fraction(1, 2)),)
+    out: dict[int, Fraction] = {}
+    if k % 2 == 0:
+        half_k = k // 2
+        for j in range(half_k):
+            q = Fraction((-1) ** (half_k - 1 - j) * math.comb(half_k - 1, j), 2)
+            out[2 * j + 2] = out.get(2 * j + 2, Fraction(0)) + q
+    else:
+        half_k = (k - 1) // 2
+        for j in range(half_k + 1):
+            bj = generalized_binomial(Fraction(1, 2), j)
+            for i in range(half_k - j + 1):
+                q = bj * (-1) ** (half_k - j - i) * math.comb(half_k - j, i) / 2
+                out[2 * i + 1] = out.get(2 * i + 1, Fraction(0)) + q
+    return tuple((i, q) for i, q in sorted(out.items()) if q)
+
+
+# -- pairings ----------------------------------------------------------------------
+
+
+def basis_values(basis: Basis, N: int, model_set: ModelSet) -> list:
+    """Values of all basis elements of the given kind on a sphere-side set."""
+    if basis == Basis.SIGMA:
+        return [sigma_evaluate(i, model_set) for i in range(N + 1)]
+    if basis == Basis.TAU:
+        return [tau_evaluate(i, model_set) for i in range(N + 1)]
+    if basis == Basis.U:
+        if isinstance(model_set, GeodesicBall):
+            return [u_power_on_ball(k, N, model_set.r) for k in range(N + 1)]
+        if isinstance(model_set, GreatSubsphere):
+            return [
+                float(u_power_on_great_subsphere(k, N, model_set.j))
+                for k in range(N + 1)
+            ]
+        raise ValueError("generator-power values supported on balls and subspheres")
+    raise ValueError(f"no direct evaluation for basis {basis}")
+
+
+def pair_tensor(tensor: KinematicTensor, left_set: ModelSet, right_set: ModelSet) -> float:
+    """Bilinear pairing of a tensor with a pair of sphere-side sets, entry
+    by entry."""
+    lvals = basis_values(tensor.basis_left, tensor.N, left_set)
+    rvals = basis_values(tensor.basis_right, tensor.N, right_set)
+    total = 0.0
+    for i, row in enumerate(tensor.rows):
+        lv = float_of(lvals[i])
+        if lv == 0:
+            continue
+        for j, entry in enumerate(row):
+            if not entry:
+                continue
+            rv = float_of(rvals[j])
+            if rv:
+                total += float_of(entry) * lv * rv
+    return total

@@ -76,3 +76,35 @@ def test_every_definition_is_referenced():
             if not used:
                 dead.append(f"{path.stem}.{qualified}")
     assert dead == []
+
+
+def _unread_imports(path: Path) -> list[str]:
+    """Names an import statement in the file binds and no code there reads;
+    a name listed in the module's `__all__` counts as read."""
+    tree = ast.parse(path.read_text())
+    bound = {}
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read.update(elt.value for elt in node.value.elts)
+    return [
+        f"{path.relative_to(ROOT)}:{line} {name}"
+        for name, line in sorted(bound.items(), key=lambda item: item[1])
+        if name not in read
+    ]
+
+
+def test_every_import_is_read():
+    files = sorted(PACKAGE.glob("*.py"))
+    files += sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    assert [entry for path in files for entry in _unread_imports(path)] == []

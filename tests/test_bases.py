@@ -10,6 +10,9 @@ import pytest
 from gkf.bases import (
     Basis,
     ValuationVector,
+    _compose,
+    _edge_matrix,
+    _route,
     basis_element,
     change_basis,
     chi_vector,
@@ -25,12 +28,12 @@ from gkf.series import (
     series_mul,
     sigma_as_u_series,
     sqrt_pow,
-    substitute,
     phi_in_t,
     t_in_phi,
-    u_in_phi,
     u_power_in_sigma,
 )
+
+from oracles import substitute, u_in_phi
 
 ALL_BASES = list(Basis)
 
@@ -215,6 +218,22 @@ class TestChangeBasis:
                 for i, total in acc.items():
                     expected = PiScalar.one() if i == k else PiScalar.zero()
                     assert total == expected
+
+    @pytest.mark.parametrize("N", [5, 12, 21, 40])
+    def test_bridge_is_the_route_product(self, N):
+        # each bridge composes its last edge onto the cached bridge to the
+        # route's second-to-last basis; it must equal the product of every
+        # edge along the route, composed from the first edge on
+        for src in Basis:
+            for dst in Basis:
+                route = _route(src, dst)
+                product = None
+                for a, b in zip(route, route[1:]):
+                    edge = _edge_matrix(N, a, b)
+                    product = edge if product is None else _compose(edge, product)
+                if product is None:
+                    product = tuple(((k, PiScalar.one()),) for k in range(N + 1))
+                assert conversion_matrix(N, src, dst) == product, (src, dst)
 
     def test_cap_enforced(self):
         big = chi_vector(70)

@@ -21,7 +21,6 @@ from gkf.evaluate import (
     t_power_unit,
     tau_evaluate,
     u_power_on_ball,
-    u_power_on_euclidean_ball,
 )
 from gkf.model_sets import (
     AmbientSphere,
@@ -36,8 +35,10 @@ from gkf.model_sets import (
     euler_characteristic,
     tube_volume_fraction,
 )
-from gkf.scalars import PiScalar, alpha, float_of, omega, omega_float
+from gkf.scalars import PiScalar, alpha, float_of, omega
 from gkf.series import sqrt_pow, u_power_in_sigma
+
+from oracles import omega_float, u_power_on_euclidean_ball
 
 
 # -- finite-difference second-fundamental-form oracle ----------------------

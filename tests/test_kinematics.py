@@ -16,14 +16,14 @@ from gkf.kinematics import (
     p_sigma,
     p_tau,
     p_u_power,
-    pair_tensor,
-    printed_nu_closed_form,
     tube_volume_identity,
     u_power_on_great_subsphere,
 )
 from gkf.model_sets import GeodesicBall, GreatSubsphere, SubsphereTube
 from gkf.scalars import PiScalar, float_of, omega
 from gkf.series import sqrt_pow
+
+from oracles import pair_tensor, printed_nu_closed_form
 
 HALF = Fraction(1, 2)
 

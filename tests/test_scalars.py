@@ -15,8 +15,9 @@ from gkf.scalars import (
     generalized_binomial,
     log_omega,
     omega,
-    omega_float,
 )
+
+from oracles import omega_float
 
 PI = PiScalar.pi_power(2)
 SQRT_PI = PiScalar.pi_power(1)

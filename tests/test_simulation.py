@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gammainc, ndtr
+from scipy.special import ndtr
 
 from gkf.drivers import (
     McReport,
@@ -24,6 +24,7 @@ from gkf.functionals import (
     chi_intersection,
     icosphere,
     mesh_chi_quadratic,
+    mesh_chi_sublevel,
     volume_fraction,
 )
 from gkf.gauss import CenteredBall, FullSpace, HalfSpace, gauss_measure_tube, gkf_predict
@@ -43,12 +44,13 @@ from gkf.sampling import (
     pi_infinity_batch,
     pi_n_batch,
     poincare_test,
-    projected_coordinate_cdf,
     sample_pi_infinity,
     sample_pi_n,
     uniform_cap_batch,
     uniform_sphere_batch,
 )
+
+from oracles import pair_tensor, projected_coordinate_cdf
 
 
 class TestRngStreams:
@@ -271,6 +273,98 @@ class TestChiIntersection:
         assert len(V) - len(E) + len(F) == 2  # the sphere itself
 
 
+def dict_icosphere(depth: int):
+    """Reference subdivision: one midpoint per edge through a dict, the
+    midpoints appended as the faces are walked; edges by a row sort."""
+    phi = (1 + math.sqrt(5)) / 2
+    verts = [
+        (-1, phi, 0), (1, phi, 0), (-1, -phi, 0), (1, -phi, 0),
+        (0, -1, phi), (0, 1, phi), (0, -1, -phi), (0, 1, -phi),
+        (phi, 0, -1), (phi, 0, 1), (-phi, 0, -1), (-phi, 0, 1),
+    ]
+    faces = [
+        (0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),
+        (1, 5, 9), (5, 11, 4), (11, 10, 2), (10, 7, 6), (7, 1, 8),
+        (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
+        (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
+    ]
+    vertices = [np.array(v, dtype=float) / np.linalg.norm(v) for v in verts]
+    for _ in range(depth):
+        midpoint = {}
+
+        def midpoint_index(a, b):
+            key = (min(a, b), max(a, b))
+            if key not in midpoint:
+                m = vertices[a] + vertices[b]
+                vertices.append(m / np.linalg.norm(m))
+                midpoint[key] = len(vertices) - 1
+            return midpoint[key]
+
+        new_faces = []
+        for a, b, c in faces:
+            ab, bc, ca = midpoint_index(a, b), midpoint_index(b, c), midpoint_index(c, a)
+            new_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
+        faces = new_faces
+    F = np.array(faces, dtype=np.int64)
+    edges = np.unique(
+        np.sort(np.concatenate([F[:, [0, 1]], F[:, [1, 2]], F[:, [2, 0]]]), axis=1),
+        axis=0,
+    )
+    return np.array(vertices), edges, F
+
+
+class TestIcosphereMesh:
+    @pytest.mark.parametrize("depth", range(6))
+    def test_vertices_are_a_prefix_of_the_next_level(self, depth):
+        coarse, fine = icosphere(depth)[0], icosphere(depth + 1)[0]
+        assert np.array_equal(fine[: len(coarse)], coarse)
+
+    @pytest.mark.parametrize("depth", range(5))
+    def test_matches_dict_subdivision(self, depth):
+        V, E, F = icosphere(depth)
+        V_ref, E_ref, F_ref = dict_icosphere(depth)
+        assert np.array_equal(F, F_ref)
+        assert np.array_equal(E, E_ref)
+        assert np.abs(V - V_ref).max() <= 1e-15
+
+    @pytest.mark.parametrize("depth", range(6))
+    def test_face_count_is_vertex_edge_face_count(self, depth):
+        V, E, F = icosphere(depth)
+        gen = RngStream(17, depth).generator()
+        for p in (0.1, 0.5, 0.9):
+            inside = gen.random(len(V)) < p
+            expected = (
+                int(inside.sum())
+                - int((inside[E[:, 0]] & inside[E[:, 1]]).sum())
+                + int(inside[F].all(axis=1).sum())
+            )
+            assert mesh_chi_sublevel(inside, depth) == expected
+
+    @pytest.mark.parametrize("depth", [0, 3, 5])
+    def test_full_and_empty_masks(self, depth):
+        n = len(icosphere(depth)[0])
+        assert mesh_chi_sublevel(np.ones(n, dtype=bool), depth) == 2
+        assert mesh_chi_sublevel(np.zeros(n, dtype=bool), depth) == 0
+
+    def test_refuses_non_finite_input(self):
+        F = np.ones((2, 3))
+        F[1, 2] = np.nan
+        with pytest.raises(ValueError):
+            mesh_chi_quadratic(F, 1.0)
+        with pytest.raises(ValueError):
+            mesh_chi_quadratic(np.ones((2, 3)), float("nan"))
+
+    def test_refuses_wrong_column_count(self):
+        with pytest.raises(ValueError, match="map shape mismatch"):
+            mesh_chi_quadratic(np.ones((2, 4)), 1.0)
+
+    def test_refuses_unsettled_count(self):
+        # the level set of |x|^2 at 1 is the whole sphere up to rounding, so
+        # the inside vertices scatter and no two levels agree
+        with pytest.raises(ValueError, match="did not settle"):
+            mesh_chi_quadratic(np.eye(3), 1.0, max_depth=7)
+
+
 class TestVolumeFraction:
     def test_full_space(self):
         F = sample_pi_infinity(3, 2, RngStream(17))
@@ -478,7 +572,7 @@ class TestKinematicPairingAgainstRotationMonteCarlo:
         # exactly when the ball center lies within its radius of the rotated
         # hypersphere; averaging that indicator over random rotations is an
         # independent oracle for the kinematic pairing of chi
-        from gkf.kinematics import p_chi, pair_tensor
+        from gkf.kinematics import p_chi
 
         N, r = 8, 1.3
         exact = pair_tensor(
