@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluate import abs_sigma, sigma_evaluate, t_power_unit
+from .evaluate import _section_u_power, abs_sigma, sigma_evaluate, t_power_unit
 from .functionals import _chi_values, gauss_set_membership, sample_uniform_on
 from .gauss import CenteredBall, FullSpace, GaussSet, HalfSpace, gamma, gkf_predict
-from .kinematics import gkf_coefficient, nu_values_on_set, u_power_on_great_subsphere
+from .kinematics import gkf_coefficient, nu_values_on_set
 from .model_sets import (
     AmbientSphere,
     GeodesicBall,
@@ -102,20 +102,17 @@ def pull_back_set(D: GaussSet, N: int):
 
 def pi_n_prediction(A: ModelSet, D: GaussSet, N: int, m: int) -> float:
     """Exact finite-N expectation of the degree-m functional: the kinematic
-    pairing 2^m sum_k u^(m+k)(embedded A) nu_k(trace of D)."""
-    if isinstance(A, UnitSphere):
-        n_embed = A.n
-    elif isinstance(A, UnitGreatSubsphere):
-        n_embed = A.m
-    else:
+    pairing 2^m sum_k u^(m+k)(A embedded in S^N) nu_k(trace of D), folded in
+    the exact ring to the positive-weight sum
+    2^m sum_p binom(m/2 + p, p) sigma_(n-m-2p)(trace of D), n = dim A."""
+    if not isinstance(A, (UnitSphere, UnitGreatSubsphere)):
         raise ValueError("finite-N prediction supports spheres and subspheres")
-    nu_vals = nu_values_on_set(pull_back_set(D, N), n_embed - m)
-    total = 0.0
-    for k in range(0, n_embed - m + 1):
-        u_val = u_power_on_great_subsphere(m + k, N, n_embed)
-        if u_val:
-            total += float(u_val) * nu_vals[k]
-    return 2.0**m * total
+    n_embed = _top_degree(A)
+    if n_embed > N:
+        raise ValueError(f"a {n_embed}-sphere does not embed in S^{N}")
+    if m > n_embed:
+        return 0.0
+    return 2.0**m * _section_u_power(m, n_embed, pull_back_set(D, N))
 
 
 # -- the main estimator ---------------------------------------------------------

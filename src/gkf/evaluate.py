@@ -34,7 +34,7 @@ from .model_sets import (
     tube_volume_fraction,
 )
 from .scalars import PiScalar, float_of, log_alpha, log_omega, omega
-from .series import sqrt_pow
+from .series import sqrt_pow, u_power_in_sigma
 
 NEG_INF = float("-inf")
 
@@ -68,32 +68,24 @@ def profile_sym_slog(
     blocks = profile.curvatures
     if j == 0:
         return 1, 0.0
-    if len(blocks) == 1:
-        kappa, mult = blocks[0]
-        if j > mult:
-            return 0, NEG_INF
-        if kappa == 0:
-            return 0, NEG_INF
-        sign = 1 if absolute else (1 if kappa > 0 else -1) ** j
-        return sign, _log_binom(mult, j) + j * math.log(abs(kappa))
-    if len(blocks) == 2:
-        (k1, m1), (k2, m2) = blocks
-        terms = []
-        for j1 in range(max(0, j - m2), min(j, m1) + 1):
-            j2 = j - j1
-            if (k1 == 0 and j1 > 0) or (k2 == 0 and j2 > 0):
-                continue
-            sign = 1
-            if not absolute:
-                sign = (1 if k1 >= 0 else -1) ** j1 * (1 if k2 >= 0 else -1) ** j2
-            log = _log_binom(m1, j1) + _log_binom(m2, j2)
-            if j1:
-                log += j1 * math.log(abs(k1))
-            if j2:
-                log += j2 * math.log(abs(k2))
-            terms.append((sign, log))
-        return _slog_sum(terms)
-    raise ValueError("profiles with more than two blocks are not supported")
+    if len(blocks) > 2:
+        raise ValueError("profiles with more than two blocks are not supported")
+    (k1, m1), (k2, m2) = (*blocks, (0.0, 0))[:2]  # one block: an empty second
+    terms = []
+    for j1 in range(max(0, j - m2), min(j, m1) + 1):
+        j2 = j - j1
+        if (k1 == 0 and j1 > 0) or (k2 == 0 and j2 > 0):
+            continue
+        sign = 1
+        if not absolute:
+            sign = (1 if k1 >= 0 else -1) ** j1 * (1 if k2 >= 0 else -1) ** j2
+        log = _log_binom(m1, j1) + _log_binom(m2, j2)
+        if j1:
+            log += j1 * math.log(abs(k1))
+        if j2:
+            log += j2 * math.log(abs(k2))
+        terms.append((sign, log))
+    return _slog_sum(terms)
 
 
 # -- curvature-basis values on sphere-side sets ---------------------------
@@ -203,32 +195,32 @@ def tau_evaluate(k: int, model_set: ModelSet):
 # -- generator powers on geodesic balls at any N ---------------------------
 
 
-def u_power_on_ball(k: int, N: int, r: float) -> float:
-    """u^k evaluated on the geodesic ball of radius r, valid at any N.
+def _section_u_power(k: int, n: int, model_set: ModelSet) -> float:
+    """sum_p binom(k/2 + p, p) sigma_(n-k-2p)(S) in signed log scale: u^k(S)
+    at n = N, and at n < N the rotation average of u^k over the sections of
+    S by a great n-subsphere.  The exact weights (`series.u_power_in_sigma`)
+    enter through the logs of numerator and denominator, so none overflows."""
+    terms = []
+    for i, q in u_power_in_sigma(k, n):
+        exact = _exact_sigma(i, model_set)
+        if exact is None:
+            sign, log = _sigma_slog(i, model_set, absolute=False)
+        else:
+            sign, log = (1, math.log(exact)) if exact else (0, NEG_INF)
+        terms.append((sign, log + math.log(q.numerator) - math.log(q.denominator)))
+    return _slog_value(*_slog_sum(terms))
 
-    Pairs the expansion u^k = sum_p binom(k/2 + p, p) sigma_(N-k-2p) (see
-    `series.u_power_in_sigma`) with the closed-form sigma values, all in log
-    scale.  Requires r <= hemisphere so that all the terms are positive.
-    """
+
+def u_power_on_ball(k: int, N: int, r: float) -> float:
+    """u^k on the geodesic ball of radius r at any N, as the positive sum
+    sum_p binom(k/2 + p, p) sigma_(N-k-2p)(ball); requires r <= hemisphere."""
     if not 0 <= k <= N:
         raise ValueError("index out of range")
     if r == 0:
         return 1.0 if k == 0 else 0.0
     if r > 0.5 * math.pi * math.sqrt(N) + 1e-12:
         raise ValueError("log-scale ball expansion requires r <= hemisphere")
-    ball = GeodesicBall(N, r)
-    q = 1.0  # binom(k/2 + p, p), by a running product
-    logs = []
-    for p in range((N - k) // 2 + 1):
-        if p > 0:
-            q *= (k / 2 + p) / p
-        sign, log_sigma = _sigma_slog(N - k - 2 * p, ball, absolute=False)
-        if sign > 0:
-            logs.append(log_sigma + math.log(q))
-    if not logs:
-        return 0.0
-    top = max(logs)
-    return math.exp(top) * sum(math.exp(l - top) for l in logs)
+    return _section_u_power(k, N, GeodesicBall(N, r))
 
 
 def mu_on_euclidean_ball(k: int, N: int, radius: float = 1.0) -> float:

@@ -28,14 +28,9 @@ from .bases import (
     conversion_matrix,
     nu_in_sigma_column,
 )
-from .evaluate import sigma_evaluate, u_power_on_ball
-from .model_sets import ModelSet, SubsphereTube
-from .scalars import (
-    PiScalar,
-    generalized_binomial,
-    log_alpha,
-    omega,
-)
+from .evaluate import sigma_evaluate
+from .model_sets import GeodesicBall, ModelSet, SubsphereTube
+from .scalars import PiScalar, log_alpha, omega
 from .series import contraction_power_series, sqrt_pow
 
 ZERO = PiScalar.zero()
@@ -233,19 +228,6 @@ def gkf_coefficient(k: int) -> PiScalar:
     )
 
 
-# -- generator powers on great subspheres -----------------------------------
-
-
-def u_power_on_great_subsphere(k: int, N: int, n: int) -> Fraction:
-    """u^k of a great n-subsphere: 2 binom(n/2, (n-k)/2) for k = n (mod 2),
-    else zero (pairing the binomial expansion with the curvature delta)."""
-    if not 0 <= k <= N:
-        raise ValueError("index out of range")
-    if k > n or (n - k) % 2 == 1:
-        return Fraction(0)
-    return 2 * generalized_binomial(Fraction(n, 2), (n - k) // 2)
-
-
 # -- the tube identity -------------------------------------------------------
 
 
@@ -268,7 +250,9 @@ def tube_volume_identity(N: int, d: int, s: float, r: float) -> tuple[float, flo
     sphere measure.
 
     Left: direct quadrature of the meridian profile of the grown tube.
-    Right: sum over k of u^k(ball of radius r) nu_k(tube of radius s).
+    Right: sum_k u^k(ball of radius r) nu_k(tube of radius s) in the
+    telescoped SIGMA (x) SIGMA form of `p_chi(N, sigma_sigma=True)`,
+    1/2 sum_a sigma_a(ball) P_(N-a)(tube) with P_j = sigma_j + P_(j-2).
     The identity needs s + r below the focal distance.
     """
     R = math.sqrt(N)
@@ -284,9 +268,9 @@ def tube_volume_identity(N: int, d: int, s: float, r: float) -> tuple[float, flo
     log_prefactor = log_alpha(d - 1) + log_alpha(N - d) - log_alpha(N)
     lhs = math.exp(log_prefactor) * integral
 
-    nu_vals = nu_values_on_set(SubsphereTube(N, d, s), N)
-    rhs = 0.0
-    for k in range(N + 1):
-        if nu_vals[k]:
-            rhs += u_power_on_ball(k, N, r) * nu_vals[k]
+    tube, ball = SubsphereTube(N, d, s), GeodesicBall(N, r)
+    P = [0.0, 0.0]  # P_(-2), P_(-1); P_j then sits at index j + 2
+    for j in range(N + 1):
+        P.append(sigma_evaluate(j, tube) + P[-2])
+    rhs = 0.5 * sum(sigma_evaluate(a, ball) * P[N - a + 2] for a in range(N + 1))
     return lhs, rhs

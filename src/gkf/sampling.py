@@ -140,6 +140,8 @@ def poincare_test(N: int, d: int, n_samples: int, rng: RngStream) -> PoincareRep
     the tail norm drawn as a chi-square, which is the same law without
     materializing N+1 coordinates.
     """
+    if d < 1 or n_samples < 1:
+        raise ValueError("d and n_samples must be at least 1")
     if N <= d:
         raise ValueError("projection requires N > d")
     gen = rng.generator()

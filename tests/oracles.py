@@ -9,9 +9,11 @@ from fractions import Fraction
 from scipy.special import betainc
 
 from gkf.bases import Basis
+from gkf.drivers import _top_degree, pull_back_set
 from gkf.evaluate import sigma_evaluate, tau_evaluate, u_power_on_ball
-from gkf.kinematics import KinematicTensor, u_power_on_great_subsphere
-from gkf.model_sets import GeodesicBall, GreatSubsphere, ModelSet
+from gkf.gauss import GaussSet
+from gkf.kinematics import KinematicTensor, nu_values_on_set
+from gkf.model_sets import GeodesicBall, GreatSubsphere, ModelSet, SubsphereTube
 from gkf.scalars import PiScalar, float_of, generalized_binomial, log_omega
 from gkf.series import SeriesU, series_mul, sqrt_pow, t_in_phi
 
@@ -86,6 +88,16 @@ def printed_nu_closed_form(k: int) -> tuple[tuple[int, Fraction], ...]:
     return tuple((i, q) for i, q in sorted(out.items()) if q)
 
 
+def u_power_on_great_subsphere(k: int, N: int, n: int) -> Fraction:
+    """u^k of a great n-subsphere: 2 binom(n/2, (n-k)/2) for k = n (mod 2),
+    else zero (pairing the binomial expansion with the curvature delta)."""
+    if not 0 <= k <= N:
+        raise ValueError("index out of range")
+    if k > n or (n - k) % 2 == 1:
+        return Fraction(0)
+    return 2 * generalized_binomial(Fraction(n, 2), (n - k) // 2)
+
+
 # -- pairings ----------------------------------------------------------------------
 
 
@@ -124,3 +136,29 @@ def pair_tensor(tensor: KinematicTensor, left_set: ModelSet, right_set: ModelSet
             if rv:
                 total += float_of(entry) * lv * rv
     return total
+
+
+def pi_n_prediction_nu_route(A: ModelSet, D: GaussSet, N: int, m: int) -> float:
+    """The finite-N prediction as the unfolded float pairing
+    2^m sum_k u^(m+k)(A embedded in S^N) nu_k(trace of D).  Its terms
+    alternate in sign, so it loses every digit as the dimension of A grows
+    (about n = 100 at N = 200)."""
+    n_embed = _top_degree(A)
+    nu_vals = nu_values_on_set(pull_back_set(D, N), n_embed - m)
+    total = 0.0
+    for k in range(0, n_embed - m + 1):
+        u_val = u_power_on_great_subsphere(m + k, N, n_embed)
+        if u_val:
+            total += float(u_val) * nu_vals[k]
+    return 2.0**m * total
+
+
+def tube_rhs_nu_route(N: int, d: int, s: float, r: float) -> float:
+    """Right side of the tube-volume identity as the float pairing
+    sum_k u^k(ball of radius r) nu_k(tube of radius s)."""
+    nu_vals = nu_values_on_set(SubsphereTube(N, d, s), N)
+    rhs = 0.0
+    for k in range(N + 1):
+        if nu_vals[k]:
+            rhs += u_power_on_ball(k, N, r) * nu_vals[k]
+    return rhs

@@ -48,13 +48,8 @@ def _definitions(tree: ast.Module):
                     yield f"{node.name}.{item.name}", item.name, node.name, on_class
 
 
-def test_every_definition_is_referenced():
-    """A name counts as used when code in `src/gkf`, `tests` or `perfbench`
-    reads it (an import, a string in `__all__` or the definition itself
-    does not count). A class-level constructor counts only when read off
-    its class (`SeriesU.from_coeffs`, `cls.from_coeffs`)."""
-    files = sorted(PACKAGE.glob("*.py"))
-    files += sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+def _reads(files):
+    """(names, attributes, (object, attribute) pairs) read by the files."""
     names, attributes, on_class = set(), set(), set()
     for path in files:
         for node in ast.walk(ast.parse(path.read_text())):
@@ -64,10 +59,27 @@ def test_every_definition_is_referenced():
                 attributes.add(node.attr)
                 if isinstance(node.value, ast.Name):
                     on_class.add((node.value.id, node.attr))
+    return names, attributes, on_class
+
+
+def test_every_definition_is_referenced():
+    """A module-level name outside `gkf.__all__` counts as used when code in
+    `src/gkf` or `perfbench` reads it; a name only tests read belongs in
+    `tests/oracles.py`. An exported name or a method counts as used when
+    code in `src/gkf`, `tests` or `perfbench` reads it. An import, a string
+    in `__all__` or the definition itself does not count. A class-level
+    constructor counts only when read off its class (`SeriesU.from_coeffs`,
+    `cls.from_coeffs`)."""
+    package_files = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    package_names, package_attributes, _ = _reads(package_files)
+    names, attributes, on_class = _reads(package_files + sorted((ROOT / "tests").glob("*.py")))
+    exported = set(gkf.__all__)
     dead = []
     for path in sorted(PACKAGE.glob("*.py")):
         for qualified, name, owner, class_level in _definitions(ast.parse(path.read_text())):
-            if owner is None:
+            if owner is None and name not in exported:
+                used = name in package_names or name in package_attributes
+            elif owner is None:
                 used = name in names or name in attributes
             elif class_level:
                 used = (owner, name) in on_class or ("cls", name) in on_class

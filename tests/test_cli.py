@@ -256,6 +256,13 @@ class TestConverge:
         assert code == 0
         assert [row["law"] for row in doc["results"]] == ["infinity", "100000"]
 
+    @pytest.mark.parametrize("flags", [["--d", "0"], ["--d", "-1"], ["--samples", "0"]])
+    def test_poincare_bad_size_exit_two(self, capsys, flags):
+        argv = ["converge", "--mode", "poincare", "--N-list", "50", *flags]
+        code, out = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+
     @pytest.mark.parametrize("samples", ["0", "1"])
     def test_too_few_samples_exit_two(self, capsys, samples):
         argv = ["converge", "--mode", "law", "--N-list", "50", "--samples", samples]

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from gkf.bases import Basis, basis_element, change_basis
+from gkf.bases import Basis, basis_element, change_basis, nu_in_sigma_column
 from gkf.evaluate import evaluate
 from gkf.kinematics import (
     gkf_coefficient,
@@ -17,13 +17,17 @@ from gkf.kinematics import (
     p_tau,
     p_u_power,
     tube_volume_identity,
-    u_power_on_great_subsphere,
 )
 from gkf.model_sets import GeodesicBall, GreatSubsphere, SubsphereTube
-from gkf.scalars import PiScalar, float_of, omega
+from gkf.scalars import PiScalar, float_of, generalized_binomial, omega
 from gkf.series import sqrt_pow
 
-from oracles import pair_tensor, printed_nu_closed_form
+from oracles import (
+    pair_tensor,
+    printed_nu_closed_form,
+    tube_rhs_nu_route,
+    u_power_on_great_subsphere,
+)
 
 HALF = Fraction(1, 2)
 
@@ -199,6 +203,23 @@ class TestGreatSubsphereUPowers:
         assert u_power_on_great_subsphere(0, 10, 4) == 2
         assert u_power_on_great_subsphere(0, 10, 5) == 0
 
+    def test_pairing_with_nu_folds_to_positive_sigma_weights(self):
+        # sum_k u^(m+k)(great n-subsphere of S^N) nu_k
+        #   = sum_p binom(m/2 + p, p) sigma_(n-m-2p), for every N >= n
+        for N in (3, 7, 20, 64, 200):
+            for n in range(min(N, 40) + 1):
+                for m in range(n + 1):
+                    folded: dict[int, Fraction] = {}
+                    for k in range(n - m + 1):
+                        u_val = u_power_on_great_subsphere(m + k, N, n)
+                        for i, q in nu_in_sigma_column(k):
+                            folded[i] = folded.get(i, Fraction(0)) + u_val * q
+                    expected = {
+                        n - m - 2 * p: generalized_binomial(Fraction(m, 2) + p, p)
+                        for p in range((n - m) // 2 + 1)
+                    }
+                    assert {i: q for i, q in folded.items() if q} == expected, (N, n, m)
+
 
 class TestPairings:
     def test_pair_chi_with_ball_and_subsphere(self):
@@ -252,6 +273,15 @@ class TestTubeIdentity:
     def test_agreement(self, N, d, s, r):
         lhs, rhs = tube_volume_identity(N, d, s, r)
         assert abs(lhs - rhs) / lhs < 1e-8
+
+    @pytest.mark.parametrize(
+        "N,d,s,r",
+        [(20, 2, 1.0, 0.2), (20, 2, 1.0, 0.5), (30, 3, 0.8, 0.5), (80, 2, 1.0, 0.5),
+         (160, 2, 1.0, 0.5)],
+    )
+    def test_right_side_is_the_nu_pairing(self, N, d, s, r):
+        rhs = tube_volume_identity(N, d, s, r)[1]
+        assert rhs == pytest.approx(tube_rhs_nu_route(N, d, s, r), rel=1e-12)
 
     def test_zero_growth_radius(self):
         N, d, s = 14, 2, 0.9

@@ -6,10 +6,12 @@ live in the acceptance suite) with fixed seeds throughout.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from gkf.bases import nu_in_sigma_column
 from gkf.drivers import (
     McReport,
     estimate_lhs,
@@ -20,6 +22,7 @@ from gkf.drivers import (
     pi_n_prediction,
     pull_back_set,
 )
+from gkf.evaluate import sigma_evaluate
 from gkf.functionals import (
     chi_intersection,
     icosphere,
@@ -49,8 +52,14 @@ from gkf.sampling import (
     uniform_cap_batch,
     uniform_sphere_batch,
 )
+from gkf.series import u_power_in_sigma
 
-from oracles import pair_tensor, projected_coordinate_cdf
+from oracles import (
+    pair_tensor,
+    pi_n_prediction_nu_route,
+    projected_coordinate_cdf,
+    u_power_on_great_subsphere,
+)
 
 
 class TestRngStreams:
@@ -462,6 +471,56 @@ class TestFiniteNPrediction:
         assert all(b < a for a, b in zip(errors, errors[1:]))
         assert errors[-1] < 0.005
 
+    @pytest.mark.parametrize("D", [CenteredBall(2, 1.0), HalfSpace(1, 0.5)])
+    def test_against_unfolded_sum_at_high_precision(self, D):
+        # the unfolded pairing 2^m sum_k u^(m+k)(S^n) nu_k(trace) cancels
+        # about 30 digits at n = 120, N = 200; 60 digits leave 30.  Both
+        # sides read the same float sigma values.
+        N = 200
+        trace = pull_back_set(D, N)
+        sigma = [sigma_evaluate(i, trace) for i in range(121)]
+        with mpmath.workdps(60):
+            for n in (2, 14, 40, 80, 100, 120):
+                for m in (0, 1, 2, n):
+                    unfolded = mpmath.mpf(0)
+                    for k in range(n - m + 1):
+                        u_val = u_power_on_great_subsphere(m + k, N, n)
+                        if u_val:
+                            nu_k = mpmath.fsum(
+                                mpmath.mpf(q.numerator) / q.denominator * sigma[i]
+                                for i, q in nu_in_sigma_column(k)
+                            )
+                            u_mp = mpmath.mpf(u_val.numerator) / u_val.denominator
+                            unfolded += u_mp * nu_k
+                    expected = float(2**m * unfolded)
+                    # the tube's odd sigma values are negative, so the folded
+                    # sum is held to the scale of its absolute terms
+                    scale = 2**m * sum(abs(q * sigma[i]) for i, q in u_power_in_sigma(m, n))
+                    pred = pi_n_prediction(UnitSphere(n), D, N, m)
+                    assert abs(pred - expected) <= 1e-14 * scale, (n, m)
+
+    def test_agrees_with_nu_route_at_small_n(self):
+        # below n = 15 the unfolded float pairing loses no more than a few
+        # digits, so the fold must reproduce it to the order-one scale
+        sets = [CenteredBall(2, 1.0), CenteredBall(3, 0.8), HalfSpace(1, 0.5),
+                HalfSpace(1, -0.7), FullSpace(2)]
+        for N in (5, 20, 64, 200):
+            for n in range(1, min(N, 14) + 1):
+                for A in (UnitSphere(n), UnitGreatSubsphere(min(n + 2, N), n)):
+                    for m in range(n + 1):
+                        for D in sets:
+                            expected = pi_n_prediction_nu_route(A, D, N, m)
+                            pred = pi_n_prediction(A, D, N, m)
+                            assert abs(pred - expected) <= 1e-13 * max(1.0, abs(expected))
+
+    def test_large_n_truth(self):
+        # on S^120 the excursion set of the centered disk is a tube about a
+        # great 118-sphere (chi = 2); that of the half-space is a cap (chi = 1)
+        # except with negligible probability
+        A = UnitSphere(120)
+        assert pi_n_prediction(A, CenteredBall(2, 1.0), 200, 0) == pytest.approx(2, abs=1e-12)
+        assert pi_n_prediction(A, HalfSpace(1, 0.5), 200, 0) == pytest.approx(1, abs=1e-12)
+
     def test_pull_back_shapes(self):
         assert isinstance(pull_back_set(CenteredBall(2, 1.0), 50), SubsphereTube)
         assert isinstance(pull_back_set(HalfSpace(1, 0.3), 50), GeodesicBall)
@@ -503,6 +562,11 @@ class TestPoincare:
     def test_dimension_guard(self):
         with pytest.raises(ValueError):
             poincare_test(2, 3, 10, RngStream(0))
+
+    @pytest.mark.parametrize("d,n_samples", [(0, 10), (-1, 10), (1, 0), (2, -3)])
+    def test_bad_sizes(self, d, n_samples):
+        with pytest.raises(ValueError, match="at least 1"):
+            poincare_test(50, d, n_samples, RngStream(0))
 
 
 class TestNuConvergence:
