@@ -25,15 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .scalars import PiScalar, omega
-from .series import (
-    SeriesU,
-    phi_in_t,
-    series_mul,
-    sigma_as_u_series,
-    sqrt_pow,
-    t_in_phi,
-    u_power_in_sigma,
-)
+from .series import binomial_x2_series, sqrt_pow, u_power_in_sigma
 
 ZERO = PiScalar.zero()
 ONE = PiScalar.one()
@@ -109,22 +101,20 @@ def chi_vector(N: int) -> ValuationVector:
 Matrix = tuple[tuple[tuple[int, PiScalar], ...], ...]
 
 
-def _columns_from_series_powers(gen: SeriesU, N: int) -> Matrix:
-    cols = []
-    power = SeriesU(N, (ONE,))
-    cols.append(tuple((i, c) for i, c in enumerate(power.coeffs) if c))
-    for _ in range(N):
-        power = series_mul(power, gen)
-        cols.append(tuple((i, c) for i, c in enumerate(power.coeffs) if c))
-    return tuple(cols)
+def _rational_columns(columns) -> Matrix:
+    return tuple(
+        tuple((i, PiScalar.from_rational(q)) for i, q in col) for col in columns
+    )
 
 
 @lru_cache(maxsize=None)
 def _edge_matrix(N: int, src: Basis, dst: Basis) -> Matrix:
-    if (src, dst) == (Basis.T, Basis.PHI):
-        return _columns_from_series_powers(t_in_phi(N), N)
-    if (src, dst) == (Basis.PHI, Basis.T):
-        return _columns_from_series_powers(phi_in_t(N), N)
+    # t^k = phi^k (1 - phi^2/4N)^(-k/2) and phi^k = t^k (1 + t^2/4N)^(-k/2)
+    if (src, dst) in ((Basis.T, Basis.PHI), (Basis.PHI, Basis.T)):
+        inner = Fraction(-1 if src == Basis.T else 1, 4 * N)
+        return _rational_columns(
+            binomial_x2_series(N, k, Fraction(-k, 2), inner) for k in range(N + 1)
+        )
     if (src, dst) == (Basis.T, Basis.U):
         return tuple(((k, sqrt_pow(4 * N, k)),) for k in range(N + 1))
     if (src, dst) == (Basis.U, Basis.T):
@@ -147,13 +137,11 @@ def _edge_matrix(N: int, src: Basis, dst: Basis) -> Matrix:
             for k in range(N + 1)
         )
     if (src, dst) == (Basis.U, Basis.SIGMA):
-        return tuple(
-            tuple((i, PiScalar.from_rational(q)) for i, q in u_power_in_sigma(k, N))
-            for k in range(N + 1)
-        )
+        return _rational_columns(u_power_in_sigma(k, N) for k in range(N + 1))
     if (src, dst) == (Basis.SIGMA, Basis.U):
-        return tuple(
-            tuple((i, c) for i, c in enumerate(sigma_as_u_series(m, N).coeffs) if c)
+        # sigma_m = u^(N-m) (1 + u^2)^(-(N-m)/2 - 1)
+        return _rational_columns(
+            binomial_x2_series(N, N - m, Fraction(-(N - m) - 2, 2), Fraction(1))
             for m in range(N + 1)
         )
     if (src, dst) == (Basis.SIGMA, Basis.TAU):
@@ -161,12 +149,7 @@ def _edge_matrix(N: int, src: Basis, dst: Basis) -> Matrix:
     if (src, dst) == (Basis.TAU, Basis.SIGMA):
         return tuple(((N - j, sqrt_pow(4 * N, j)),) for j in range(N + 1))
     if (src, dst) == (Basis.NU, Basis.SIGMA):
-        return tuple(
-            tuple(
-                (i, PiScalar.from_rational(q)) for i, q in nu_in_sigma_column(k)
-            )
-            for k in range(N + 1)
-        )
+        return _rational_columns(nu_in_sigma_column(k) for k in range(N + 1))
     if (src, dst) == (Basis.SIGMA, Basis.NU):
         return _sigma_to_nu_matrix(N)
     raise ValueError(f"no elementary bridge {src} -> {dst}")
@@ -200,10 +183,7 @@ def _sigma_to_nu_matrix(N: int) -> Matrix:
             for idx, v in sigma_in_nu[i].items():
                 acc[idx] = acc.get(idx, Fraction(0)) - 2 * q * v
         sigma_in_nu.append({i: v for i, v in acc.items() if v})
-    return tuple(
-        tuple((i, PiScalar.from_rational(v)) for i, v in sorted(col.items()))
-        for col in sigma_in_nu
-    )
+    return _rational_columns(sorted(col.items()) for col in sigma_in_nu)
 
 
 # -- routing ----------------------------------------------------------------
@@ -294,5 +274,11 @@ def lk_multiply(a: ValuationVector, b: ValuationVector) -> ValuationVector:
         raise ValueError("multiplication requires the T or U basis")
     if b.basis != a.basis:
         b = change_basis(b, a.basis)
-    product = series_mul(SeriesU(a.N, a.coeffs), SeriesU(b.N, b.coeffs))
-    return ValuationVector(a.N, a.basis, product.coeffs)
+    out = [ZERO] * (a.N + 1)
+    for i, ai in enumerate(a.coeffs):
+        if not ai:
+            continue
+        for j, bj in enumerate(b.coeffs[: a.N + 1 - i]):
+            if bj:
+                out[i + j] = out[i + j] + ai * bj
+    return ValuationVector(a.N, a.basis, tuple(out))

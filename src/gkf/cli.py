@@ -20,12 +20,19 @@ import io
 import json
 import math
 import os
+import random
 import sys
 import time
 from fractions import Fraction
 
 from . import __version__
-from .bases import EXACT_N_CAP, Basis, ValuationVector, change_basis
+from .bases import (
+    EXACT_N_CAP,
+    Basis,
+    ValuationVector,
+    change_basis,
+    nu_in_sigma_column,
+)
 from .drivers import estimate_lhs, nu_convergence, pull_back_set
 from .evaluate import mu_on_euclidean_ball
 from .gauss import (
@@ -149,7 +156,10 @@ def cmd_convert(args) -> tuple[list[dict], int]:
     if len(coeffs) != args.N + 1:
         raise ConfigError(f"expected {args.N + 1} coefficients")
     vector = ValuationVector.from_coeffs(args.N, source, coeffs)
-    converted = change_basis(vector, target)
+    try:
+        converted = change_basis(vector, target)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     rows = [
         {"index": k, **_exact_cell(converted.coeff(k))} for k in range(args.N + 1)
     ]
@@ -157,8 +167,6 @@ def cmd_convert(args) -> tuple[list[dict], int]:
 
 
 def cmd_nu(args) -> tuple[list[dict], int]:
-    from .bases import nu_in_sigma_column
-
     _nonnegative(N=args.N, k_max=args.k_max)
     k_max = min(args.k_max if args.k_max is not None else args.N, args.N)
     values = None
@@ -191,10 +199,10 @@ def cmd_predict(args) -> tuple[list[dict], int]:
 def cmd_simulate(args) -> tuple[list[dict], int]:
     A = parse_unit_set(args.A)
     D = parse_gauss_set(args.D)
-    m = args.m if args.m == "top" else int(args.m)
-    law_n = None if args.law == "infinity" else int(args.law)
     rng = RngStream(args.seed, args.stream)
     try:
+        m = args.m if args.m == "top" else int(args.m)
+        law_n = None if args.law == "infinity" else int(args.law)
         report = estimate_lhs(
             A, D, m, args.samples, rng, law_n=law_n, n_points=args.points,
             workers=args.workers,
@@ -285,8 +293,6 @@ def cmd_check(args) -> tuple[list[dict], int]:
     """Exact-identity suite: basis round trips, the defining identity of the
     dual family, operator-normalization consistency, the tube identity at
     three parameter points, and the derivative oracle."""
-    import random
-
     rows = []
 
     def record(name: str, passed: bool, detail: str = ""):

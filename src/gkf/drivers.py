@@ -189,6 +189,8 @@ def estimate_lhs(
     pairing for the finite-N ensemble (where supported)."""
     if n_points < 1:
         raise ValueError(f"n_points must be at least 1, got {n_points}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     degree = _resolve_degree(A, m)
     # the prediction rejects unsupported pairs, so it runs before any draw
     if law_n is None:

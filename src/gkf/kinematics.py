@@ -22,6 +22,7 @@ from fractions import Fraction
 from scipy.integrate import quad
 
 from .bases import (
+    EXACT_N_CAP,
     Basis,
     ValuationVector,
     _apply,
@@ -31,7 +32,7 @@ from .bases import (
 from .evaluate import sigma_evaluate
 from .model_sets import GeodesicBall, ModelSet, SubsphereTube
 from .scalars import PiScalar, log_alpha, omega
-from .series import contraction_power_series, sqrt_pow
+from .series import sqrt_pow
 
 ZERO = PiScalar.zero()
 HALF = PiScalar.from_rational(Fraction(1, 2))
@@ -109,8 +110,6 @@ class KinematicTensor:
 
 
 def _check_tensor_dim(N: int):
-    from .bases import EXACT_N_CAP
-
     if N > EXACT_N_CAP:
         raise ValueError(
             f"dense exact tensors are capped at N = {EXACT_N_CAP}; the "
@@ -148,10 +147,11 @@ def p_chi(N: int, sigma_sigma: bool = False) -> KinematicTensor:
     """Kinematic image of the Euler characteristic.
 
     Default form: left leg in generator powers (U), right leg in SIGMA,
-    rows[k][i] = 1/2 [u^k] (u/sqrt(1+u^2))^i.  With sigma_sigma=True the
-    independent telescoped form is returned: (u/sqrt(1+u^2))^i =
-    sum_j sigma_(N-i-2j), so the entry at (s, i) is 1/2 exactly when
-    s + i <= N with s + i = N (mod 2).
+    rows[k][i] = 1/2 [u^k] (u/sqrt(1+u^2))^i, read from the nu column
+    `bases.nu_in_sigma_column(k)`, which is the source.  With
+    sigma_sigma=True the telescoped form is returned as the independent
+    check: (u/sqrt(1+u^2))^i = sum_j sigma_(N-i-2j), so the entry at (s, i)
+    is 1/2 exactly when s + i <= N with s + i = N (mod 2).
     """
     if N < 1:
         raise ValueError("dimension must be positive")
@@ -166,12 +166,9 @@ def p_chi(N: int, sigma_sigma: bool = False) -> KinematicTensor:
         ]
         return KinematicTensor(N, Basis.SIGMA, Basis.SIGMA, tuple(rows))
     rows = [[ZERO] * (N + 1) for _ in range(N + 1)]
-    for i in range(N + 1):
-        series = contraction_power_series(i, N)
-        for k in range(N + 1):
-            c = series.coeff(k)
-            if c:
-                rows[k][i] = HALF * c
+    for k in range(N + 1):
+        for i, q in nu_in_sigma_column(k):
+            rows[k][i] = PiScalar.from_rational(q)
     return KinematicTensor(N, Basis.U, Basis.SIGMA, tuple(tuple(r) for r in rows))
 
 
@@ -192,8 +189,10 @@ class NuTable:
 
 
 def nu_table(N: int) -> NuTable:
-    """Extract nu_k as the u^k-coefficient rows of the kinematic image of
-    chi in its U (x) SIGMA form; this extraction is the source of truth."""
+    """nu_k as the u^k-coefficient rows of the kinematic image of chi in its
+    U (x) SIGMA form, that is the nu columns `bases.nu_in_sigma_column(k)`;
+    `nu_defining_identity_holds` checks them against the telescoped
+    SIGMA (x) SIGMA form."""
     tensor = p_chi(N)
     return NuTable(N, tensor.rows)
 

@@ -14,11 +14,15 @@ from gkf.evaluate import sigma_evaluate, tau_evaluate, u_power_on_ball
 from gkf.gauss import GaussSet
 from gkf.kinematics import KinematicTensor, nu_values_on_set
 from gkf.model_sets import GeodesicBall, GreatSubsphere, ModelSet, SubsphereTube
-from gkf.scalars import PiScalar, float_of, generalized_binomial, log_omega
-from gkf.series import SeriesU, series_mul, sqrt_pow, t_in_phi
+from gkf.scalars import float_of, generalized_binomial, log_omega
+from gkf.series import sqrt_pow
 
 
 # -- scalars and series --------------------------------------------------------
+#
+# A series is a tuple of N+1 exact coefficients; the bridge columns below are
+# built the long way, as powers of one generator series by repeated
+# truncated products, with the base series taken from generalized_binomial.
 
 
 def omega_float(n: int) -> float:
@@ -26,24 +30,68 @@ def omega_float(n: int) -> float:
     return math.exp(log_omega(n))
 
 
-def substitute(f: SeriesU, g: SeriesU) -> SeriesU:
+def truncated_product(a: tuple, b: tuple) -> tuple:
+    """a * b truncated at the common degree len(a) - 1."""
+    out = [0] * len(a)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b[: len(a) - i]):
+            out[i + j] += ai * bj
+    return tuple(out)
+
+
+def binomial_series(N: int, shift: int, exponent: Fraction, inner: Fraction) -> tuple:
+    """x^shift (1 + inner x^2)^exponent truncated at degree N."""
+    out = [Fraction(0)] * (N + 1)
+    for j in range((N - shift) // 2 + 1):
+        out[shift + 2 * j] = generalized_binomial(exponent, j) * inner**j
+    return tuple(out)
+
+
+def power_columns(gen: tuple, N: int, factor: tuple | None = None) -> tuple:
+    """Sparse columns (index, coefficient) of factor * gen^k for k = 0..N."""
+    power = (Fraction(1),) + (Fraction(0),) * N
+    cols = []
+    for _ in range(N + 1):
+        column = power if factor is None else truncated_product(power, factor)
+        cols.append(tuple((i, c) for i, c in enumerate(column) if c))
+        power = truncated_product(power, gen)
+    return tuple(cols)
+
+
+def t_in_phi(N: int) -> tuple:
+    return binomial_series(N, 1, Fraction(-1, 2), Fraction(-1, 4 * N))
+
+
+def phi_in_t(N: int) -> tuple:
+    return binomial_series(N, 1, Fraction(-1, 2), Fraction(1, 4 * N))
+
+
+def sigma_in_u_columns(N: int) -> tuple:
+    """Column m holds sigma_m = s^(N-m) (1 + u^2)^(-1) in u, with
+    s = u (1 + u^2)^(-1/2); the powers run over N - m, so the columns come
+    out reversed."""
+    s = binomial_series(N, 1, Fraction(-1, 2), Fraction(1))
+    tail = binomial_series(N, 0, Fraction(-1), Fraction(1))
+    return tuple(reversed(power_columns(s, N, tail)))
+
+
+def substitute(f: tuple, g: tuple) -> tuple:
     """f(g(x)) truncated; g must have zero constant term."""
-    if g.coeff(0):
+    if g[0]:
         raise ValueError("substitution requires zero constant term")
-    n = f.N
-    out = [f.coeff(0)] + [PiScalar.zero()] * n
-    power = SeriesU(n, (PiScalar.one(),))
-    for k in range(1, n + 1):
-        power = series_mul(power, g)
-        for i, c in enumerate(power.padded()):
-            out[i] = out[i] + f.coeff(k) * c
-    return SeriesU(n, tuple(out))
+    out = [f[0]] + [0] * (len(f) - 1)
+    power = (1,) + (0,) * (len(f) - 1)
+    for k in range(1, len(f)):
+        power = truncated_product(power, g)
+        for i, c in enumerate(power):
+            out[i] += f[k] * c
+    return tuple(out)
 
 
-def u_in_phi(N: int) -> SeriesU:
+def u_in_phi(N: int) -> tuple:
     """u = t / sqrt(4N) as a series in phi."""
     scale = sqrt_pow(4 * N, -1)
-    return SeriesU(N, tuple(scale * c for c in t_in_phi(N).coeffs))
+    return tuple(scale * c for c in t_in_phi(N))
 
 
 # -- closed forms ------------------------------------------------------------------

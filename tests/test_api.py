@@ -68,7 +68,7 @@ def test_every_definition_is_referenced():
     `tests/oracles.py`. An exported name or a method counts as used when
     code in `src/gkf`, `tests` or `perfbench` reads it. An import, a string
     in `__all__` or the definition itself does not count. A class-level
-    constructor counts only when read off its class (`SeriesU.from_coeffs`,
+    constructor counts only when read off its class (`ValuationVector.from_coeffs`,
     `cls.from_coeffs`)."""
     package_files = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
     package_names, package_attributes, _ = _reads(package_files)
@@ -120,3 +120,18 @@ def test_every_import_is_read():
     files = sorted(PACKAGE.glob("*.py"))
     files += sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
     assert [entry for path in files for entry in _unread_imports(path)] == []
+
+
+def test_no_import_inside_a_function():
+    """Every import in the package sits at module top, where the import
+    graph is visible; none is needed to break an import cycle."""
+    nested = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested.update(
+                    f"{path.relative_to(ROOT)}:{inner.lineno}"
+                    for inner in ast.walk(node)
+                    if isinstance(inner, (ast.Import, ast.ImportFrom))
+                )
+    assert sorted(nested) == []

@@ -12,6 +12,7 @@ from gkf.bases import (
     ValuationVector,
     _compose,
     _edge_matrix,
+    _rational_columns,
     _route,
     basis_element,
     change_basis,
@@ -21,19 +22,18 @@ from gkf.bases import (
     nu_in_sigma_column,
 )
 from gkf.scalars import PiScalar, generalized_binomial, omega
-from gkf.series import (
-    SeriesU,
-    binomial_x2_series,
-    series_compose,
-    series_mul,
-    sigma_as_u_series,
-    sqrt_pow,
-    phi_in_t,
-    t_in_phi,
-    u_power_in_sigma,
-)
+from gkf.series import binomial_x2_series, sqrt_pow, u_power_in_sigma
 
-from oracles import substitute, u_in_phi
+from oracles import (
+    binomial_series,
+    phi_in_t,
+    power_columns,
+    sigma_in_u_columns,
+    substitute,
+    t_in_phi,
+    truncated_product,
+    u_in_phi,
+)
 
 ALL_BASES = list(Basis)
 
@@ -53,13 +53,12 @@ class TestSeriesSubstitution:
     def test_generator_expansions_are_mutual_inverses(self, N):
         # t(phi(t)) == t as truncated series
         composed = substitute(t_in_phi(N), phi_in_t(N))
-        expect = [PiScalar.zero()] * (N + 1)
-        expect[1] = PiScalar.one()
-        assert list(composed.padded()) == expect
+        assert composed == (0, 1) + (0,) * (N - 1)
 
     def test_sigma_top_is_alternating_series(self):
         N = 9
-        series = sigma_as_u_series(N, N)  # (1 + u^2)^(-1) truncated
+        # sigma_N = (1 + u^2)^(-1) truncated
+        series = change_basis(basis_element(N, Basis.SIGMA, N), Basis.U)
         for k in range(N + 1):
             if k % 2:
                 assert series.coeff(k).is_zero()
@@ -68,47 +67,33 @@ class TestSeriesSubstitution:
 
     def test_compose_rule_u_from_sigma_constant(self):
         N = 10
-        one = SeriesU(N, (PiScalar.one(),))
-        vec = series_compose(one, "UFromSigma")
-        assert vec.basis == Basis.SIGMA
+        vec = change_basis(basis_element(N, Basis.U, 0), Basis.SIGMA)
         for i in range(N + 1):
             expected = 1 if (N - i) % 2 == 0 else 0
             assert vec.coeff(i) == expected
 
     def test_compose_rule_sigma_from_u_roundtrip(self):
         N = 7
-        # expand sigma_3 in u, then re-expand the u-series over sigma
+        # sigma_3 = u^4 (1 + u^2)^(-3) in u, then re-expanded over sigma
         vec = basis_element(N, Basis.SIGMA, 3)
-        series = series_compose(vec, "SigmaFromU")
-        back = series_compose(series, "UFromSigma")
-        assert back.coeffs == vec.coeffs
+        series = change_basis(vec, Basis.U)
+        assert series.coeffs == (0,) * 4 + (1, 0, -3, 0)
+        assert change_basis(series, Basis.SIGMA).coeffs == vec.coeffs
 
     def test_compose_rule_mu_constant_term(self):
+        # phi^0 = t^0 = u^0 is chi, the bottom intrinsic volume
         N = 5
-        chi_series = SeriesU(N, (PiScalar.one(),))
-        vec = series_compose(chi_series, "MuFromT")
-        assert vec.basis == Basis.MU
-        assert vec.coeff(0) == 1
-        assert all(vec.coeff(k).is_zero() for k in range(1, N + 1))
+        for basis in (Basis.PHI, Basis.T, Basis.U):
+            vec = change_basis(basis_element(N, basis, 0), Basis.MU)
+            assert vec.coeff(0) == 1
+            assert all(vec.coeff(k).is_zero() for k in range(1, N + 1))
 
     def test_compose_phi_u_inverse_pair(self):
         N = 6
-        t_series = SeriesU(N, (PiScalar.zero(), PiScalar.one()))
-        as_phi = series_compose(t_series, "UOfPhi")
-        back = series_compose(as_phi, "PhiOfU")
-        assert back.padded() == t_series.padded()
-
-    def test_series_equality_ignores_trailing_zeros(self):
-        short = SeriesU(3, (PiScalar.zero(),))
-        long = SeriesU(3, (PiScalar.zero(),) * 4)
-        assert short == long
-        assert hash(short) == hash(long)
-        assert short != SeriesU(4, (PiScalar.zero(),))
-        assert SeriesU(3, (PiScalar.one(),)) != long
-
-    def test_unknown_rule(self):
-        with pytest.raises(ValueError):
-            series_compose(SeriesU(3, (PiScalar.one(),)), "NoSuchRule")
+        u = basis_element(N, Basis.U, 1)
+        as_phi = change_basis(u, Basis.PHI)
+        assert as_phi.coeffs == u_in_phi(N)
+        assert change_basis(as_phi, Basis.U).coeffs == u.coeffs
 
 
 class TestChangeBasis:
@@ -185,11 +170,11 @@ class TestChangeBasis:
         for k in range(N + 1):
             direct = change_basis(basis_element(N, Basis.U, k), Basis.SIGMA)
             # u^k as phi-series
-            u_pow = SeriesU(N, (PiScalar.one(),))
+            u_pow = (1,) + (0,) * N
             for _ in range(k):
-                u_pow = series_mul(u_pow, u_in_phi(N))
+                u_pow = truncated_product(u_pow, u_in_phi(N))
             via: dict[int, PiScalar] = {}
-            for i, c in enumerate(u_pow.padded()):
+            for i, c in enumerate(u_pow):
                 if not c:
                     continue
                 for j, q in phi_to_tau[i]:
@@ -240,6 +225,23 @@ class TestChangeBasis:
         with pytest.raises(ValueError):
             change_basis(big, Basis.SIGMA)
 
+    @pytest.mark.parametrize("N", [5, 12, 21, 40])
+    def test_bridges_are_graded(self, N):
+        # every bridge entry is one rational times pi^(m/2) sqrt(r), and the
+        # non-diagonal edges are rational: the premise for composing and
+        # applying bridges on plain Fraction matrices
+        for src in Basis:
+            for dst in Basis:
+                for col in conversion_matrix(N, src, dst):
+                    assert all(len(c.terms) == 1 for _, c in col), (src, dst)
+        for a, b in [
+            (Basis.T, Basis.PHI),
+            (Basis.U, Basis.SIGMA),
+            (Basis.SIGMA, Basis.NU),
+        ]:
+            for edge in (_edge_matrix(N, a, b), _edge_matrix(N, b, a)):
+                assert all(c.is_rational() for col in edge for _, c in col), (a, b)
+
 
 class TestNuColumns:
     def test_bottom_rows(self):
@@ -284,16 +286,25 @@ class TestBinomialRecurrences:
 
     @pytest.mark.parametrize("N", [1, 2, 7, 40, 64])
     def test_binomial_x2_series(self, N):
-        cases = [(Fraction(-1, 2), Fraction(s, 4 * N)) for s in (1, -1)]
-        cases += [(Fraction(-k - 2, 2), Fraction(1)) for k in range(N + 1)]
-        cases += [(Fraction(-i, 2), Fraction(1)) for i in range(N + 1)]
-        for exponent, inner in cases:
-            expected = [PiScalar.zero()] * (N + 1)
-            for j in range(N // 2 + 1):
-                expected[2 * j] = PiScalar.from_rational(
-                    generalized_binomial(exponent, j) * inner**j
-                )
-            assert binomial_x2_series(N, exponent, inner).coeffs == tuple(expected)
+        cases = [(1, Fraction(-1, 2), Fraction(s, 4 * N)) for s in (1, -1)]
+        cases += [(k, Fraction(-k - 2, 2), Fraction(1)) for k in range(N + 1)]
+        cases += [(i, Fraction(-i, 2), Fraction(1)) for i in range(N + 1)]
+        cases += [(0, Fraction(2), Fraction(3))]
+        for shift, exponent, inner in cases:
+            dense = binomial_series(N, shift, exponent, inner)
+            expected = tuple((i, q) for i, q in enumerate(dense) if q)
+            assert binomial_x2_series(N, shift, exponent, inner) == expected
+
+    @pytest.mark.parametrize("N", [1, 2, 7, 40, 64])
+    def test_generator_edges_against_series_powers(self, N):
+        # each closed-form column against the power of one generator
+        # series taken by repeated truncated products
+        for (a, b), columns in [
+            ((Basis.T, Basis.PHI), power_columns(t_in_phi(N), N)),
+            ((Basis.PHI, Basis.T), power_columns(phi_in_t(N), N)),
+            ((Basis.SIGMA, Basis.U), sigma_in_u_columns(N)),
+        ]:
+            assert _edge_matrix(N, a, b) == _rational_columns(columns), (a, b)
 
 
 class TestMultiplication:

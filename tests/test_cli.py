@@ -111,6 +111,17 @@ class TestConvert:
         )
         assert code == 2
 
+    def test_above_exact_cap_exit_two(self, capsys):
+        argv = [
+            "convert", "--N", "70", "--source", "t", "--target", "phi",
+            "--coeffs", ",".join(["1"] * 71),
+        ]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "capped at N = 64" in captured.err
+
 
 class TestNu:
     def test_rows(self, capsys):
@@ -218,6 +229,23 @@ class TestSimulate:
         assert code == 2
         assert captured.out == ""
         assert "n_points" in captured.err
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--law", "abc"], "invalid literal"),
+            (["--m", "abc"], "invalid literal"),
+            (["--workers", "0"], "workers must be at least 1"),
+            (["--workers", "-2"], "workers must be at least 1"),
+        ],
+    )
+    def test_bad_option_exit_two(self, capsys, flags, message):
+        argv = ["simulate", "--A", "sphere:2", "--D", "ball:2:1.0", "--samples", "64"]
+        code = main(argv + flags)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert message in captured.err
 
 
 class TestConverge:
