@@ -8,12 +8,20 @@ N+1 exact coefficients in one of the bases
     TAU, SIGMA   -- curvature-integral elements and their rescaling,
     NU           -- the dual expansion of the kinematic image of chi.
 
-Conversions are exact and routed along a spanning tree of elementary
-bridges, so every round trip is the identity on the nose:
+Element k of a basis is a monomial weight w(k) times one element of a
+rational frame.  The four frames sit on the path PHI -- T -- TAU -- NU:
 
-    PHI -- T -- U -- SIGMA -- TAU
-           |         |
-           MU        NU
+    basis          frame (index)   w(k)
+    PHI, T, TAU    own (k)         1
+    U              T (k)           (4N)^(-k/2)
+    MU             T (k)           1 / (k! omega_k pi^(-k))
+    SIGMA          TAU (N-k)       (4N)^(-(N-k)/2)
+    NU             NU (k)          (4N)^(-(N-k)/2)
+
+The three frame edges have rational entries, so a bridge is the Fraction
+product of the edges along a slice of the path, with the weights applied
+once per entry.  Conversions are exact, so every round trip is the
+identity on the nose.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .scalars import PiScalar, omega
-from .series import binomial_x2_series, sqrt_pow, u_power_in_sigma
+from .series import binomial_x2_series, sqrt_pow
 
 ZERO = PiScalar.zero()
 ONE = PiScalar.one()
@@ -55,8 +63,8 @@ class ValuationVector:
     coeffs: tuple[PiScalar, ...]
 
     def __post_init__(self):
-        if self.N < 0:
-            raise ValueError("dimension must be nonnegative")
+        if self.N < 1:
+            raise ValueError("dimension must be positive")
         if len(self.coeffs) != self.N + 1:
             raise ValueError(
                 f"expected {self.N + 1} coefficients, got {len(self.coeffs)}"
@@ -96,63 +104,68 @@ def chi_vector(N: int) -> ValuationVector:
     return basis_element(N, Basis.T, 0)
 
 
-# -- elementary bridge matrices (column-sparse: cols[k] = ((row, coeff), ...))
+# -- frame edges (column-sparse: cols[k] = ((row, coeff), ...)) -------------
 
 Matrix = tuple[tuple[tuple[int, PiScalar], ...], ...]
+FrameMatrix = tuple[tuple[tuple[int, Fraction], ...], ...]
+
+# the frames in path order, and each basis's position on the path
+_PATH = (Basis.PHI, Basis.T, Basis.TAU, Basis.NU)
+_ON_PATH = {Basis.PHI: 0, Basis.T: 1, Basis.U: 1, Basis.MU: 1,
+            Basis.TAU: 2, Basis.SIGMA: 2, Basis.NU: 3}
 
 
-def _rational_columns(columns) -> Matrix:
-    return tuple(
-        tuple((i, PiScalar.from_rational(q)) for i, q in col) for col in columns
-    )
+def _frame_index(N: int, basis: Basis, k: int) -> int:
+    """SIGMA element k sits at TAU index N-k; every other basis keeps k."""
+    return N - k if basis == Basis.SIGMA else k
 
 
 @lru_cache(maxsize=None)
-def _edge_matrix(N: int, src: Basis, dst: Basis) -> Matrix:
-    # t^k = phi^k (1 - phi^2/4N)^(-k/2) and phi^k = t^k (1 + t^2/4N)^(-k/2)
-    if (src, dst) in ((Basis.T, Basis.PHI), (Basis.PHI, Basis.T)):
+def _weights(N: int, basis: Basis) -> tuple[PiScalar, ...]:
+    """w(k): basis element k is w(k) times its frame element."""
+    if basis == Basis.U:
+        return tuple(sqrt_pow(4 * N, -k) for k in range(N + 1))
+    if basis == Basis.MU:
+        return tuple(
+            (math.factorial(k) * omega(k) * PiScalar.pi_power(-2 * k)).reciprocal()
+            for k in range(N + 1)
+        )
+    if basis in (Basis.SIGMA, Basis.NU):
+        return tuple(sqrt_pow(4 * N, -(N - k)) for k in range(N + 1))
+    return (ONE,) * (N + 1)
+
+
+@lru_cache(maxsize=None)
+def _frame_edge(N: int, src: Basis, dst: Basis) -> FrameMatrix:
+    if Basis.T in (src, dst):
+        # t^k = phi^k (1 - phi^2/4N)^(-k/2), phi^k = t^k (1 + t^2/4N)^(-k/2),
+        # and between t and tau the exponent is -(k+2)/2 each way
+        lift = 2 if Basis.TAU in (src, dst) else 0
         inner = Fraction(-1 if src == Basis.T else 1, 4 * N)
-        return _rational_columns(
-            binomial_x2_series(N, k, Fraction(-k, 2), inner) for k in range(N + 1)
-        )
-    if (src, dst) == (Basis.T, Basis.U):
-        return tuple(((k, sqrt_pow(4 * N, k)),) for k in range(N + 1))
-    if (src, dst) == (Basis.U, Basis.T):
-        return tuple(((k, sqrt_pow(4 * N, -k)),) for k in range(N + 1))
-    if (src, dst) == (Basis.T, Basis.MU):
         return tuple(
-            ((k, math.factorial(k) * omega(k) * PiScalar.pi_power(-2 * k)),)
+            binomial_x2_series(N, k, Fraction(-k - lift, 2), inner)
             for k in range(N + 1)
         )
-    if (src, dst) == (Basis.MU, Basis.T):
-        return tuple(
-            (
-                (
-                    k,
-                    (
-                        math.factorial(k) * omega(k) * PiScalar.pi_power(-2 * k)
-                    ).reciprocal(),
-                ),
-            )
-            for k in range(N + 1)
-        )
-    if (src, dst) == (Basis.U, Basis.SIGMA):
-        return _rational_columns(u_power_in_sigma(k, N) for k in range(N + 1))
-    if (src, dst) == (Basis.SIGMA, Basis.U):
-        # sigma_m = u^(N-m) (1 + u^2)^(-(N-m)/2 - 1)
-        return _rational_columns(
-            binomial_x2_series(N, N - m, Fraction(-(N - m) - 2, 2), Fraction(1))
-            for m in range(N + 1)
-        )
-    if (src, dst) == (Basis.SIGMA, Basis.TAU):
-        return tuple(((N - i, sqrt_pow(4 * N, -(N - i))),) for i in range(N + 1))
-    if (src, dst) == (Basis.TAU, Basis.SIGMA):
-        return tuple(((N - j, sqrt_pow(4 * N, j)),) for j in range(N + 1))
-    if (src, dst) == (Basis.NU, Basis.SIGMA):
-        return _rational_columns(nu_in_sigma_column(k) for k in range(N + 1))
-    if (src, dst) == (Basis.SIGMA, Basis.NU):
-        return _sigma_to_nu_matrix(N)
-    raise ValueError(f"no elementary bridge {src} -> {dst}")
+    # NU frame element k is (4N)^((N-k)/2) nu_k, so the sigma_i entry of
+    # nu_k, scaled by (4N)^(-(k-i)/2), lands at tau index N-i
+    nu_in_tau = tuple(
+        tuple((N - i, q / (4 * N) ** ((k - i) // 2)) for i, q in reversed(col))
+        for k, col in enumerate(map(nu_in_sigma_column, range(N + 1)))
+    )
+    if src == Basis.NU:
+        return nu_in_tau
+    # Invert the triangular-by-parity expansion by forward substitution:
+    # tau_(N-k) = 2 nu_k - 2 sum_(i<k) c_ik tau_(N-i).
+    tau_in_nu: list[dict[int, Fraction]] = [{}] * (N + 1)
+    for k, col in enumerate(nu_in_tau):
+        acc: dict[int, Fraction] = {k: Fraction(2)}
+        for j, q in col:
+            if j == N - k:
+                continue
+            for idx, v in tau_in_nu[j].items():
+                acc[idx] = acc.get(idx, 0) - 2 * q * v
+        tau_in_nu[N - k] = {i: v for i, v in acc.items() if v}
+    return tuple(tuple(sorted(col.items())) for col in tau_in_nu)
 
 
 @lru_cache(maxsize=None)
@@ -170,76 +183,46 @@ def nu_in_sigma_column(k: int) -> tuple[tuple[int, Fraction], ...]:
     return tuple(reversed(out))
 
 
-@lru_cache(maxsize=None)
-def _sigma_to_nu_matrix(N: int) -> Matrix:
-    # Invert the triangular-by-parity expansion by forward substitution:
-    # sigma_k = 2 nu_k - sum_{i<k} c_{ik} sigma_i.
-    sigma_in_nu: list[dict[int, Fraction]] = []
-    for k in range(N + 1):
-        acc: dict[int, Fraction] = {k: Fraction(2)}
-        for i, q in nu_in_sigma_column(k):
-            if i == k:
-                continue
-            for idx, v in sigma_in_nu[i].items():
-                acc[idx] = acc.get(idx, Fraction(0)) - 2 * q * v
-        sigma_in_nu.append({i: v for i, v in acc.items() if v})
-    return _rational_columns(sorted(col.items()) for col in sigma_in_nu)
+# -- bridges -----------------------------------------------------------------
 
 
-# -- routing ----------------------------------------------------------------
-
-_EDGES = {
-    Basis.PHI: (Basis.T,),
-    Basis.T: (Basis.PHI, Basis.U, Basis.MU),
-    Basis.U: (Basis.T, Basis.SIGMA),
-    Basis.MU: (Basis.T,),
-    Basis.SIGMA: (Basis.U, Basis.TAU, Basis.NU),
-    Basis.TAU: (Basis.SIGMA,),
-    Basis.NU: (Basis.SIGMA,),
-}
-
-
-@lru_cache(maxsize=None)
-def _route(src: Basis, dst: Basis) -> tuple[Basis, ...]:
-    frontier = [(src,)]
-    seen = {src}
-    while frontier:
-        path = frontier.pop(0)
-        if path[-1] == dst:
-            return path
-        for nxt in _EDGES[path[-1]]:
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(path + (nxt,))
-    raise ValueError("bases are not connected")
-
-
-def _compose(later: Matrix, first: Matrix) -> Matrix:
+def _compose(later: FrameMatrix, first: FrameMatrix) -> FrameMatrix:
     cols = []
     for col in first:
-        dense = [ZERO] * len(later)
+        acc: dict[int, Fraction] = {}
         for j, a in col:
-            dense[j] = a
-        cols.append(tuple((i, c) for i, c in enumerate(_apply(later, dense)) if c))
+            for i, b in later[j]:
+                acc[i] = acc.get(i, 0) + a * b
+        cols.append(tuple(sorted((i, q) for i, q in acc.items() if q)))
     return tuple(cols)
 
 
 @lru_cache(maxsize=None)
-def conversion_matrix(N: int, src: Basis, dst: Basis) -> Matrix:
-    return _route_matrix(N, _route(src, dst))
-
-
-@lru_cache(maxsize=None)
-def _route_matrix(N: int, route: tuple[Basis, ...]) -> Matrix:
-    """The product of the edges along a route: its last edge composed onto
-    the cached product along the route's prefix, which is the route to
-    its second-to-last basis."""
+def _route_matrix(N: int, route: tuple[Basis, ...]) -> FrameMatrix:
+    """The product of the frame edges along a slice of the path: its last
+    edge composed onto the cached product along the slice's prefix."""
     if len(route) == 1:
-        return tuple(((k, ONE),) for k in range(N + 1))
-    edge = _edge_matrix(N, route[-2], route[-1])
+        return tuple(((k, Fraction(1)),) for k in range(N + 1))
+    edge = _frame_edge(N, route[-2], route[-1])
     if len(route) == 2:
         return edge
     return _compose(edge, _route_matrix(N, route[:-1]))
+
+
+@lru_cache(maxsize=None)
+def conversion_matrix(N: int, src: Basis, dst: Basis) -> Matrix:
+    """Column k holds element k of src in dst coordinates: the frame
+    product along the path, times w_src(k) / w_dst(i) at row i."""
+    a, b = _ON_PATH[src], _ON_PATH[dst]
+    route = _PATH[min(a, b) : max(a, b) + 1]
+    product = _route_matrix(N, route if a <= b else route[::-1])
+    w_src = _weights(N, src)
+    w_dst = [w.reciprocal() for w in _weights(N, dst)]
+    cols = []
+    for k in range(N + 1):
+        rows = ((_frame_index(N, dst, f), q) for f, q in product[_frame_index(N, src, k)])
+        cols.append(tuple((i, w_src[k] * w_dst[i] * q) for i, q in rows))
+    return tuple(cols)
 
 
 def _apply(matrix: Matrix, coeffs: tuple[PiScalar, ...]) -> tuple[PiScalar, ...]:

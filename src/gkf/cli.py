@@ -64,10 +64,6 @@ SCHEMA_VERSION = "1"
 DEFAULT_SEED = 20240817
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def parse_unit_set(text: str) -> ModelSet:
     parts = text.split(":")
     try:
@@ -78,8 +74,8 @@ def parse_unit_set(text: str) -> ModelSet:
         if parts[0] == "subsphere" and len(parts) == 3:
             return UnitGreatSubsphere(int(parts[1]), int(parts[2]))
     except ValueError as exc:
-        raise ConfigError(f"bad set descriptor {text!r}: {exc}") from exc
-    raise ConfigError(
+        raise ValueError(f"bad set descriptor {text!r}: {exc}") from exc
+    raise ValueError(
         f"unknown set descriptor {text!r} (expected sphere:n, cap:n:theta, "
         "subsphere:n:m)"
     )
@@ -97,8 +93,8 @@ def parse_gauss_set(text: str) -> GaussSet:
         if parts[0] == "fullspace" and len(parts) == 2:
             return FullSpace(int(parts[1]))
     except ValueError as exc:
-        raise ConfigError(f"bad set descriptor {text!r}: {exc}") from exc
-    raise ConfigError(
+        raise ValueError(f"bad set descriptor {text!r}: {exc}") from exc
+    raise ValueError(
         f"unknown set descriptor {text!r} (expected halfspace:d:u, ball:d:rho, "
         "origin:d, fullspace:d)"
     )
@@ -114,7 +110,7 @@ def _exact_cell(x: PiScalar) -> dict:
 def _nonnegative(**values) -> None:
     for flag, value in values.items():
         if value is not None and value < 0:
-            raise ConfigError(f"--{flag.replace('_', '-')} must be nonnegative")
+            raise ValueError(f"--{flag.replace('_', '-')} must be nonnegative")
 
 
 def cmd_tables(args) -> tuple[list[dict], int]:
@@ -131,7 +127,7 @@ def cmd_tables(args) -> tuple[list[dict], int]:
             rows.append({"k": k, **_exact_cell(gkf_coefficient(k))})
     elif args.what == "mu_ball":
         if args.N is None:
-            raise ConfigError("mu_ball table needs --N")
+            raise ValueError("mu_ball table needs --N")
         for k in range(min(args.max, args.N) + 1):
             if args.N <= EXACT_N_CAP:
                 mu = omega(args.N) * omega(args.N - k).reciprocal() * math.comb(args.N, k)
@@ -139,27 +135,21 @@ def cmd_tables(args) -> tuple[list[dict], int]:
             else:
                 rows.append({"k": k, "symbolic": "", "value": mu_on_euclidean_ball(k, args.N)})
     else:
-        raise ConfigError(f"unknown table {args.what!r}")
+        raise ValueError(f"unknown table {args.what!r}")
     return rows, 0
 
 
 def cmd_convert(args) -> tuple[list[dict], int]:
-    try:
-        source = Basis(args.source)
-        target = Basis(args.target)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    source = Basis(args.source)
+    target = Basis(args.target)
     try:
         coeffs = [Fraction(c) for c in args.coeffs.split(",")]
     except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"bad coefficient list: {exc}") from exc
+        raise ValueError(f"bad coefficient list: {exc}") from exc
     if len(coeffs) != args.N + 1:
-        raise ConfigError(f"expected {args.N + 1} coefficients")
+        raise ValueError(f"expected {args.N + 1} coefficients")
     vector = ValuationVector.from_coeffs(args.N, source, coeffs)
-    try:
-        converted = change_basis(vector, target)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    converted = change_basis(vector, target)
     rows = [
         {"index": k, **_exact_cell(converted.coeff(k))} for k in range(args.N + 1)
     ]
@@ -172,10 +162,7 @@ def cmd_nu(args) -> tuple[list[dict], int]:
     values = None
     if args.D is not None:
         D = parse_gauss_set(args.D)
-        try:
-            values = nu_values_on_set(pull_back_set(D, args.N), k_max)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        values = nu_values_on_set(pull_back_set(D, args.N), k_max)
     rows = []
     for k in range(k_max + 1):
         expansion = " + ".join(f"{q}*sigma_{i}" for i, q in nu_in_sigma_column(k))
@@ -189,10 +176,7 @@ def cmd_nu(args) -> tuple[list[dict], int]:
 def cmd_predict(args) -> tuple[list[dict], int]:
     A = parse_unit_set(args.A)
     D = parse_gauss_set(args.D)
-    try:
-        value = gkf_predict(A, D, args.m)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    value = gkf_predict(A, D, args.m)
     return [{"A": args.A, "D": args.D, "m": args.m, "prediction": value}], 0
 
 
@@ -200,15 +184,12 @@ def cmd_simulate(args) -> tuple[list[dict], int]:
     A = parse_unit_set(args.A)
     D = parse_gauss_set(args.D)
     rng = RngStream(args.seed, args.stream)
-    try:
-        m = args.m if args.m == "top" else int(args.m)
-        law_n = None if args.law == "infinity" else int(args.law)
-        report = estimate_lhs(
-            A, D, m, args.samples, rng, law_n=law_n, n_points=args.points,
-            workers=args.workers,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    m = args.m if args.m == "top" else int(args.m)
+    law_n = None if args.law == "infinity" else int(args.law)
+    report = estimate_lhs(
+        A, D, m, args.samples, rng, law_n=law_n, n_points=args.points,
+        workers=args.workers,
+    )
     row = {
         "A": args.A,
         "D": args.D,
@@ -227,18 +208,11 @@ def cmd_simulate(args) -> tuple[list[dict], int]:
 
 
 def cmd_converge(args) -> tuple[list[dict], int]:
-    try:
-        return _converge(args)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _converge(args) -> tuple[list[dict], int]:
     n_list = tuple(int(x) for x in args.N_list.split(","))
     if args.mode == "nu":
         D = parse_gauss_set(args.D) if args.D else CenteredBall(2, 1.0)
         if not isinstance(D, CenteredBall):
-            raise ConfigError("nu convergence expects a ball descriptor")
+            raise ValueError("nu convergence expects a ball descriptor")
         return nu_convergence(D.d, D.rho, args.k_max or 2, n_list), 0
     if args.mode == "poincare":
         rows = []
@@ -258,26 +232,15 @@ def _converge(args) -> tuple[list[dict], int]:
         A = parse_unit_set(args.A)
         D = parse_gauss_set(args.D) if args.D else CenteredBall(2, 1.0)
         rows = []
-        reference = estimate_lhs(
-            A, D, 0, args.samples, RngStream(args.seed, args.stream)
-        )
-        rows.append(
-            {
-                "law": "infinity",
-                "estimate": reference.estimate,
-                "stderr": reference.stderr,
-                "prediction": reference.prediction,
-                "z_score": reference.z_score,
-                "gate": reference.gate,
-            }
-        )
-        for i, N in enumerate(n_list):
+        runs = [(None, args.stream)]
+        runs += [(N, args.stream + 1 + i) for i, N in enumerate(n_list)]
+        for law_n, stream in runs:
             rep = estimate_lhs(
-                A, D, 0, args.samples, RngStream(args.seed, args.stream + 1 + i), law_n=N
+                A, D, 0, args.samples, RngStream(args.seed, stream), law_n=law_n
             )
             rows.append(
                 {
-                    "law": str(N),
+                    "law": "infinity" if law_n is None else str(law_n),
                     "estimate": rep.estimate,
                     "stderr": rep.stderr,
                     "prediction": rep.prediction,
@@ -286,7 +249,7 @@ def _converge(args) -> tuple[list[dict], int]:
                 }
             )
         return rows, 0
-    raise ConfigError(f"unknown converge mode {args.mode!r}")
+    raise ValueError(f"unknown converge mode {args.mode!r}")
 
 
 def cmd_check(args) -> tuple[list[dict], int]:
@@ -397,7 +360,7 @@ def render(document: dict, fmt: str) -> str:
                     }
                 )
         return buffer.getvalue()
-    raise ConfigError(f"unknown format {fmt!r}")
+    raise ValueError(f"unknown format {fmt!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -488,7 +451,7 @@ def main(argv=None) -> int:
 
     try:
         rows, code = args.handler(args)
-    except ConfigError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evaluate import _section_u_power, abs_sigma, sigma_evaluate, t_power_unit
-from .functionals import _chi_values, gauss_set_membership, sample_uniform_on
+from .functionals import _chi_values, _hit_fractions
 from .gauss import CenteredBall, FullSpace, GaussSet, HalfSpace, gamma, gkf_predict
 from .kinematics import gkf_coefficient, nu_values_on_set
 from .model_sets import (
@@ -156,15 +156,8 @@ def _chunk_values(A, D, degree, law_n, n_points, rng, chunk_index, size) -> np.n
     F_batch = _draw_maps(A, D, law_n, size, gen)
     if degree == 0:
         return _chi_values(A, D, F_batch).astype(float)
-    top = _top_degree(A)
-    t_top = float_of(t_power_unit(A, top))
-    points = sample_uniform_on(A, len(F_batch) * n_points, gen)
-    points = points.reshape(len(F_batch), n_points, -1)
-    images = np.einsum("bij,bpj->bpi", F_batch, points)
-    hits = gauss_set_membership(D, images.reshape(-1, D.d)).reshape(
-        len(F_batch), n_points
-    )
-    return t_top * hits.mean(axis=1)
+    t_top = float_of(t_power_unit(A, _top_degree(A)))
+    return t_top * _hit_fractions(A, D, F_batch, n_points, gen)
 
 
 def _chunk_task(args):

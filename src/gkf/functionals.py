@@ -255,13 +255,25 @@ def sample_uniform_on(A: ModelSet, size: int, gen: np.random.Generator) -> np.nd
     raise ValueError("uniform sampling requires a unit-side set")
 
 
+def _hit_fractions(
+    A: ModelSet, D: GaussSet, F_batch: np.ndarray, n_points: int,
+    gen: np.random.Generator,
+) -> np.ndarray:
+    """Hit-or-miss estimate of vol(A intersect F^(-1)D) / vol(A) for each
+    map of a batch (size, d, n+1), from n_points uniform points per map."""
+    points = sample_uniform_on(A, len(F_batch) * n_points, gen)
+    points = points.reshape(len(F_batch), n_points, -1)
+    images = np.einsum("bij,bpj->bpi", F_batch, points)
+    hits = gauss_set_membership(D, images.reshape(-1, D.d))
+    return hits.reshape(len(F_batch), n_points).mean(axis=1)
+
+
 def volume_fraction(
     A: ModelSet, D: GaussSet, F: LinearMapSample, rng: RngStream, n_points: int
 ) -> float:
-    """Hit-or-miss estimate of vol(A intersect F^(-1)D) / vol(A)."""
-    if isinstance(D, FullSpace):
-        return 1.0
-    gen = rng.generator()
-    points = sample_uniform_on(A, n_points, gen)
-    images = points @ np.asarray(F.entries).T
-    return float(gauss_set_membership(D, images).mean())
+    """Hit-or-miss estimate of vol(A intersect F^(-1)D) / vol(A): the batch
+    estimate applied to a batch of one map."""
+    if n_points < 1:
+        raise ValueError(f"n_points must be at least 1, got {n_points}")
+    entries = np.asarray(F.entries, dtype=float)
+    return float(_hit_fractions(A, D, entries[None], n_points, rng.generator())[0])

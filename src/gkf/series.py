@@ -21,7 +21,8 @@ from .scalars import PiScalar
 #   phi = t (1 + t^2/4N)^(-1/2) = sqrt(4N) u (1 + u^2)^(-1/2)
 #   u   = t / sqrt(4N)
 # and the curvature-integral element of index m expands as
-#   sigma_m = u^(N-m) (1 + u^2)^(-((N-m)/2 + 1)).
+#   sigma_m = u^(N-m) (1 + u^2)^(-((N-m)/2 + 1)),
+# so tau_k = (4N)^(k/2) sigma_(N-k) = t^k (1 + t^2/4N)^(-(k+2)/2).
 
 
 def binomial_x2_series(

@@ -11,9 +11,7 @@ from gkf.bases import (
     Basis,
     ValuationVector,
     _compose,
-    _edge_matrix,
-    _rational_columns,
-    _route,
+    _frame_edge,
     basis_element,
     change_basis,
     chi_vector,
@@ -36,6 +34,36 @@ from oracles import (
 )
 
 ALL_BASES = list(Basis)
+FRAME_PATH = (Basis.PHI, Basis.T, Basis.TAU, Basis.NU)
+FRAME = {Basis.U: Basis.T, Basis.MU: Basis.T, Basis.SIGMA: Basis.TAU}
+
+
+def frame_weight(N: int, basis: Basis, k: int) -> PiScalar:
+    """w(k) of the bases module table: element k of the basis is w(k)
+    times its frame element."""
+    if basis == Basis.U:
+        return sqrt_pow(4 * N, -k)
+    if basis == Basis.MU:
+        return PiScalar.pi_power(2 * k) * (math.factorial(k) * omega(k)).reciprocal()
+    if basis in (Basis.SIGMA, Basis.NU):
+        return sqrt_pow(4 * N, -(N - k))
+    return PiScalar.one()
+
+
+def frame_index(N: int, basis: Basis, k: int) -> int:
+    return N - k if basis == Basis.SIGMA else k
+
+
+def frame_slice(src: Basis, dst: Basis) -> tuple:
+    """The frames from src's to dst's along the path, both ends included."""
+    a = FRAME_PATH.index(FRAME.get(src, src))
+    b = FRAME_PATH.index(FRAME.get(dst, dst))
+    return FRAME_PATH[a : b + 1] if a <= b else FRAME_PATH[b : a + 1][::-1]
+
+
+def entry_sets(matrix) -> list:
+    """Each column as a row -> value dict, so entry order does not count."""
+    return [dict(col) for col in matrix]
 
 
 def random_vector(N: int, basis: Basis, rng: random.Random) -> ValuationVector:
@@ -206,19 +234,30 @@ class TestChangeBasis:
 
     @pytest.mark.parametrize("N", [5, 12, 21, 40])
     def test_bridge_is_the_route_product(self, N):
-        # each bridge composes its last edge onto the cached bridge to the
-        # route's second-to-last basis; it must equal the product of every
-        # edge along the route, composed from the first edge on
+        # each bridge composes its last frame edge onto the cached product
+        # along the slice's prefix; it must equal the weights applied to
+        # the product of every edge along the slice, composed from the
+        # first edge on
         for src in Basis:
             for dst in Basis:
-                route = _route(src, dst)
-                product = None
+                route = frame_slice(src, dst)
+                product = tuple(((k, Fraction(1)),) for k in range(N + 1))
                 for a, b in zip(route, route[1:]):
-                    edge = _edge_matrix(N, a, b)
-                    product = edge if product is None else _compose(edge, product)
-                if product is None:
-                    product = tuple(((k, PiScalar.one()),) for k in range(N + 1))
-                assert conversion_matrix(N, src, dst) == product, (src, dst)
+                    product = _compose(_frame_edge(N, a, b), product)
+                expected = []
+                for k in range(N + 1):
+                    col = {}
+                    for f, q in product[frame_index(N, src, k)]:
+                        i = frame_index(N, dst, f)
+                        col[i] = frame_weight(N, src, k) / frame_weight(N, dst, i) * q
+                    expected.append(col)
+                assert entry_sets(conversion_matrix(N, src, dst)) == expected, (src, dst)
+
+    def test_zero_dimension_rejected(self):
+        with pytest.raises(ValueError, match="dimension must be positive"):
+            ValuationVector.from_coeffs(0, Basis.T, [1])
+        with pytest.raises(ValueError, match="dimension must be positive"):
+            chi_vector(0)
 
     def test_cap_enforced(self):
         big = chi_vector(70)
@@ -227,20 +266,26 @@ class TestChangeBasis:
 
     @pytest.mark.parametrize("N", [5, 12, 21, 40])
     def test_bridges_are_graded(self, N):
-        # every bridge entry is one rational times pi^(m/2) sqrt(r), and the
-        # non-diagonal edges are rational: the premise for composing and
-        # applying bridges on plain Fraction matrices
+        # every bridge entry is one rational times pi^(m/2) sqrt(r)
         for src in Basis:
             for dst in Basis:
                 for col in conversion_matrix(N, src, dst):
                     assert all(len(c.terms) == 1 for _, c in col), (src, dst)
-        for a, b in [
-            (Basis.T, Basis.PHI),
-            (Basis.U, Basis.SIGMA),
-            (Basis.SIGMA, Basis.NU),
-        ]:
-            for edge in (_edge_matrix(N, a, b), _edge_matrix(N, b, a)):
-                assert all(c.is_rational() for col in edge for _, c in col), (a, b)
+
+    @pytest.mark.parametrize("N", [5, 12, 21, 40, 64])
+    def test_every_bridge_factors(self, N):
+        # every entry is w_src(k) / w_dst(i) times a rational, and the
+        # frame edges hold only Fractions, so a bridge that breaks the
+        # grading fails here
+        for src in Basis:
+            for dst in Basis:
+                for k, col in enumerate(conversion_matrix(N, src, dst)):
+                    for i, c in col:
+                        ratio = frame_weight(N, src, k) / frame_weight(N, dst, i)
+                        assert (c / ratio).is_rational(), (src, dst, k, i)
+        for a, b in zip(FRAME_PATH, FRAME_PATH[1:]):
+            for edge in (_frame_edge(N, a, b), _frame_edge(N, b, a)):
+                assert all(type(q) is Fraction for col in edge for _, q in col), (a, b)
 
 
 class TestNuColumns:
@@ -297,14 +342,17 @@ class TestBinomialRecurrences:
 
     @pytest.mark.parametrize("N", [1, 2, 7, 40, 64])
     def test_generator_edges_against_series_powers(self, N):
-        # each closed-form column against the power of one generator
-        # series taken by repeated truncated products
+        # each bridge column against the power of one generator series
+        # taken by repeated truncated products, and U -> SIGMA against
+        # the u^k expansion over sigma
         for (a, b), columns in [
             ((Basis.T, Basis.PHI), power_columns(t_in_phi(N), N)),
             ((Basis.PHI, Basis.T), power_columns(phi_in_t(N), N)),
             ((Basis.SIGMA, Basis.U), sigma_in_u_columns(N)),
+            ((Basis.U, Basis.SIGMA), [u_power_in_sigma(k, N) for k in range(N + 1)]),
         ]:
-            assert _edge_matrix(N, a, b) == _rational_columns(columns), (a, b)
+            matrix = conversion_matrix(N, a, b)
+            assert entry_sets(matrix) == entry_sets(columns), (a, b)
 
 
 class TestMultiplication:

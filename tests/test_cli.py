@@ -122,6 +122,14 @@ class TestConvert:
         assert captured.out == ""
         assert "capped at N = 64" in captured.err
 
+    def test_zero_dimension_exit_two(self, capsys):
+        argv = ["convert", "--N", "0", "--source", "t", "--target", "phi", "--coeffs", "1"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "dimension must be positive" in captured.err
+
 
 class TestNu:
     def test_rows(self, capsys):

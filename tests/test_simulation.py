@@ -379,6 +379,13 @@ class TestVolumeFraction:
         F = sample_pi_infinity(3, 2, RngStream(17))
         assert volume_fraction(UnitSphere(3), FullSpace(2), F, RngStream(18), 100) == 1.0
 
+    @pytest.mark.parametrize("D", [HalfSpace(1, 0.0), FullSpace(1)])
+    @pytest.mark.parametrize("n_points", [0, -1])
+    def test_rejects_empty_point_set(self, D, n_points):
+        F = sample_pi_infinity(2, 1, RngStream(19))
+        with pytest.raises(ValueError, match="n_points must be at least 1"):
+            volume_fraction(UnitSphere(2), D, F, RngStream(20), n_points)
+
     def test_halfspace_zero_threshold_symmetry(self):
         F = sample_pi_infinity(2, 1, RngStream(19))
         frac = volume_fraction(UnitSphere(2), HalfSpace(1, 0.0), F, RngStream(20), 200000)
