@@ -18,10 +18,11 @@ rational frame.  The four frames sit on the path PHI -- T -- TAU -- NU:
     SIGMA          TAU (N-k)       (4N)^(-(N-k)/2)
     NU             NU (k)          (4N)^(-(N-k)/2)
 
-The three frame edges have rational entries, so a bridge is the Fraction
-product of the edges along a slice of the path, with the weights applied
-once per entry.  Conversions are exact, so every round trip is the
-identity on the nose.
+The three frame edges have rational entries, so the rational part of a
+bridge is the Fraction product of the edges along a slice of the path,
+held once.  A conversion weighs each coefficient into its frame, carries
+it through that product and weighs it out again, once per coefficient.
+Conversions are exact, so every round trip is the identity on the nose.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ class ValuationVector:
 
     @classmethod
     def from_coeffs(cls, N: int, basis: Basis, coeffs) -> "ValuationVector":
-        padded = [PiScalar._coerce(c) for c in coeffs]
+        padded = [PiScalar._exact(c) for c in coeffs]
         padded.extend(ZERO for _ in range(N + 1 - len(padded)))
         return cls(N, basis, tuple(padded))
 
@@ -87,7 +88,7 @@ class ValuationVector:
         )
 
     def scale(self, c) -> "ValuationVector":
-        c = PiScalar._coerce(c)
+        c = PiScalar._exact(c)
         return ValuationVector(self.N, self.basis, tuple(c * x for x in self.coeffs))
 
 
@@ -106,7 +107,6 @@ def chi_vector(N: int) -> ValuationVector:
 
 # -- frame edges (column-sparse: cols[k] = ((row, coeff), ...)) -------------
 
-Matrix = tuple[tuple[tuple[int, PiScalar], ...], ...]
 FrameMatrix = tuple[tuple[tuple[int, Fraction], ...], ...]
 
 # the frames in path order, and each basis's position on the path
@@ -210,29 +210,30 @@ def _route_matrix(N: int, route: tuple[Basis, ...]) -> FrameMatrix:
 
 
 @lru_cache(maxsize=None)
-def conversion_matrix(N: int, src: Basis, dst: Basis) -> Matrix:
-    """Column k holds element k of src in dst coordinates: the frame
-    product along the path, times w_src(k) / w_dst(i) at row i."""
+def conversion_matrix(N: int, src: Basis, dst: Basis) -> FrameMatrix:
+    """The frame product between the frames of src and dst, in frame
+    indices: the rational part of every bridge from src to dst."""
     a, b = _ON_PATH[src], _ON_PATH[dst]
     route = _PATH[min(a, b) : max(a, b) + 1]
-    product = _route_matrix(N, route if a <= b else route[::-1])
-    w_src = _weights(N, src)
-    w_dst = [w.reciprocal() for w in _weights(N, dst)]
-    cols = []
-    for k in range(N + 1):
-        rows = ((_frame_index(N, dst, f), q) for f, q in product[_frame_index(N, src, k)])
-        cols.append(tuple((i, w_src[k] * w_dst[i] * q) for i, q in rows))
-    return tuple(cols)
+    return _route_matrix(N, route if a <= b else route[::-1])
 
 
-def _apply(matrix: Matrix, coeffs: tuple[PiScalar, ...]) -> tuple[PiScalar, ...]:
-    out: list[PiScalar] = [ZERO] * len(coeffs)
+def _apply(N: int, src: Basis, dst: Basis, coeffs: tuple[PiScalar, ...]) -> tuple[PiScalar, ...]:
+    """dst coordinates of a src vector: each weighted coefficient's
+    (pi power, radicand) components go through the rational frame product
+    on their own, and each output is weighed out of dst's frame."""
+    matrix = conversion_matrix(N, src, dst)
+    w_src, w_dst = _weights(N, src), _weights(N, dst)
+    acc: dict[int, dict[tuple[int, int], Fraction]] = {}
     for k, vk in enumerate(coeffs):
-        if not vk:
-            continue
-        for i, m in matrix[k]:
-            term = m * vk
-            out[i] = out[i] + term if out[i] else term
+        if vk:
+            for m, r, q in (vk * w_src[k]).terms:
+                for f, a in matrix[_frame_index(N, src, k)]:
+                    terms = acc.setdefault(_frame_index(N, dst, f), {})
+                    terms[m, r] = terms.get((m, r), 0) + a * q
+    out = [ZERO] * len(coeffs)
+    for i, terms in acc.items():
+        out[i] = PiScalar(terms) / w_dst[i]
     return tuple(out)
 
 
@@ -245,8 +246,7 @@ def change_basis(v: ValuationVector, target: Basis) -> ValuationVector:
             f"exact basis conversion capped at N = {EXACT_N_CAP}; "
             "use the float evaluation paths for larger dimensions"
         )
-    matrix = conversion_matrix(v.N, v.basis, target)
-    return ValuationVector(v.N, target, _apply(matrix, v.coeffs))
+    return ValuationVector(v.N, target, _apply(v.N, v.basis, target, v.coeffs))
 
 
 def lk_multiply(a: ValuationVector, b: ValuationVector) -> ValuationVector:

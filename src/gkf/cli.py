@@ -318,18 +318,7 @@ def cmd_check(args) -> tuple[list[dict], int]:
 # -- document assembly -----------------------------------------------------------
 
 
-def _plain(value):
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, float):
-        return float(value)
-    if isinstance(value, int):
-        return int(value)
-    return value
-
-
 def build_document(command: str, args_echo: dict, rows: list[dict], seed: int, t0: float) -> dict:
-    rows = [{k: _plain(v) for k, v in row.items()} for row in rows]
     return {
         "schema_version": SCHEMA_VERSION,
         "command": {"name": command, **args_echo},

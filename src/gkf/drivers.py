@@ -28,7 +28,7 @@ from .model_sets import (
     ball_volume_fraction,
 )
 from .rng import RngStream
-from .sampling import pi_infinity_batch, pi_n_batch
+from .sampling import pi_infinity_batch, pi_n_batch, uniform_sphere_batch
 from .scalars import float_of
 
 CHUNK_SIZE = 8192
@@ -298,10 +298,8 @@ def kinematic_inequality_check(
         gen = rng.generator()
         theta_c, theta_d = C.r / R, D.r / R
         clamp = lambda a: np.clip(a, -1.0, 1.0)
-        x = gen.standard_normal((n_rotations, N + 1))
-        x /= np.linalg.norm(x, axis=1, keepdims=True)
-        centers = gen.standard_normal((n_rotations, N + 1))
-        centers /= np.linalg.norm(centers, axis=1, keepdims=True)
+        x = uniform_sphere_batch(N, n_rotations, gen)
+        centers = uniform_sphere_batch(N, n_rotations, gen)
         in_c = np.arccos(clamp(x[:, 0])) <= theta_c
         in_d = np.arccos(clamp(np.einsum("ij,ij->i", x, centers))) <= theta_d
         values = 2.0 * (in_c & in_d)

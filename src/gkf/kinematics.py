@@ -26,7 +26,6 @@ from .bases import (
     Basis,
     ValuationVector,
     _apply,
-    conversion_matrix,
     nu_in_sigma_column,
 )
 from .evaluate import sigma_evaluate
@@ -65,22 +64,14 @@ class KinematicTensor:
     def convert_left(self, target: Basis) -> "KinematicTensor":
         if target == self.basis_left:
             return self
-        matrix = conversion_matrix(self.N, self.basis_left, target)
-        columns = [_apply(matrix, column) for column in zip(*self.rows)]
-        return KinematicTensor(
-            self.N, target, self.basis_right, tuple(zip(*columns))
-        )
+        columns = [_apply(self.N, self.basis_left, target, col) for col in zip(*self.rows)]
+        return KinematicTensor(self.N, target, self.basis_right, tuple(zip(*columns)))
 
     def convert_right(self, target: Basis) -> "KinematicTensor":
         if target == self.basis_right:
             return self
-        matrix = conversion_matrix(self.N, self.basis_right, target)
-        return KinematicTensor(
-            self.N,
-            self.basis_left,
-            target,
-            tuple(_apply(matrix, row) for row in self.rows),
-        )
+        rows = tuple(_apply(self.N, self.basis_right, target, row) for row in self.rows)
+        return KinematicTensor(self.N, self.basis_left, target, rows)
 
     def __add__(self, other: "KinematicTensor") -> "KinematicTensor":
         if (self.N, self.basis_left, self.basis_right) != (
@@ -100,7 +91,7 @@ class KinematicTensor:
         )
 
     def scale(self, c) -> "KinematicTensor":
-        c = PiScalar._coerce(c)
+        c = PiScalar._exact(c)
         return KinematicTensor(
             self.N,
             self.basis_left,

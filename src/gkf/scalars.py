@@ -22,14 +22,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Union
 
-# sqrt(pi) to 90 digits; float_of truncates this to the requested precision
-# so the only float rounding happens in the final conversion.
-_SQRT_PI_DIGITS = (
-    "1"
-    "77245385090551602729816748334114518279754945612238712821380778985291"
-    "128459103218137495066"
-)
-_SQRT_PI_MAX_DIGITS = len(_SQRT_PI_DIGITS) - 1
+# sqrt(pi) truncated to 50 decimal digits, so the only float rounding in
+# float_of happens in its final conversion.
+_SCALE = 10**50
+_SQRT_PI = Fraction(177245385090551602729816748334114518279754945612238, _SCALE)
 
 ScalarLike = Union["PiScalar", Fraction, int]
 
@@ -127,6 +123,15 @@ class PiScalar:
         if isinstance(x, (int, Fraction)):
             return PiScalar.from_rational(x)
         return NotImplemented  # type: ignore[return-value]
+
+    @staticmethod
+    def _exact(x: object) -> "PiScalar":
+        """_coerce for values entering the exact algebra: refuse the rest."""
+        if isinstance(x, (PiScalar, int, Fraction)):
+            return PiScalar._coerce(x)
+        raise ValueError(
+            f"exact coefficients must be int, Fraction or PiScalar, not {type(x).__name__}"
+        )
 
     def __add__(self, other: ScalarLike) -> "PiScalar":
         other = self._coerce(other)
@@ -240,28 +245,25 @@ class PiScalar:
         return f"PiScalar({self})"
 
 
-def float_of(x: ScalarLike | float, digits: int = 50) -> float:
+def float_of(x: ScalarLike | float) -> float:
     """Numeric value of a real number.
 
     A float (numpy's float64 is one) comes back unchanged, and any other
     inexact real goes through float().  An exact scalar is assembled as one
-    exact Fraction using sqrt(pi) and integer square roots truncated to
-    `digits` decimal digits, then converted to float, so only the final
-    conversion rounds.
+    exact Fraction using sqrt(pi) and integer square roots truncated to 50
+    decimal digits, then converted to float, so only the final conversion
+    rounds.
     """
     if not isinstance(x, (PiScalar, int, Fraction)):
         return x if isinstance(x, float) else float(x)
     x = PiScalar._coerce(x)
     if x.is_rational():
         return float(x.as_fraction())
-    digits = max(1, min(digits, _SQRT_PI_MAX_DIGITS))
-    scale = 10 ** digits
-    sqrt_pi = Fraction(int(_SQRT_PI_DIGITS[: digits + 1]), scale)
     total = Fraction(0)
     for m, r, q in x.terms:
-        value = q * sqrt_pi ** m
+        value = q * _SQRT_PI**m
         if r != 1:
-            value *= Fraction(math.isqrt(r * scale * scale), scale)
+            value *= Fraction(math.isqrt(r * _SCALE * _SCALE), _SCALE)
         total += value
     return float(total)
 

@@ -57,9 +57,6 @@ def u_power_in_sigma(k: int, N: int) -> tuple[tuple[int, Fraction], ...]:
     """u^k = sum_j binom(j + k/2, j) sigma_(N - k - 2j); pairs (index, coeff)."""
     if not 0 <= k <= N:
         raise ValueError("index out of range")
-    out = []
-    q = Fraction(1)
-    for j in range((N - k) // 2 + 1):
-        out.append((N - k - 2 * j, q))
-        q = q * Fraction(k + 2 * j + 2, 2 * j + 2)
-    return tuple(out)
+    # x^k (1 - x^2)^(-(k+2)/2), read at index N - i
+    series = binomial_x2_series(N, k, Fraction(-k - 2, 2), Fraction(-1))
+    return tuple((N - i, q) for i, q in series)

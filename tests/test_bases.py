@@ -12,6 +12,7 @@ from gkf.bases import (
     ValuationVector,
     _compose,
     _frame_edge,
+    _route_matrix,
     basis_element,
     change_basis,
     chi_vector,
@@ -59,6 +60,15 @@ def frame_slice(src: Basis, dst: Basis) -> tuple:
     a = FRAME_PATH.index(FRAME.get(src, src))
     b = FRAME_PATH.index(FRAME.get(dst, dst))
     return FRAME_PATH[a : b + 1] if a <= b else FRAME_PATH[b : a + 1][::-1]
+
+
+def bridge(N: int, src: Basis, dst: Basis) -> list:
+    """The public bridge: column k is basis element k of src in dst
+    coordinates, as the (row, value) pairs of its nonzero entries."""
+    return [
+        tuple((i, c) for i, c in enumerate(change_basis(basis_element(N, src, k), dst).coeffs) if c)
+        for k in range(N + 1)
+    ]
 
 
 def entry_sets(matrix) -> list:
@@ -221,8 +231,8 @@ class TestChangeBasis:
             (Basis.SIGMA, Basis.NU),
             (Basis.MU, Basis.T),
         ]:
-            forward = conversion_matrix(N, a, b)
-            backward = conversion_matrix(N, b, a)
+            forward = bridge(N, a, b)
+            backward = bridge(N, b, a)
             for k in range(N + 1):
                 acc: dict[int, PiScalar] = {}
                 for j, c in forward[k]:
@@ -251,7 +261,7 @@ class TestChangeBasis:
                         i = frame_index(N, dst, f)
                         col[i] = frame_weight(N, src, k) / frame_weight(N, dst, i) * q
                     expected.append(col)
-                assert entry_sets(conversion_matrix(N, src, dst)) == expected, (src, dst)
+                assert entry_sets(bridge(N, src, dst)) == expected, (src, dst)
 
     def test_zero_dimension_rejected(self):
         with pytest.raises(ValueError, match="dimension must be positive"):
@@ -269,7 +279,7 @@ class TestChangeBasis:
         # every bridge entry is one rational times pi^(m/2) sqrt(r)
         for src in Basis:
             for dst in Basis:
-                for col in conversion_matrix(N, src, dst):
+                for col in bridge(N, src, dst):
                     assert all(len(c.terms) == 1 for _, c in col), (src, dst)
 
     @pytest.mark.parametrize("N", [5, 12, 21, 40, 64])
@@ -279,13 +289,35 @@ class TestChangeBasis:
         # grading fails here
         for src in Basis:
             for dst in Basis:
-                for k, col in enumerate(conversion_matrix(N, src, dst)):
+                for k, col in enumerate(bridge(N, src, dst)):
                     for i, c in col:
                         ratio = frame_weight(N, src, k) / frame_weight(N, dst, i)
                         assert (c / ratio).is_rational(), (src, dst, k, i)
         for a, b in zip(FRAME_PATH, FRAME_PATH[1:]):
             for edge in (_frame_edge(N, a, b), _frame_edge(N, b, a)):
                 assert all(type(q) is Fraction for col in edge for _, q in col), (a, b)
+
+    @pytest.mark.parametrize("N", [5, 12, 21, 40, 64])
+    def test_conversion_matrices_are_the_cached_frame_products(self, N):
+        # the public matrix is the rational route product itself, in frame
+        # indices; the weights never enter it
+        for src in Basis:
+            for dst in Basis:
+                matrix = conversion_matrix(N, src, dst)
+                assert matrix is _route_matrix(N, frame_slice(src, dst)), (src, dst)
+                assert all(type(q) is Fraction for col in matrix for _, q in col), (src, dst)
+
+    def test_inexact_coefficients_rejected(self):
+        v = chi_vector(3)
+        with pytest.raises(ValueError, match="int, Fraction or PiScalar"):
+            ValuationVector.from_coeffs(3, Basis.T, [0.5, 1])
+        with pytest.raises(ValueError, match="int, Fraction or PiScalar"):
+            v.scale(0.5)
+        assert v.scale(Fraction(1, 2)).coeff(0) == Fraction(1, 2)
+        assert ValuationVector.from_coeffs(3, Basis.T, [True]).coeff(0) == 1
+        # the arithmetic operators still defer to the other operand
+        with pytest.raises(TypeError):
+            PiScalar.one() * 0.5
 
 
 class TestNuColumns:
@@ -351,7 +383,7 @@ class TestBinomialRecurrences:
             ((Basis.SIGMA, Basis.U), sigma_in_u_columns(N)),
             ((Basis.U, Basis.SIGMA), [u_power_in_sigma(k, N) for k in range(N + 1)]),
         ]:
-            matrix = conversion_matrix(N, a, b)
+            matrix = bridge(N, a, b) if Basis.SIGMA in (a, b) else conversion_matrix(N, a, b)
             assert entry_sets(matrix) == entry_sets(columns), (a, b)
 
 

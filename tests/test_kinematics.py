@@ -56,6 +56,11 @@ class TestDiagonalOperators:
             expected = Fraction(1, 2 ** (N + 1)) * sqrt_pow(N, -N)
             assert tensor.entry(N, N) == expected
 
+    def test_scale_rejects_inexact_factors(self):
+        with pytest.raises(ValueError, match="int, Fraction or PiScalar"):
+            p_sigma(1, 4).scale(0.5)
+        assert p_sigma(1, 4).scale(2).entry(0, 1) == 1
+
     def test_linearity_through_sigma_sums(self):
         # p applied to a random sigma-combination is the matching combination
         # of the p_sigma tensors
