@@ -20,28 +20,37 @@ rational frame.  The four frames sit on the path PHI -- T -- TAU -- NU:
 
 The three frame edges have rational entries, so the rational part of a
 bridge is the Fraction product of the edges along a slice of the path,
-held once.  A conversion weighs each coefficient into its frame, carries
-it through that product and weighs it out again, once per coefficient.
+held once, beside one integer per column: the lcm of its denominators.
+A conversion takes a batch of vectors (a vector is a batch of one, a
+tensor converts all its columns or rows at once).  It multiplies each
+coefficient's (pi power, radicand) components by the integer weight
+monomial w_src(k), puts each component over one common denominator and
+accumulates integer numerators through the product, then builds one
+Fraction per nonzero output component, divided by w_dst(i).
 Conversions are exact, so every round trip is the identity on the nose.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .scalars import PiScalar, omega
+from .scalars import PiScalar, ScalarLike, _square_split, omega
 from .series import binomial_x2_series, sqrt_pow
 
 ZERO = PiScalar.zero()
 ONE = PiScalar.one()
 
-# Exact tensor/vector paths are capped: big-rational coefficients grow
-# quickly with N.  Large-dimension work goes through the dedicated
-# log-space float routines in the evaluation modules.
+# Exact tensor/vector paths are capped.  Measured on 2 cores (Python 3.11)
+# at N = 64 / 96 / 128: a cold build of all 49 bridges takes 0.09-0.10 /
+# 0.22-0.25 / 0.59-0.70 s, a round trip of 100 dense rational vectors
+# through the six other bases 1.9-2.1 / 3.8-4.2 / 9.4-10.3 s, and bridge
+# entries reach 307 / 489 / 689 bits.  Large-dimension work goes through
+# the dedicated log-space float routines in the evaluation modules.
 EXACT_N_CAP = 64
 
 
@@ -107,7 +116,8 @@ def chi_vector(N: int) -> ValuationVector:
 
 # -- frame edges (column-sparse: cols[k] = ((row, coeff), ...)) -------------
 
-FrameMatrix = tuple[tuple[tuple[int, Fraction], ...], ...]
+FrameColumn = tuple[tuple[int, Fraction], ...]
+FrameMatrix = tuple[FrameColumn, ...]
 
 # the frames in path order, and each basis's position on the path
 _PATH = (Basis.PHI, Basis.T, Basis.TAU, Basis.NU)
@@ -120,19 +130,38 @@ def _frame_index(N: int, basis: Basis, k: int) -> int:
     return N - k if basis == Basis.SIGMA else k
 
 
+# a monomial q pi^(m/2) sqrt(r) as the integers (m, r, numerator, denominator)
+Monomial = tuple[int, int, int, int]
+
+
+def _monomial(x: PiScalar) -> Monomial:
+    ((m, r, q),) = x.terms
+    return m, r, q.numerator, q.denominator
+
+
 @lru_cache(maxsize=None)
-def _weights(N: int, basis: Basis) -> tuple[PiScalar, ...]:
-    """w(k): basis element k is w(k) times its frame element."""
+def _weights(N: int, basis: Basis) -> tuple[tuple[Monomial, ...], tuple[Monomial, ...]]:
+    """w(k) and 1/w(k): basis element k is w(k) times its frame element."""
     if basis == Basis.U:
-        return tuple(sqrt_pow(4 * N, -k) for k in range(N + 1))
-    if basis == Basis.MU:
-        return tuple(
+        w = [sqrt_pow(4 * N, -k) for k in range(N + 1)]
+    elif basis == Basis.MU:
+        w = [
             (math.factorial(k) * omega(k) * PiScalar.pi_power(-2 * k)).reciprocal()
             for k in range(N + 1)
-        )
-    if basis in (Basis.SIGMA, Basis.NU):
-        return tuple(sqrt_pow(4 * N, -(N - k)) for k in range(N + 1))
-    return (ONE,) * (N + 1)
+        ]
+    elif basis in (Basis.SIGMA, Basis.NU):
+        w = [sqrt_pow(4 * N, -(N - k)) for k in range(N + 1)]
+    else:
+        w = [ONE] * (N + 1)
+    return (
+        tuple(_monomial(x) for x in w),
+        tuple(_monomial(x.reciprocal()) for x in w),
+    )
+
+
+def _denominator_lcms(matrix: FrameMatrix) -> tuple[int, ...]:
+    """One common denominator per column."""
+    return tuple(math.lcm(*(q.denominator for _, q in col)) for col in matrix)
 
 
 @lru_cache(maxsize=None)
@@ -156,16 +185,15 @@ def _frame_edge(N: int, src: Basis, dst: Basis) -> FrameMatrix:
         return nu_in_tau
     # Invert the triangular-by-parity expansion by forward substitution:
     # tau_(N-k) = 2 nu_k - 2 sum_(i<k) c_ik tau_(N-i).
-    tau_in_nu: list[dict[int, Fraction]] = [{}] * (N + 1)
+    tau_in_nu: list[FrameColumn] = [()] * (N + 1)
+    lcms = [1] * (N + 1)
     for k, col in enumerate(nu_in_tau):
-        acc: dict[int, Fraction] = {k: Fraction(2)}
-        for j, q in col:
-            if j == N - k:
-                continue
-            for idx, v in tau_in_nu[j].items():
-                acc[idx] = acc.get(idx, 0) - 2 * q * v
-        tau_in_nu[N - k] = {i: v for i, v in acc.items() if v}
-    return tuple(tuple(sorted(col.items())) for col in tau_in_nu)
+        entries = [(j, -2 * q.numerator, q.denominator) for j, q in col if j != N - k]
+        sums, L = _accumulate(tau_in_nu, lcms, entries)
+        sums[k] += 2 * L
+        tau_in_nu[N - k] = tuple((i, Fraction(n, L)) for i, n in enumerate(sums) if n)
+        lcms[N - k] = math.lcm(*(q.denominator for _, q in tau_in_nu[N - k]))
+    return tuple(tau_in_nu)
 
 
 @lru_cache(maxsize=None)
@@ -186,14 +214,28 @@ def nu_in_sigma_column(k: int) -> tuple[tuple[int, Fraction], ...]:
 # -- bridges -----------------------------------------------------------------
 
 
+def _accumulate(
+    matrix: Sequence[FrameColumn], lcms: Sequence[int], entries: list[tuple[int, int, int]]
+) -> tuple[list[int], int]:
+    """matrix times the column sum(num/den e_f for f, num, den in entries),
+    as integer numerators over one common denominator L: each product is an
+    integer, and the caller reduces each nonzero n/L once."""
+    L = math.lcm(*(den * lcms[f] for f, _, den in entries))
+    sums = [0] * len(matrix)
+    for f, num, den in entries:
+        D = lcms[f]
+        t = num * (L // (den * D))
+        for g, c in matrix[f]:
+            sums[g] += t * c.numerator * (D // c.denominator)
+    return sums, L
+
+
 def _compose(later: FrameMatrix, first: FrameMatrix) -> FrameMatrix:
+    lcms = _denominator_lcms(later)
     cols = []
     for col in first:
-        acc: dict[int, Fraction] = {}
-        for j, a in col:
-            for i, b in later[j]:
-                acc[i] = acc.get(i, 0) + a * b
-        cols.append(tuple(sorted((i, q) for i, q in acc.items() if q)))
+        sums, L = _accumulate(later, lcms, [(j, a.numerator, a.denominator) for j, a in col])
+        cols.append(tuple((i, Fraction(n, L)) for i, n in enumerate(sums) if n))
     return tuple(cols)
 
 
@@ -218,35 +260,69 @@ def conversion_matrix(N: int, src: Basis, dst: Basis) -> FrameMatrix:
     return _route_matrix(N, route if a <= b else route[::-1])
 
 
-def _apply(N: int, src: Basis, dst: Basis, coeffs: tuple[PiScalar, ...]) -> tuple[PiScalar, ...]:
-    """dst coordinates of a src vector: each weighted coefficient's
-    (pi power, radicand) components go through the rational frame product
-    on their own, and each output is weighed out of dst's frame."""
+@lru_cache(maxsize=None)
+def _column_lcms(N: int, src: Basis, dst: Basis) -> tuple[int, ...]:
+    return _denominator_lcms(conversion_matrix(N, src, dst))
+
+
+def _times(x: Monomial, m: int, r: int) -> Monomial:
+    """The monomial x times pi^(m/2) sqrt(r), as (m, r, num, den)."""
+    mx, rx, num, den = x
+    s, r = (r, 1) if r == rx else _square_split(r * rx)
+    return m + mx, r, num * s, den
+
+
+def _apply(
+    N: int, src: Basis, dst: Basis, vectors: Iterable[Sequence[ScalarLike]]
+) -> list[tuple[PiScalar, ...]]:
+    """dst coordinates of each src coefficient vector in the batch.
+
+    Each nonzero coefficient's (pi power, radicand) components are
+    multiplied by the integer monomial w_src(k).  Per vector and component,
+    the frame product accumulates integer numerators over one common
+    denominator; each nonzero output is one Fraction, divided by w_dst(i)."""
+    if N < 1:
+        raise ValueError("dimension must be positive")
+    if N > EXACT_N_CAP:
+        raise ValueError(
+            f"exact basis conversion capped at N = {EXACT_N_CAP}; "
+            "use the float evaluation paths for larger dimensions"
+        )
     matrix = conversion_matrix(N, src, dst)
-    w_src, w_dst = _weights(N, src), _weights(N, dst)
-    acc: dict[int, dict[tuple[int, int], Fraction]] = {}
-    for k, vk in enumerate(coeffs):
-        if vk:
-            for m, r, q in (vk * w_src[k]).terms:
-                for f, a in matrix[_frame_index(N, src, k)]:
-                    terms = acc.setdefault(_frame_index(N, dst, f), {})
-                    terms[m, r] = terms.get((m, r), 0) + a * q
-    out = [ZERO] * len(coeffs)
-    for i, terms in acc.items():
-        out[i] = PiScalar(terms) / w_dst[i]
-    return tuple(out)
+    lcms = _column_lcms(N, src, dst)
+    w_in, w_out = _weights(N, src)[0], _weights(N, dst)[1]
+    out = []
+    for coeffs in vectors:
+        # (pi power, radicand) -> [(frame column, numerator, denominator)]
+        parts: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+        for k, x in enumerate(coeffs):
+            if x:
+                f = _frame_index(N, src, k)
+                for (m, r), q in PiScalar._exact(x)._terms.items():
+                    m, r, num, den = _times(w_in[k], m, r)
+                    parts.setdefault((m, r), []).append(
+                        (f, num * q.numerator, den * q.denominator)
+                    )
+        terms: dict[int, dict[tuple[int, int], Fraction]] = {}
+        for (m, r), entries in parts.items():
+            sums, L = _accumulate(matrix, lcms, entries)
+            for g, n in enumerate(sums):
+                if n:
+                    i = _frame_index(N, dst, g)
+                    mo, ro, num, den = _times(w_out[i], m, r)
+                    terms.setdefault(i, {})[mo, ro] = Fraction(n * num, L * den)
+        row = [ZERO] * (N + 1)
+        for i, t in terms.items():
+            row[i] = PiScalar(t)
+        out.append(tuple(row))
+    return out
 
 
 def change_basis(v: ValuationVector, target: Basis) -> ValuationVector:
     """Exact coordinates of v in the target basis."""
     if v.basis == target:
         return v
-    if v.N > EXACT_N_CAP:
-        raise ValueError(
-            f"exact basis conversion capped at N = {EXACT_N_CAP}; "
-            "use the float evaluation paths for larger dimensions"
-        )
-    return ValuationVector(v.N, target, _apply(v.N, v.basis, target, v.coeffs))
+    return ValuationVector(v.N, target, _apply(v.N, v.basis, target, (v.coeffs,))[0])
 
 
 def lk_multiply(a: ValuationVector, b: ValuationVector) -> ValuationVector:

@@ -23,6 +23,7 @@ from scipy.integrate import quad
 
 from .bases import (
     EXACT_N_CAP,
+    ZERO,
     Basis,
     ValuationVector,
     _apply,
@@ -33,7 +34,6 @@ from .model_sets import GeodesicBall, ModelSet, SubsphereTube
 from .scalars import PiScalar, log_alpha, omega
 from .series import sqrt_pow
 
-ZERO = PiScalar.zero()
 HALF = PiScalar.from_rational(Fraction(1, 2))
 
 
@@ -64,13 +64,13 @@ class KinematicTensor:
     def convert_left(self, target: Basis) -> "KinematicTensor":
         if target == self.basis_left:
             return self
-        columns = [_apply(self.N, self.basis_left, target, col) for col in zip(*self.rows)]
+        columns = _apply(self.N, self.basis_left, target, zip(*self.rows))
         return KinematicTensor(self.N, target, self.basis_right, tuple(zip(*columns)))
 
     def convert_right(self, target: Basis) -> "KinematicTensor":
         if target == self.basis_right:
             return self
-        rows = tuple(_apply(self.N, self.basis_right, target, row) for row in self.rows)
+        rows = tuple(_apply(self.N, self.basis_right, target, self.rows))
         return KinematicTensor(self.N, self.basis_left, target, rows)
 
     def __add__(self, other: "KinematicTensor") -> "KinematicTensor":
@@ -96,7 +96,7 @@ class KinematicTensor:
             self.N,
             self.basis_left,
             self.basis_right,
-            tuple(tuple(c * x for x in row) for row in self.rows),
+            tuple(tuple(c * x if x else ZERO for x in row) for row in self.rows),
         )
 
 

@@ -319,6 +319,47 @@ class TestChangeBasis:
         with pytest.raises(TypeError):
             PiScalar.one() * 0.5
 
+    def test_inexact_entries_rejected_by_the_kernel(self):
+        # a directly built vector skips from_coeffs; the conversion checks
+        # each nonzero entry as it reads it
+        zero = PiScalar.zero()
+        v = ValuationVector(3, Basis.T, (0.5, zero, zero, zero))
+        with pytest.raises(ValueError, match="int, Fraction or PiScalar"):
+            change_basis(v, Basis.PHI)
+        plain = ValuationVector(3, Basis.T, (1, Fraction(1, 2), 0, zero))
+        exact = ValuationVector.from_coeffs(3, Basis.T, [1, Fraction(1, 2)])
+        for dst in Basis:
+            assert change_basis(plain, dst).coeffs == change_basis(exact, dst).coeffs, dst
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 5, 12])
+    def test_round_trips_with_irrational_components(self, N):
+        # coefficients spread over several (pi power, radicand) components,
+        # radicands that merge with the sqrt(4N) weights among them; each
+        # conversion must also equal the bridge columns summed with
+        # PiScalar arithmetic
+        rng = random.Random(2000 + N)
+        radicands = sorted({2, 3, 6, N, 4 * N, *(p for p in (2, 3, 5) if N % p == 0)})
+        parts = [
+            PiScalar.pi_power(m) * PiScalar.sqrt_int(r) for m in (-3, 0, 1, 2) for r in radicands
+        ]
+        for src in ALL_BASES:
+            for dst in ALL_BASES:
+                matrix = bridge(N, src, dst)
+                for _ in range(2):
+                    coeffs = [PiScalar.zero()] * (N + 1)
+                    for _ in range(2 * N + 2):
+                        k = rng.randint(0, N)
+                        q = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+                        coeffs[k] = coeffs[k] + q * rng.choice(parts)
+                    v = ValuationVector(N, src, tuple(coeffs))
+                    there = change_basis(v, dst)
+                    assert change_basis(there, src).coeffs == v.coeffs, (src, dst)
+                    expected = [PiScalar.zero()] * (N + 1)
+                    for k, c in enumerate(coeffs):
+                        for i, b in matrix[k]:
+                            expected[i] = expected[i] + c * b
+                    assert list(there.coeffs) == expected, (src, dst)
+
 
 class TestNuColumns:
     def test_bottom_rows(self):

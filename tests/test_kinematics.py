@@ -6,9 +6,16 @@ from fractions import Fraction
 
 import pytest
 
-from gkf.bases import Basis, basis_element, change_basis, nu_in_sigma_column
+from gkf.bases import (
+    Basis,
+    ValuationVector,
+    basis_element,
+    change_basis,
+    nu_in_sigma_column,
+)
 from gkf.evaluate import evaluate
 from gkf.kinematics import (
+    KinematicTensor,
     gkf_coefficient,
     nu_defining_identity_holds,
     nu_table,
@@ -113,6 +120,59 @@ class TestDiagonalOperators:
                                         right.get(key, PiScalar.zero()) + c * cr
                                     )
                 assert left == right
+
+
+class TestTensorConversion:
+    @pytest.mark.parametrize("N", [3, 8])
+    def test_batched_conversion_is_columnwise(self, N):
+        # one batched conversion of all columns (rows) must equal
+        # change_basis of each column (row) on its own
+        rng = random.Random(300 + N)
+        parts = [PiScalar.one(), PiScalar.pi_power(1), PiScalar.sqrt_int(2), sqrt_pow(4 * N, 1)]
+        for src in Basis:
+            rows = [[PiScalar.zero()] * (N + 1) for _ in range(N + 1)]
+            for _ in range(3 * N):
+                i, j = rng.randint(0, N), rng.randint(0, N)
+                q = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+                rows[i][j] = rows[i][j] + q * rng.choice(parts)
+            tensor = KinematicTensor(N, src, src, tuple(map(tuple, rows)))
+            for dst in Basis:
+                left = tensor.convert_left(dst)
+                for j, col in enumerate(zip(*tensor.rows)):
+                    expected = change_basis(ValuationVector(N, src, col), dst).coeffs
+                    assert tuple(row[j] for row in left.rows) == expected, (src, dst, j)
+                right = tensor.convert_right(dst)
+                for row, out in zip(tensor.rows, right.rows):
+                    assert out == change_basis(ValuationVector(N, src, row), dst).coeffs, (src, dst)
+
+    def test_conversion_guards(self):
+        # the cap and the dimension check sit in the conversion kernel, so
+        # tensors built directly get them too
+        zero = PiScalar.zero()
+        big = KinematicTensor(70, Basis.T, Basis.T, ((zero,) * 71,) * 71)
+        with pytest.raises(ValueError, match="capped at N = 64"):
+            big.convert_left(Basis.U)
+        with pytest.raises(ValueError, match="capped at N = 64"):
+            big.convert_right(Basis.SIGMA)
+        empty = KinematicTensor(0, Basis.T, Basis.T, ((PiScalar.one(),),))
+        with pytest.raises(ValueError, match="dimension must be positive"):
+            empty.convert_left(Basis.PHI)
+        with pytest.raises(ValueError, match="dimension must be positive"):
+            empty.convert_right(Basis.PHI)
+
+    def test_inexact_entries_rejected(self):
+        zero = PiScalar.zero()
+        tensor = KinematicTensor(1, Basis.T, Basis.T, ((zero, 0.5), (zero, zero)))
+        with pytest.raises(ValueError, match="int, Fraction or PiScalar"):
+            tensor.convert_left(Basis.PHI)
+        with pytest.raises(ValueError, match="int, Fraction or PiScalar"):
+            tensor.convert_right(Basis.PHI)
+        plain = KinematicTensor(1, Basis.T, Basis.T, ((1, Fraction(1, 2)), (0, 3)))
+        exact = KinematicTensor(
+            1, Basis.T, Basis.T, tuple(tuple(map(PiScalar._exact, row)) for row in plain.rows)
+        )
+        assert plain.convert_left(Basis.U).rows == exact.convert_left(Basis.U).rows
+        assert plain.convert_right(Basis.MU).rows == exact.convert_right(Basis.MU).rows
 
 
 class TestChiExpansion:
