@@ -3,29 +3,35 @@
 The standard Gaussian measure (density (2 pi)^(-d/2) exp(-|x|^2/2)) of the
 r-tube around a supported set is a closed form in each case: a shifted
 normal CDF for half-spaces and a chi CDF for centered balls and the origin.
-The derivative family at r = 0 comes from exact differentiation of those
-forms (Hermite recursion for the half-space; a polynomial recursion on the
-radial integrand for balls), with an independent finite-difference oracle
-for cross-checking.
+Its derivatives at r = 0 are exact apart from one Gaussian factor:
+gamma_k = F exp(-x^2/2) R_k(x) for k >= 1, with F an exact monomial and R_k
+a Hermite polynomial (half-space, x = u) or a Leibniz sum of them (ball or
+origin, x = rho).  A float x is a dyadic rational, so one integer Hermite
+table gives every R_k exactly.  An independent finite-difference oracle
+cross-checks the family.
 
 The prediction operator assembles the expected generator-power value of a
 random excursion on the unit sphere out of these derivatives, the exact
-bridging coefficients and the unit-sphere valuation numbers.
+bridging coefficients and the unit-sphere valuation numbers.  On a sphere or
+a great subsphere it is one exact fold that rounds once.  On a cap the terms
+are floats; their sum is returned only while its condition number stays at
+most _MAX_CONDITION, and refused past it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from fractions import Fraction
 from typing import Union
 
 from scipy.special import gammainc, ndtr
 
 from .evaluate import t_power_unit
 from .kinematics import gkf_coefficient
-from .model_sets import UNIT_SIDE, ModelSet
-from .scalars import float_of
+from .model_sets import UNIT_SIDE, ModelSet, UnitCap, UnitSphere
+from .scalars import PiScalar, float_of, float_times_exp, gamma_half
+from .series import sqrt_pow
 
 
 @dataclass(frozen=True)
@@ -119,71 +125,75 @@ def _tube_measure_extended(D: GaussSet, r: float) -> float:
 
 
 # -- exact derivatives -------------------------------------------------------
+#
+# For k >= 1, gamma_k = F exp(-x^2/2) R_k(x):
+#   half-space: measure'(r) = phi(r - u), so F = 1/sqrt(2 pi), x = u and
+#     R_k = He_(k-1)(u);
+#   ball or origin: measure'(r) = C_d g(rho + r) with g(s) = s^(d-1) e^(-s^2/2)
+#     and C_d = 2^(1-d/2)/Gamma(d/2), so x = rho and by Leibniz
+#     R_k = sum_(i <= min(k-1, d-1)) binom(k-1, i) (d-1)!/(d-1-i)!
+#           rho^(d-1-i) (-1)^(k-1-i) He_(k-1-i)(rho).
+# With x = a / 2^e and the integer table h_j = 2^(e j) He_j(x), every R_(j+1)
+# is an integer r_j over 2^(e j); the ball's further 2^(e (d-1)) joins F.
 
 
-def _hermite_values(x: float, k_max: int) -> list[float]:
-    """Probabilists' Hermite polynomial values He_0..He_kmax at x."""
-    values = [1.0, x]
-    for j in range(1, k_max):
-        values.append(x * values[j] - j * values[j - 1])
-    return values[: k_max + 1]
+def _hermite_table(a: int, e: int, j_max: int) -> list[int]:
+    """h_j = 2^(e j) He_j(a / 2^e) for j = 0 .. j_max, from
+    He_(j+1)(x) = x He_j(x) - j He_(j-1)(x)."""
+    h = [1, a]
+    for j in range(1, j_max):
+        h.append(a * h[j] - (j * h[j - 1] << 2 * e))
+    return h[: j_max + 1]
 
 
-@lru_cache(maxsize=None)
-def _radial_derivative_polys(d: int, j_max: int) -> tuple[tuple[int, ...], ...]:
-    """Coefficient arrays of P_j with d^j/ds^j [s^(d-1) e^(-s^2/2)]
-    = P_j(s) e^(-s^2/2); P_{j+1} = P_j' - s P_j."""
-    polys = []
-    p = [0] * (d - 1) + [1]  # s^(d-1)
-    polys.append(tuple(p))
-    for _ in range(j_max):
-        deriv = [i * c for i, c in enumerate(p)][1:] or [0]
-        shifted = [0] + p
-        m = max(len(deriv), len(shifted))
-        deriv += [0] * (m - len(deriv))
-        shifted += [0] * (m - len(shifted))
-        p = [a - b for a, b in zip(deriv, shifted)]
-        polys.append(tuple(p))
-    return tuple(polys)
-
-
-def _poly_eval(coeffs, x: float) -> float:
-    out = 0.0
-    for c in reversed(coeffs):
-        out = out * x + c
-    return out
+def _derivative_numerators(
+    D: Union[HalfSpace, CenteredBall, Origin], j_max: int
+) -> tuple[PiScalar, float, int, list[int]]:
+    """(F, x, e, r) with gamma_(j+1)(D) = F exp(-x^2/2) r[j] / 2^(e j) for
+    j = 0 .. j_max; F is an exact monomial and every r[j] an integer."""
+    if isinstance(D, HalfSpace):
+        x = D.u
+    else:
+        x = D.rho if isinstance(D, CenteredBall) else 0.0
+    a, den = x.as_integer_ratio()
+    e = den.bit_length() - 1
+    h = _hermite_table(a, e, j_max)
+    if isinstance(D, HalfSpace):
+        return PiScalar.pi_power(-1) * sqrt_pow(2, -1), x, e, h
+    d = D.d
+    # c_i = (-1)^i (d-1)!/(d-1-i)! a^(d-1-i) 4^(e i): rho^(d-1-i) over
+    # 2^(e (d-1)), with the 2^(e i) that He_(j-i) is short of against 2^(e j)
+    c = [
+        (-1) ** i * math.perm(d - 1, i) * a ** (d - 1 - i) << 2 * e * i
+        for i in range(d)
+    ]
+    # r_j = (-1)^j sum_i binom(j, i) c_i h_(j-i)
+    r = [c[0] * v for v in h]
+    for i in range(1, d):
+        for j in range(i, j_max + 1):
+            r[j] += math.comb(j, i) * c[i] * h[j - i]
+    r[1::2] = [-v for v in r[1::2]]
+    c_d = sqrt_pow(2, 2 - d) * gamma_half(d).reciprocal()
+    return c_d * Fraction(1, 1 << e * (d - 1)), x, e, r
 
 
 def gamma(D: GaussSet, k_max: int) -> GammaVector:
     """One-sided derivatives of the tube measure at radius zero; the tube
     measure is analytic there for every supported set, so these are the
-    coefficients of its power series."""
+    coefficients of its power series.  Each gamma_k with k >= 1 is its exact
+    part rounded once; a value beyond the float range raises ValueError."""
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     if isinstance(D, FullSpace):
         return GammaVector(D.d, (1.0,) + (0.0,) * k_max)
-    if isinstance(D, HalfSpace):
-        values = [float(ndtr(-D.u))]
-        if k_max >= 1:
-            density = math.exp(-D.u * D.u / 2) / math.sqrt(2 * math.pi)
-            hermite = _hermite_values(D.u, k_max - 1)
-            values.extend(hermite[k - 1] * density for k in range(1, k_max + 1))
-        return GammaVector(D.d, tuple(values))
-    if isinstance(D, (CenteredBall, Origin)):
-        d = D.d
-        rho = D.rho if isinstance(D, CenteredBall) else 0.0
-        values = [_chi_cdf(rho, d)]
-        if k_max >= 1:
-            # measure'(r) = C_d g(rho + r) with g(s) = s^(d-1) e^(-s^2/2)
-            log_c = (1 - d / 2.0) * math.log(2) - math.lgamma(d / 2.0)
-            c_d = math.exp(log_c)
-            polys = _radial_derivative_polys(d, k_max - 1)
-            weight = c_d * math.exp(-rho * rho / 2)
-            values.extend(
-                weight * _poly_eval(polys[k - 1], rho) for k in range(1, k_max + 1)
-            )
-        return GammaVector(d, tuple(values))
-    raise TypeError(f"unknown set {D!r}")
+    values = [gauss_measure_tube(D, 0.0)]
+    if k_max >= 1:
+        F, x, e, r = _derivative_numerators(D, k_max - 1)
+        values.extend(
+            float_times_exp(F * Fraction(r[j], 1 << e * j), -0.5 * x * x)
+            for j in range(k_max)
+        )
+    return GammaVector(D.d, tuple(values))
 
 
 # -- finite-difference oracle -------------------------------------------------
@@ -251,26 +261,83 @@ def gamma_fd_oracle(
 
 # -- the closed-form prediction ------------------------------------------------
 
+# A float sum of terms t_i with condition number sum|t_i| / |sum t_i| = c
+# can lose all but -log10(c * eps) of its digits to cancellation; past 1e8
+# fewer than about eight remain, so the sum is refused rather than returned.
+_MAX_CONDITION = 1e8
+
+
+def _conditioned_sum(terms) -> tuple[float, float]:
+    """The sum of float terms and its condition number sum|t_i| / |sum t_i|:
+    1.0 for a sum of zeros, inf for nonzero terms that cancel exactly."""
+    terms = list(terms)
+    total = math.fsum(terms)
+    magnitude = math.fsum(abs(t) for t in terms)
+    if not magnitude:
+        return total, 1.0
+    return total, magnitude / abs(total) if total else math.inf
+
 
 def gkf_predict(A: ModelSet, D: GaussSet, m: int) -> float:
     """Expected degree-m generator power of the excursion A intersect F^(-1)D
     under the Gaussian ensemble of linear maps:
 
-        sum_k (pi/2)^(k/2) / (k! omega_k) * t^(k+m)(A) * gamma_k(D),
+        sum_k w_k gamma_k(D),  w_k = (pi/2)^(k/2) / (k! omega_k) * t^(k+m)(A),
 
-    a finite sum since the unit-side powers vanish above the dimension."""
+    a finite sum since the unit-side powers vanish above the dimension.
+
+    On a sphere or great subsphere of dimension s, w_k is nonzero only for
+    k = s - m (mod 2), and w_(k+2) / w_k = (s-k-m) / ((k+1)(k+m+2)).  With
+    gamma_k = F exp(-x^2/2) r_(k-1) / 2^(e (k-1)) for k >= 1, the sum is
+
+        t^m(A) gamma_0(D) + w_k1 F S exp(-x^2/2),
+
+    k1 the first such k >= 1 and S one Fraction from a backward integer
+    Horner pass, so the result rounds once.  On a cap t^(k+m) is a float:
+    the terms are summed in floats, and the sum is refused (ValueError)
+    when its condition number exceeds _MAX_CONDITION."""
     if not isinstance(A, UNIT_SIDE):
         raise ValueError("prediction takes a unit-side set")
-    n = A.n
-    if m > n:
-        raise ValueError("degree exceeds the dimension of the set")
-    k_top = n - m
+    if not 0 <= m <= A.n:
+        raise ValueError("degree must lie between 0 and the dimension of the set")
+    if isinstance(A, UnitCap):
+        return _cap_prediction(A, D, m)
+    s = A.n if isinstance(A, UnitSphere) else A.m
+    gamma_0 = Fraction(gauss_measure_tube(D, 0.0))
+    head = float_times_exp(t_power_unit(A, m) * gamma_0, 0.0)
+    k_top = s - m
+    k1 = 2 - k_top % 2
+    if isinstance(D, FullSpace) or k1 > k_top:
+        return head
+    F, x, e, r = _derivative_numerators(D, k_top - 1)
+    # S 2^(e (k_top-1)) = acc_k1, where acc_k_top = r_(k_top-1) and
+    # acc_k = r_(k-1) 2^(e (k_top-k)) + (s-k-m) / ((k+1)(k+m+2)) acc_(k+2)
+    num, den = r[k_top - 1], 1
+    for k in range(k_top - 2, k1 - 1, -2):
+        q = (k + 1) * (k + m + 2)
+        num = (r[k - 1] * den * q << e * (k_top - k)) + (s - k - m) * num
+        den *= q
+    S = Fraction(num, den << e * (k_top - 1))
+    w = gkf_coefficient(k1) * t_power_unit(A, k1 + m)
+    return head + float_times_exp(w * F * S, -0.5 * x * x)
+
+
+def _cap_prediction(A: UnitCap, D: GaussSet, m: int) -> float:
+    """The float sum of the prediction terms on a cap, or ValueError where
+    it is too ill-conditioned to keep its digits."""
+    k_top = A.n - m
     gammas = gamma(D, k_top)
-    total = 0.0
-    for k in range(k_top + 1):
-        if gammas[k] == 0.0:
-            continue
-        t_val = float_of(t_power_unit(A, k + m))
-        if t_val:
-            total += float_of(gkf_coefficient(k)) * t_val * gammas[k]
+    try:
+        total, condition = _conditioned_sum(
+            float_of(gkf_coefficient(k)) * t_power_unit(A, k + m) * gammas[k]
+            for k in range(k_top + 1)
+            if gammas[k]
+        )
+    except OverflowError:
+        raise ValueError(f"prediction terms on {A} exceed the float range") from None
+    if condition > _MAX_CONDITION:
+        raise ValueError(
+            f"prediction on {A} refused: its float sum has condition number "
+            f"{condition:.3g} > {_MAX_CONDITION:g}, so too few digits survive"
+        )
     return total

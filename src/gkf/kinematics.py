@@ -85,7 +85,7 @@ class KinematicTensor:
             self.basis_left,
             self.basis_right,
             tuple(
-                tuple(a + b for a, b in zip(ra, rb))
+                tuple((a + b or ZERO) if a or b else ZERO for a, b in zip(ra, rb))
                 for ra, rb in zip(self.rows, other.rows)
             ),
         )

@@ -256,16 +256,48 @@ def float_of(x: ScalarLike | float) -> float:
     """
     if not isinstance(x, (PiScalar, int, Fraction)):
         return x if isinstance(x, float) else float(x)
+    return float(_exact_value(x))
+
+
+def _exact_value(x: ScalarLike) -> Fraction:
+    """x as one Fraction: exact for a rational x, else with sqrt(pi) and the
+    integer square roots truncated to 50 decimal digits."""
     x = PiScalar._coerce(x)
     if x.is_rational():
-        return float(x.as_fraction())
+        return x.as_fraction()
     total = Fraction(0)
     for m, r, q in x.terms:
         value = q * _SQRT_PI**m
         if r != 1:
             value *= Fraction(math.isqrt(r * _SCALE * _SCALE), _SCALE)
         total += value
-    return float(total)
+    return total
+
+
+_LN2 = math.log(2)
+
+
+def float_times_exp(x: ScalarLike, y: float) -> float:
+    """x * exp(y) for an exact x, as accurate as float_of(x) * math.exp(y).
+
+    The binary exponent of x and the power of two nearest exp(y) are applied
+    exactly (math.ldexp), so neither factor has to fit a float on its own.
+    A product below the float range comes back as 0.0; one above it raises
+    ValueError.
+    """
+    value = _exact_value(x)
+    if not value or y == -math.inf:
+        return 0.0
+    num, den = value.numerator, value.denominator
+    shift = num.bit_length() - den.bit_length()  # |value| / 2^shift in (1/2, 2)
+    k = round(y / _LN2)
+    if shift + k < -1100:
+        return 0.0
+    mantissa = (num << max(-shift, 0)) / (den << max(shift, 0))
+    try:
+        return math.ldexp(mantissa * math.exp(y - k * _LN2), shift + k)
+    except OverflowError:
+        raise ValueError(f"value near 2^{shift + k} is past the float range") from None
 
 
 # -- gamma function at half-integers, omega, alpha ----------------------

@@ -10,9 +10,9 @@ from scipy.special import betainc
 
 from gkf.bases import Basis
 from gkf.drivers import _top_degree, pull_back_set
-from gkf.evaluate import sigma_evaluate, tau_evaluate, u_power_on_ball
-from gkf.gauss import GaussSet
-from gkf.kinematics import KinematicTensor, nu_values_on_set
+from gkf.evaluate import sigma_evaluate, t_power_unit, tau_evaluate, u_power_on_ball
+from gkf.gauss import CenteredBall, FullSpace, GaussSet, HalfSpace, gauss_measure_tube
+from gkf.kinematics import KinematicTensor, gkf_coefficient, nu_values_on_set
 from gkf.model_sets import GeodesicBall, GreatSubsphere, ModelSet, SubsphereTube
 from gkf.scalars import float_of, generalized_binomial, log_omega
 from gkf.series import sqrt_pow
@@ -210,3 +210,56 @@ def tube_rhs_nu_route(N: int, d: int, s: float, r: float) -> float:
         if nu_vals[k]:
             rhs += u_power_on_ball(k, N, r) * nu_vals[k]
     return rhs
+
+
+# -- the Gaussian prediction, term by term ----------------------------------------
+
+
+def gamma_float_route(D: GaussSet, k_max: int) -> list[float]:
+    """gamma_0 .. gamma_kmax by float recurrences: Hermite values for a
+    half-space; for a ball or the origin the integer coefficients of the
+    radial polynomials P_(j+1) = P_j' - s P_j, where
+    d^j/ds^j [s^(d-1) e^(-s^2/2)] = P_j(s) e^(-s^2/2), evaluated by Horner.
+    Accurate while the Hermite values and the coefficients stay far from the
+    float range (the coefficients pass it near j = 300 for d = 3)."""
+    values = [gauss_measure_tube(D, 0.0)]
+    if isinstance(D, FullSpace):
+        return values + [0.0] * k_max
+    if isinstance(D, HalfSpace):
+        u = D.u
+        hermite = [1.0, u]
+        for j in range(1, k_max):
+            hermite.append(u * hermite[j] - j * hermite[j - 1])
+        density = math.exp(-u * u / 2) / math.sqrt(2 * math.pi)
+        return values + [hermite[k - 1] * density for k in range(1, k_max + 1)]
+    d = D.d
+    rho = D.rho if isinstance(D, CenteredBall) else 0.0
+    c_d = math.exp((1 - d / 2.0) * math.log(2) - math.lgamma(d / 2.0))
+    weight = c_d * math.exp(-rho * rho / 2)
+    poly = [0] * (d - 1) + [1]  # s^(d-1)
+    for _ in range(k_max):
+        value = 0.0
+        for c in reversed(poly):
+            value = value * rho + c
+        values.append(weight * value)
+        deriv = [i * c for i, c in enumerate(poly)][1:] + [0, 0]
+        shifted = [0] + poly
+        poly = [a - b for a, b in zip(deriv, shifted)]
+    return values
+
+
+def gkf_predict_float_route(A: ModelSet, D: GaussSet, m: int) -> float:
+    """The limit-side prediction as the float sum of its terms
+    (pi/2)^(k/2) / (k! omega_k) t^(k+m)(A) gamma_k(D) in ascending k.  The
+    terms alternate in sign, so it loses every digit as the dimension of A
+    grows (about n = 100 for a half-space at u = 0.5)."""
+    k_top = A.n - m
+    gammas = gamma_float_route(D, k_top)
+    total = 0.0
+    for k in range(k_top + 1):
+        if gammas[k] == 0.0:
+            continue
+        t_val = float_of(t_power_unit(A, k + m))
+        if t_val:
+            total += float_of(gkf_coefficient(k)) * t_val * gammas[k]
+    return total

@@ -1,6 +1,7 @@
 """Command-line surface: descriptors, documents, determinism, exit codes."""
 
 import json
+import math
 
 import pytest
 
@@ -174,6 +175,28 @@ class TestPredict:
     @pytest.mark.parametrize("D", ["ball:2:nan", "ball:2:inf", "halfspace:1:nan"])
     def test_non_finite_set_exit_two(self, capsys, D):
         code, out = run_cli(["predict", "--A", "sphere:2", "--D", D], capsys)
+        assert code == 2
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "A, D",
+        [
+            ("sphere:300", "ball:3:2.0"),
+            ("sphere:400", "halfspace:1:0.5"),
+            ("sphere:1000", "halfspace:1:0.5"),
+        ],
+    )
+    def test_large_spheres_finite(self, capsys, A, D):
+        # the float sum printed NaN at n = 400 and overflowed at 1000; the
+        # float radial polynomials overflowed at n = 300
+        code, doc = run_json(["predict", "--A", A, "--D", D], capsys)
+        assert code == 0
+        assert math.isfinite(doc["results"][0]["prediction"])
+
+    def test_ill_conditioned_cap_exit_two(self, capsys):
+        code, out = run_cli(
+            ["predict", "--A", "cap:200:1.0", "--D", "halfspace:1:0.5"], capsys
+        )
         assert code == 2
         assert out == ""
 

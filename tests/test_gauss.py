@@ -4,7 +4,7 @@ import math
 
 import pytest
 from scipy.integrate import quad
-from scipy.special import gammainc
+from scipy.special import chdtrc, gammainc
 
 from gkf.evaluate import lk_unit_sphere
 from gkf.gauss import (
@@ -19,6 +19,8 @@ from gkf.gauss import (
 )
 from gkf.model_sets import UnitCap, UnitGreatSubsphere, UnitSphere
 from gkf.scalars import float_of
+
+from oracles import gamma_float_route, gkf_predict_float_route
 
 ALL_SETS = [
     HalfSpace(1, 0.0),
@@ -116,6 +118,22 @@ class TestGammaFamily:
         for k in range(5):
             assert g[k] == pytest.approx(gamma_fd_oracle(D, k), abs=1e-6)
 
+    @pytest.mark.parametrize("D", ALL_SETS, ids=str)
+    def test_exact_table_matches_float_recurrences(self, D):
+        # at low orders the float Hermite and radial-polynomial recurrences
+        # keep their digits, so the exact table must agree with them
+        for exact, floated in zip(gamma(D, 12).values, gamma_float_route(D, 12)):
+            assert exact == pytest.approx(floated, rel=1e-13, abs=1e-300)
+
+    def test_high_orders_finite_or_refused(self):
+        # the float radial polynomials overflowed here; each exact value is
+        # rounded once, and a value past the float range is refused
+        values = gamma(CenteredBall(3, 2.0), 300).values
+        assert all(math.isfinite(v) for v in values)
+        assert abs(values[300]) > 1e300
+        with pytest.raises(ValueError, match="float range"):
+            gamma(CenteredBall(3, 2.0), 320)
+
     def test_oracle_order_zero(self):
         D = CenteredBall(2, 1.0)
         assert gamma_fd_oracle(D, 0) == gauss_measure_tube(D, 0.0)
@@ -174,6 +192,15 @@ class TestPrediction:
         embedded = gkf_predict(UnitGreatSubsphere(5, 2), D, 0)
         assert direct == pytest.approx(embedded, rel=1e-12)
 
+    def test_cap_prediction_refused_when_ill_conditioned(self):
+        # the float terms on cap:n:1.0 cancel harder as n grows; a sum that
+        # keeps too few digits is refused instead of returned
+        value = gkf_predict(UnitCap(60, 1.0), HalfSpace(1, 0.5), 0)
+        assert 0.0 <= value <= 1.0
+        for n in (80, 120, 200):
+            with pytest.raises(ValueError, match="condition number"):
+                gkf_predict(UnitCap(n, 1.0), HalfSpace(1, 0.5), 0)
+
     def test_cap_prediction_runs(self):
         value = gkf_predict(UnitCap(2, 0.9), HalfSpace(1, 0.5), 0)
         assert 0.0 < value < 2.0
@@ -181,3 +208,33 @@ class TestPrediction:
     def test_degree_guard(self):
         with pytest.raises(ValueError):
             gkf_predict(UnitSphere(2), FullSpace(1), 3)
+        with pytest.raises(ValueError):
+            gkf_predict(UnitSphere(4), Origin(2), -1)
+
+
+class TestExactFold:
+    @pytest.mark.parametrize("u", [-1.25, 0.0, 0.5, 2.0])
+    def test_half_space_is_a_chi_squared_tail(self, u):
+        # the excursion of xi . x >= u is a cap with chi = 1 when |xi| > |u|;
+        # otherwise it is empty (u > 0) or the whole sphere (u < 0, where
+        # chi(S^n) = 2 at even n), so the oracle is chdtrc(n+1, u^2) or,
+        # for u < 0 and even n, 2 - chdtrc(n+1, u^2)
+        for n in range(1, 601):
+            tail = float(chdtrc(n + 1, u * u))
+            oracle = 2 - tail if u < 0 and n % 2 == 0 else tail
+            assert abs(gkf_predict(UnitSphere(n), HalfSpace(1, u), 0) - oracle) <= 1e-12
+
+    @pytest.mark.parametrize("n", [60, 100, 200, 300])
+    def test_ball_prediction_vanishes_on_large_spheres(self, n):
+        assert abs(gkf_predict(UnitSphere(n), CenteredBall(3, 2.0), 0)) <= 1e-12
+
+    @pytest.mark.parametrize("D", ALL_SETS, ids=str)
+    def test_fold_matches_term_by_term_sum(self, D):
+        # against the float sum it replaced, where that sum keeps its digits
+        for n in range(1, 11):
+            for m in range(min(n, 3) + 1):
+                for A in (UnitSphere(n), UnitGreatSubsphere(n + 3, n)):
+                    oracle = gkf_predict_float_route(A, D, m)
+                    assert abs(gkf_predict(A, D, m) - oracle) <= 1e-10 * max(
+                        abs(oracle), 1e-3
+                    )

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from gkf.bases import (
+    ZERO,
     Basis,
     ValuationVector,
     basis_element,
@@ -67,6 +68,16 @@ class TestDiagonalOperators:
         with pytest.raises(ValueError, match="int, Fraction or PiScalar"):
             p_sigma(1, 4).scale(0.5)
         assert p_sigma(1, 4).scale(2).entry(0, 1) == 1
+
+    def test_sum_keeps_the_shared_zero(self):
+        # a zero entry of a sum is bases.ZERO itself, also where the
+        # summands cancel
+        total = p_sigma(1, 4) + p_sigma(2, 4)
+        entries = [x for row in total.rows for x in row]
+        assert sum(1 for x in entries if x is ZERO) == 20
+        assert sum(1 for x in entries if not x) == 20
+        cancelled = p_sigma(1, 4) + p_sigma(1, 4).scale(-1)
+        assert all(x is ZERO for row in cancelled.rows for x in row)
 
     def test_linearity_through_sigma_sums(self):
         # p applied to a random sigma-combination is the matching combination

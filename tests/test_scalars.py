@@ -11,6 +11,7 @@ from gkf.scalars import (
     PiScalar,
     alpha,
     float_of,
+    float_times_exp,
     gamma_half,
     generalized_binomial,
     log_omega,
@@ -171,6 +172,24 @@ class TestFloatBridge:
     def test_radical_value(self):
         x = PiScalar.sqrt_int(2)
         assert float_of(x) == pytest.approx(math.sqrt(2), rel=1e-14)
+
+    def test_times_exp_rounds_like_the_float_product(self):
+        x = PiScalar({(1, 2): Fraction(3, 7)})
+        for y in (0.0, -0.125, -2.0, 3.5):
+            assert float_times_exp(x, y) == pytest.approx(
+                float_of(x) * math.exp(y), rel=1e-15
+            )
+        assert float_times_exp(Fraction(-5, 3), 0.0) == float_of(Fraction(-5, 3))
+
+    def test_times_exp_past_the_float_range(self):
+        # neither factor fits a float, the product does
+        big = PiScalar.sqrt_int(2) * 10**400
+        assert float_times_exp(big, -400 * math.log(10)) == pytest.approx(
+            math.sqrt(2), rel=1e-13
+        )
+        assert float_times_exp(Fraction(1, 10**400), -1000.0) == 0.0
+        with pytest.raises(ValueError, match="float range"):
+            float_times_exp(big, 0.0)
 
     def test_floats_pass_through(self):
         for x in [0.1, -3.5, float("inf"), np.float64(0.7)]:
