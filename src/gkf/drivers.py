@@ -57,12 +57,34 @@ class McReport:
         return "WARN" if z < Z_WARN else "FAIL"
 
 
-def _make_report(
-    total: float, total_sq: float, n: int, prediction: float, rng: RngStream
-) -> McReport:
+def _chunk_moments(values: np.ndarray) -> tuple[int, float, float]:
+    """(count, sum, sum of squared deviations from the mean) of one chunk."""
+    total = float(values.sum())
+    deviations = values - total / len(values)
+    return len(values), total, float((deviations * deviations).sum())
+
+
+def _merge_moments(parts) -> tuple[int, float, float]:
+    """(count, sum, M2) of a sequence of chunk moments, merged in order by
+    the pairwise update of Chan, Golub & LeVeque ("Algorithms for computing
+    the sample variance", Amer. Statist. 37, 1983): M2 = M2_a + M2_b +
+    delta^2 n_a n_b / (n_a + n_b), delta the gap between the two means.
+    No sum of squares is formed, so a large common mean costs no digits of
+    the spread, and the order, hence the result, is fixed by the chunk
+    plan at any worker count."""
+    n, total, m2 = 0, 0.0, 0.0
+    for n_i, total_i, m2_i in parts:
+        delta = total_i / n_i - (total / n if n else 0.0)
+        m2 += m2_i + delta * delta * n * n_i / (n + n_i)
+        n += n_i
+        total += total_i
+    return n, total, m2
+
+
+def _make_report(parts, prediction: float, rng: RngStream) -> McReport:
+    n, total, m2 = _merge_moments(parts)
     mean = total / n
-    var = max(total_sq - n * mean * mean, 0.0) / max(n - 1, 1)
-    stderr = math.sqrt(var / n)
+    stderr = math.sqrt(m2 / max(n - 1, 1) / n)
     diff = mean - prediction
     if stderr > 0:
         z = diff / stderr
@@ -151,19 +173,19 @@ def _chunk_plan(n_samples: int):
         yield index, min(CHUNK_SIZE, n_samples - offset)
 
 
-def _chunk_values(A, D, degree, law_n, n_points, rng, chunk_index, size) -> np.ndarray:
+def _chunk_values(A, D, t_top, law_n, n_points, rng, chunk_index, size) -> np.ndarray:
+    """The functional on the maps of one chunk: chi of the excursion when
+    t_top is None, else t_top times the hit-or-miss volume fraction."""
     gen = rng.child(chunk_index).generator()
     F_batch = _draw_maps(A, D, law_n, size, gen)
-    if degree == 0:
+    if t_top is None:
         return _chi_values(A, D, F_batch).astype(float)
-    t_top = float_of(t_power_unit(A, _top_degree(A)))
     return t_top * _hit_fractions(A, D, F_batch, n_points, gen)
 
 
 def _chunk_task(args):
-    A, D, degree, law_n, n_points, rng, chunk_index, size = args
-    values = _chunk_values(A, D, degree, law_n, n_points, rng, chunk_index, size)
-    return chunk_index, float(values.sum()), float((values * values).sum())
+    *_, chunk_index, _size = args
+    return chunk_index, _chunk_moments(_chunk_values(*args))
 
 
 def estimate_lhs(
@@ -190,8 +212,10 @@ def estimate_lhs(
         prediction = gkf_predict(A, D, degree)
     else:
         prediction = pi_n_prediction(A, D, law_n, degree)
+    # t^top(A) is exact algebra, so it is evaluated once, not per chunk
+    t_top = None if degree == 0 else float_of(t_power_unit(A, degree))
     chunks = [
-        (A, D, degree, law_n, n_points, rng, index, size)
+        (A, D, t_top, law_n, n_points, rng, index, size)
         for index, size in _chunk_plan(n_samples)
     ]
 
@@ -200,9 +224,7 @@ def estimate_lhs(
             results = sorted(pool.map(_chunk_task, chunks))
     else:
         results = [_chunk_task(c) for c in chunks]
-    total = sum(r[1] for r in results)
-    total_sq = sum(r[2] for r in results)
-    return _make_report(total, total_sq, n_samples, prediction, rng)
+    return _make_report([moments for _, moments in results], prediction, rng)
 
 
 def mean_abs_chi(
@@ -211,7 +233,7 @@ def mean_abs_chi(
     """Empirical mean of |chi| (uniform-integrability proxy)."""
     total = 0.0
     for index, size in _chunk_plan(n_samples):
-        chi = _chunk_values(A, D, 0, law_n, 1, rng, index, size)
+        chi = _chunk_values(A, D, None, law_n, 1, rng, index, size)
         total += float(np.abs(chi).sum())
     return total / n_samples
 

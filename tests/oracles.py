@@ -6,11 +6,13 @@ another way than the code it is compared with.
 import math
 from fractions import Fraction
 
+import numpy as np
 from scipy.special import betainc
 
 from gkf.bases import Basis
 from gkf.drivers import _top_degree, pull_back_set
 from gkf.evaluate import sigma_evaluate, t_power_unit, tau_evaluate, u_power_on_ball
+from gkf.functionals import gauss_set_membership, sample_uniform_on
 from gkf.gauss import CenteredBall, FullSpace, GaussSet, HalfSpace, gauss_measure_tube
 from gkf.kinematics import KinematicTensor, gkf_coefficient, nu_values_on_set
 from gkf.model_sets import GeodesicBall, GreatSubsphere, ModelSet, SubsphereTube
@@ -263,3 +265,38 @@ def gkf_predict_float_route(A: ModelSet, D: GaussSet, m: int) -> float:
         if t_val:
             total += float_of(gkf_coefficient(k)) * t_val * gammas[k]
     return total
+
+
+# -- excursion counts and volumes, batch by batch ----------------------------------
+
+
+def chi_quadratic_eigvalsh(F_batch: np.ndarray, n: int, rho: float) -> np.ndarray:
+    """Morse count of the quadratic excursion with the Gram eigenvalues from
+    eigvalsh: each eigenvalue at or below rho^2 adds two critical points of
+    index the number of smaller eigendirections, over the kernel sphere's
+    minimum stratum."""
+    d = F_batch.shape[1]
+    if d <= n:
+        gram = np.einsum("bij,bkj->bik", F_batch, F_batch)
+        kernel_dim = n + 1 - d
+    else:
+        gram = np.einsum("bji,bjk->bik", F_batch, F_batch)
+        kernel_dim = 0
+    lam = np.linalg.eigvalsh(gram)
+    inside = lam <= rho * rho
+    m = lam.shape[1]
+    signs = np.array([2 * (-1) ** (kernel_dim + i) for i in range(m)])
+    base = (1 + (-1) ** (kernel_dim - 1)) if kernel_dim >= 1 else 0
+    return base + (inside * signs).sum(axis=1)
+
+
+def hit_fractions_einsum(
+    A: ModelSet, D: GaussSet, F_batch: np.ndarray, n_points: int, gen: np.random.Generator
+) -> np.ndarray:
+    """Hit-or-miss volume fractions with the images formed by one batched
+    einsum over the same uniform points."""
+    points = sample_uniform_on(A, len(F_batch) * n_points, gen)
+    points = points.reshape(len(F_batch), n_points, -1)
+    images = np.einsum("bij,bpj->bpi", F_batch, points)
+    hits = gauss_set_membership(D, images.reshape(-1, D.d))
+    return hits.reshape(len(F_batch), n_points).mean(axis=1)

@@ -11,9 +11,13 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from gkf import drivers
 from gkf.bases import nu_in_sigma_column
 from gkf.drivers import (
+    CHUNK_SIZE,
     McReport,
+    _chunk_moments,
+    _make_report,
     estimate_lhs,
     kinematic_inequality_check,
     mean_abs_chi,
@@ -24,13 +28,23 @@ from gkf.drivers import (
 )
 from gkf.evaluate import sigma_evaluate
 from gkf.functionals import (
+    _DESCARTES_MAX_DIM,
+    _hit_fractions,
     chi_intersection,
+    chi_quadratic_batch,
     icosphere,
     mesh_chi_quadratic,
     mesh_chi_sublevel,
     volume_fraction,
 )
-from gkf.gauss import CenteredBall, FullSpace, HalfSpace, gauss_measure_tube, gkf_predict
+from gkf.gauss import (
+    CenteredBall,
+    FullSpace,
+    HalfSpace,
+    Origin,
+    gauss_measure_tube,
+    gkf_predict,
+)
 from gkf.kinematics import nu_values_on_set
 from gkf.model_sets import (
     AmbientSphere,
@@ -55,6 +69,8 @@ from gkf.sampling import (
 from gkf.series import u_power_in_sigma
 
 from oracles import (
+    chi_quadratic_eigvalsh,
+    hit_fractions_einsum,
     pair_tensor,
     pi_n_prediction_nu_route,
     projected_coordinate_cdf,
@@ -282,6 +298,108 @@ class TestChiIntersection:
         assert len(V) - len(E) + len(F) == 2  # the sphere itself
 
 
+def _gram_shapes() -> list[tuple[int, int]]:
+    """(n, d) for every Gram size m = min(d, n+1) up to one past the
+    Descartes cap: d < n, d = n and (from m = 2) d = n+1 and d > n+1, plus
+    d = 1 on a larger sphere."""
+    shapes = [(5, 1)]
+    for m in range(1, _DESCARTES_MAX_DIM + 2):
+        shapes += [(m + 1, m), (m, m)]
+        if m >= 2:
+            shapes += [(m - 1, m), (m - 1, m + 2)]
+    return shapes
+
+
+class TestDescartesCount:
+    @pytest.mark.parametrize("n, d", _gram_shapes())
+    def test_matches_eigvalsh_count(self, n, d):
+        gen = RngStream(40, 16 * n + d).generator()
+        size = 600
+        F = gen.standard_normal((size, d, n + 1))
+        # per-map scales spread the spectra across the levels
+        F *= 10.0 ** gen.uniform(-1.5, 1.0, (size, 1, 1))
+        F[::7, 0, :] = 0.0  # a zero row
+        F[3::7, :, 0] = 0.0  # a zero column
+        # entries up to about 1e100, on maps without a zero row or column:
+        # next to 1e200 a zero eigenvalue and rho^2 <= 1e18 are one rounding
+        # apart for either route
+        F[5::14] *= 1e99
+        seen = set()
+        for rho in (0.3, 1.0, 2.5, 1e9, 1e100, 1e200):
+            chi = chi_quadratic_batch(F, n, rho)
+            assert np.array_equal(chi, chi_quadratic_eigvalsh(F, n, rho))
+            seen.update(chi.tolist())
+        assert len(seen) == 2  # both parities of the count occur
+
+    @pytest.mark.parametrize(
+        "rows, rho, expected, eigvalsh_exact",
+        [
+            # the kernel-sphere map of S^4: Gram diag(4, 9)
+            ([[2, 0, 0, 0, 0], [0, 3, 0, 0, 0]], 2.0, 0, True),
+            ([[2, 0, 0, 0, 0], [0, 3, 0, 0, 0]], 3.0, 2, True),
+            # Gram [[5, 4], [4, 5]], eigenvalues 1 and 9
+            ([[2, 1, 0], [1, 2, 0]], 1.0, 0, True),
+            ([[2, 1, 0], [1, 2, 0]], 3.0, 2, True),
+            # d > n: Gram diag(4, 1) of the columns
+            ([[2, 0], [0, 1], [0, 0]], 1.0, 2, True),
+            ([[2, 0], [0, 1], [0, 0]], 2.0, 0, True),
+            # rank one with tr G = rho^2
+            ([[3, 4, 0]], 5.0, 2, True),
+            # Gram [[2, 1, 1], [1, 2, 1], [1, 1, 2]], eigenvalues 1, 1, 4
+            ([[1, 1, 0, 0], [1, 0, 1, 0], [0, 1, 1, 0]], 1.0, 2, True),
+            ([[1, 1, 0, 0], [1, 0, 1, 0], [0, 1, 1, 0]], 2.0, 0, True),
+            # eigvalsh rounds these ties outward; the integer characteristic
+            # polynomial keeps them: eigenvalues 4 and 14, then 4, 9 and 15
+            ([[2, 0, -2, 1], [-2, -2, 0, -1]], 2.0, 2, False),
+            ([[1, 0, -1, -2], [1, 2, 2, -1], [-2, -2, 2, 0]], 2.0, 0, False),
+            ([[1, 0, -1, -2], [1, 2, 2, -1], [-2, -2, 2, 0]], 3.0, 2, False),
+        ],
+    )
+    def test_exact_ties_count_as_inside(self, rows, rho, expected, eigvalsh_exact):
+        F = np.array([rows], dtype=float)
+        n = F.shape[2] - 1
+        assert chi_quadratic_batch(F, n, rho)[0] == expected
+        if eigvalsh_exact:
+            assert chi_quadratic_eigvalsh(F, n, rho)[0] == expected
+
+    @pytest.mark.parametrize(
+        "A, D",
+        [
+            (UnitSphere(2), CenteredBall(2, 1.0)),
+            (UnitSphere(3), CenteredBall(3, 1.5)),
+            (UnitCap(2, 1.0), HalfSpace(1, 0.5)),
+            (UnitGreatSubsphere(3, 1), CenteredBall(2, 0.8)),
+            (UnitSphere(2), Origin(2)),
+        ],
+    )
+    def test_hit_fractions_match_einsum_route(self, A, D):
+        F = RngStream(41).generator().standard_normal((3000, D.d, A.n + 1))
+        got = _hit_fractions(A, D, F, 16, RngStream(42).generator())
+        want = hit_fractions_einsum(A, D, F, 16, RngStream(42).generator())
+        assert np.array_equal(got, want)
+
+    def test_gram_overflow_is_refused(self):
+        F = LinearMapSample(np.array([[1e200, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+        with pytest.raises(ValueError, match="too large"), pytest.warns(RuntimeWarning):
+            chi_intersection(UnitSphere(2), CenteredBall(2, 1.0), F)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_maps_are_refused(self, bad):
+        ball_map = LinearMapSample(np.array([[bad, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+        row = LinearMapSample(np.array([[bad, 0.0, 0.0]]))
+        cases = [
+            (UnitSphere(2), CenteredBall(2, 1.0), ball_map),
+            (UnitSphere(2), FullSpace(2), ball_map),
+            (UnitSphere(2), HalfSpace(1, 0.5), row),
+            (UnitCap(2, 1.0), HalfSpace(1, 0.5), row),
+        ]
+        for A, D, F in cases:
+            with pytest.raises(ValueError, match="map entries must be finite"):
+                chi_intersection(A, D, F)
+            with pytest.raises(ValueError, match="map entries must be finite"):
+                volume_fraction(A, D, F, RngStream(44), 10)
+
+
 def dict_icosphere(depth: int):
     """Reference subdivision: one midpoint per edge through a dict, the
     midpoints appended as the faces are walked; edges by a row sort."""
@@ -448,6 +566,32 @@ class TestEstimateLhs:
             UnitSphere(2), HalfSpace(1, 0.5), 0, 30000, RngStream(8, 0), law_n=80
         )
         assert abs(rep.z_score) < 3
+
+    def test_top_degree_weight_evaluated_once(self, monkeypatch):
+        calls = []
+        real = drivers.t_power_unit
+        monkeypatch.setattr(
+            drivers, "t_power_unit", lambda *args: calls.append(args) or real(*args)
+        )
+        estimate_lhs(UnitSphere(2), CenteredBall(2, 1.0), "top", 3 * CHUNK_SIZE, RngStream(6, 0))
+        assert len(calls) == 1
+
+    def test_variance_merge_keeps_a_tiny_spread_on_a_large_mean(self):
+        gen = RngStream(43).generator()
+        chunks = [1e9 + 1e-3 * gen.standard_normal(CHUNK_SIZE) for _ in range(4)]
+        # exact differences: every value lies within a factor 2 of 1e9
+        spread = np.concatenate(chunks) - 1e9
+        n = len(spread)
+        var = float(spread.var(ddof=1))
+        total = sum(float(c.sum()) for c in chunks)
+        rep = _make_report([_chunk_moments(c) for c in chunks], 1e9, RngStream(43))
+        assert rep.n_samples == n
+        assert rep.estimate == total / n
+        assert rep.stderr == pytest.approx(math.sqrt(var / n), rel=1e-6)
+        # the sum / sum-of-squares formula loses the spread entirely
+        total_sq = sum(float((c * c).sum()) for c in chunks)
+        naive = max(total_sq - n * (total / n) ** 2, 0.0) / (n - 1)
+        assert abs(naive - var) > 0.5 * var
 
     def test_degree_guard(self):
         with pytest.raises(ValueError):
