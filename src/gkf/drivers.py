@@ -64,25 +64,20 @@ def _chunk_moments(values: np.ndarray) -> tuple[int, float, float]:
     return len(values), total, float((deviations * deviations).sum())
 
 
-def _merge_moments(parts) -> tuple[int, float, float]:
-    """(count, sum, M2) of a sequence of chunk moments, merged in order by
-    the pairwise update of Chan, Golub & LeVeque ("Algorithms for computing
-    the sample variance", Amer. Statist. 37, 1983): M2 = M2_a + M2_b +
-    delta^2 n_a n_b / (n_a + n_b), delta the gap between the two means.
-    No sum of squares is formed, so a large common mean costs no digits of
-    the spread, and the order, hence the result, is fixed by the chunk
-    plan at any worker count."""
+def _make_report(parts, prediction: float, rng: RngStream) -> McReport:
+    """The report of a sequence of chunk moments (count, sum, M2), merged
+    in order by the pairwise update of Chan, Golub & LeVeque ("Algorithms
+    for computing the sample variance", Amer. Statist. 37, 1983): M2 =
+    M2_a + M2_b + delta^2 n_a n_b / (n_a + n_b), delta the gap between the
+    two means.  No sum of squares is formed, so a large common mean costs
+    no digits of the spread, and the chunk plan fixes the order, hence the
+    result, at any worker count."""
     n, total, m2 = 0, 0.0, 0.0
     for n_i, total_i, m2_i in parts:
         delta = total_i / n_i - (total / n if n else 0.0)
         m2 += m2_i + delta * delta * n * n_i / (n + n_i)
         n += n_i
         total += total_i
-    return n, total, m2
-
-
-def _make_report(parts, prediction: float, rng: RngStream) -> McReport:
-    n, total, m2 = _merge_moments(parts)
     mean = total / n
     stderr = math.sqrt(m2 / max(n - 1, 1) / n)
     diff = mean - prediction

@@ -181,13 +181,15 @@ def _count_at_most(rows: np.ndarray, level: float) -> np.ndarray:
     # M_k is a polynomial in H, so H M_k is symmetric; the last step needs
     # only its trace
     coeffs = []
-    HM = H
+    HM = H  # H M_1
     for step in range(1, m + 1):
         if step > 1:
-            M = {key: HM[key] + coeffs[-1] if key[0] == key[1] else HM[key] for key in HM}
+            M = {(a, b): (HM[a, b] + coeffs[-1] if a == b else HM[a, b]) for a, b in HM}
+            pairs = upper if step < m else [(a, a) for a in range(m)]
             HM = {}
-            for a, b in upper if step < m else [(a, a) for a in range(m)]:
-                HM[a, b] = HM[b, a] = _dot([H[a, j] for j in range(m)], [M[j, b] for j in range(m)])
+            for a, b in pairs:
+                row, column = [H[a, j] for j in range(m)], [M[j, b] for j in range(m)]
+                HM[a, b] = HM[b, a] = _dot(row, column)
         coeffs.append(sum(HM[a, a] for a in range(m)) / -step)
     # sign of the last nonzero coefficient, from the leading 1: a zero
     # coefficient neither changes it nor counts

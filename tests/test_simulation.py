@@ -573,7 +573,8 @@ class TestEstimateLhs:
         monkeypatch.setattr(
             drivers, "t_power_unit", lambda *args: calls.append(args) or real(*args)
         )
-        estimate_lhs(UnitSphere(2), CenteredBall(2, 1.0), "top", 3 * CHUNK_SIZE, RngStream(6, 0))
+        A, D = UnitSphere(2), CenteredBall(2, 1.0)
+        estimate_lhs(A, D, "top", 3 * CHUNK_SIZE, RngStream(6, 0))
         assert len(calls) == 1
 
     def test_variance_merge_keeps_a_tiny_spread_on_a_large_mean(self):
