@@ -9,13 +9,14 @@ quadratic sublevel set and the count comes from the critical structure of
 the induced quadratic form: a minimum stratum on the kernel sphere plus a
 pair of antipodal nondegenerate critical points per Gram eigenvalue at or
 below the level.  Only the number c of those eigenvalues matters, and it
-is the Sylvester inertia of G - rho^2 I: the characteristic polynomial of
-a symmetric matrix has only real roots, so Descartes' rule of signs on its
-coefficients counts c exactly.  Up to m = 8 Gram rows the coefficients come
-from the Faddeev-LeVerrier recurrence, elementwise over the batch axis with
-no per-matrix LAPACK call; above that cap the recurrence loses the sign
-pattern and eigvalsh counts instead.  Both batch kernels refuse maps with
-non-finite entries.
+is the inertia of G - rho^2 I (Sylvester's law of inertia, 1852): the
+characteristic polynomial of a symmetric matrix has only real roots, so
+Descartes' rule of signs (La Geometrie, 1637) on its coefficients counts c
+exactly.  Up to m = 8 Gram rows the coefficients come from the
+Faddeev-LeVerrier recurrence (Le Verrier 1840; Faddeev & Sominsky 1949),
+elementwise over the batch axis with no per-matrix LAPACK call; above that
+cap the recurrence loses the sign pattern and eigvalsh counts instead.
+Both batch kernels refuse maps with non-finite entries.
 A triangulated Euler count on the 2-sphere serves as the independent oracle
 for the quadratic branch.  Subdivision only appends vertices, so each
 level's vertices are a prefix of the next level's and one quadric
