@@ -9,7 +9,7 @@ N+1 exact coefficients in one of the bases
     NU           -- the dual expansion of the kinematic image of chi.
 
 Element k of a basis is a monomial weight w(k) times one element of a
-rational frame.  The four frames sit on the path PHI -- T -- TAU -- NU:
+rational frame:
 
     basis          frame (index)   w(k)
     PHI, T, TAU    own (k)         1
@@ -18,14 +18,21 @@ rational frame.  The four frames sit on the path PHI -- T -- TAU -- NU:
     SIGMA          TAU (N-k)       (4N)^(-(N-k)/2)
     NU             NU (k)          (4N)^(-(N-k)/2)
 
-The three frame edges have rational entries, so the rational part of a
-bridge is the Fraction product of the edges along a slice of the path,
-held once, beside one integer per column: the lcm of its denominators.
+Every frame element is a binomial in the one generator phi; with
+c = 1/(4N),
+
+    PHI_k = phi^k                  T_k  = phi^k (1 - c phi^2)^(-k/2)
+    TAU_k = phi^k (1 - c phi^2)    NU_k = 1/2 phi^(N-k) (1 - c phi^2)^(k/2)
+
+so column k of the bridge between two frames is one truncated binomial
+series with rational coefficients, read in phi against PHI or TAU and in
+t = phi (1 - c phi^2)^(-1/2) against T or NU.  Each bridge is held once,
+beside one integer per column: the lcm of its denominators.
 A conversion takes a batch of vectors (a vector is a batch of one, a
 tensor converts all its columns or rows at once).  It multiplies each
 coefficient's (pi power, radicand) components by the integer weight
 monomial w_src(k), puts each component over one common denominator and
-accumulates integer numerators through the product, then builds one
+accumulates integer numerators through the bridge, then builds one
 Fraction per nonzero output component, divided by w_dst(i).
 Conversions are exact, so every round trip is the identity on the nose.
 """
@@ -46,8 +53,8 @@ ZERO = PiScalar.zero()
 ONE = PiScalar.one()
 
 # Exact tensor/vector paths are capped.  Measured on 2 cores (Python 3.11)
-# at N = 64 / 96 / 128: a cold build of all 49 bridges takes 0.09-0.10 /
-# 0.22-0.25 / 0.59-0.70 s, a round trip of 100 dense rational vectors
+# at N = 64 / 96 / 128: a cold build of all 49 bridges takes 0.06-0.10 /
+# 0.12-0.19 / 0.26-0.31 s, a round trip of 100 dense rational vectors
 # through the six other bases 1.9-2.1 / 3.8-4.2 / 9.4-10.3 s, and bridge
 # entries reach 307 / 489 / 689 bits.  Large-dimension work goes through
 # the dedicated log-space float routines in the evaluation modules.
@@ -114,15 +121,13 @@ def chi_vector(N: int) -> ValuationVector:
     return basis_element(N, Basis.T, 0)
 
 
-# -- frame edges (column-sparse: cols[k] = ((row, coeff), ...)) -------------
+# -- frame bridges (column-sparse: cols[k] = ((row, coeff), ...)) -----------
 
 FrameColumn = tuple[tuple[int, Fraction], ...]
 FrameMatrix = tuple[FrameColumn, ...]
 
-# the frames in path order, and each basis's position on the path
-_PATH = (Basis.PHI, Basis.T, Basis.TAU, Basis.NU)
-_ON_PATH = {Basis.PHI: 0, Basis.T: 1, Basis.U: 1, Basis.MU: 1,
-            Basis.TAU: 2, Basis.SIGMA: 2, Basis.NU: 3}
+_FRAME = {Basis.PHI: Basis.PHI, Basis.T: Basis.T, Basis.U: Basis.T, Basis.MU: Basis.T,
+          Basis.TAU: Basis.TAU, Basis.SIGMA: Basis.TAU, Basis.NU: Basis.NU}
 
 
 def _frame_index(N: int, basis: Basis, k: int) -> int:
@@ -159,59 +164,60 @@ def _weights(N: int, basis: Basis) -> tuple[tuple[Monomial, ...], tuple[Monomial
     )
 
 
-def _denominator_lcms(matrix: FrameMatrix) -> tuple[int, ...]:
-    """One common denominator per column."""
-    return tuple(math.lcm(*(q.denominator for _, q in col)) for col in matrix)
+@lru_cache(maxsize=None)
+def _frame_bridge(N: int, src: Basis, dst: Basis) -> FrameMatrix:
+    """Column k is src frame element k in dst frame coordinates: one
+    binomial series in phi (against PHI, TAU) or in t (against T, NU)."""
+    c = Fraction(1, 4 * N)
+    cols = []
+    for k in range(N + 1):
+        # src element k is scale phi^m (1 - c phi^2)^e
+        if src == Basis.NU:
+            scale, m, e = Fraction(1, 2), N - k, Fraction(k, 2)
+        else:
+            scale, m, e = 1, k, {Basis.PHI: 0, Basis.T: Fraction(-k, 2), Basis.TAU: 1}[src]
+        if dst in (Basis.PHI, Basis.TAU):
+            # sum_i b_i phi^i (1 - c phi^2)^a, a = 1 for TAU
+            col = binomial_x2_series(N, m, e - (dst == Basis.TAU), -c)
+        else:
+            # phi = t (1 + c t^2)^(-1/2) and 1 - c phi^2 = (1 + c t^2)^(-1);
+            # NU element N-s is t^s (1 + c t^2)^(-N/2) / 2
+            alpha = Fraction(N, 2) if dst == Basis.NU else 0
+            col = binomial_x2_series(N, m, alpha - Fraction(m, 2) - e, c)
+        if dst == Basis.NU:
+            scale *= 2
+            col = tuple((N - s, q) for s, q in reversed(col))
+        cols.append(col if scale == 1 else tuple((i, scale * q) for i, q in col))
+    return tuple(cols)
 
 
 @lru_cache(maxsize=None)
-def _frame_edge(N: int, src: Basis, dst: Basis) -> FrameMatrix:
-    if Basis.T in (src, dst):
-        # t^k = phi^k (1 - phi^2/4N)^(-k/2), phi^k = t^k (1 + t^2/4N)^(-k/2),
-        # and between t and tau the exponent is -(k+2)/2 each way
-        lift = 2 if Basis.TAU in (src, dst) else 0
-        inner = Fraction(-1 if src == Basis.T else 1, 4 * N)
-        return tuple(
-            binomial_x2_series(N, k, Fraction(-k - lift, 2), inner)
-            for k in range(N + 1)
-        )
-    # NU frame element k is (4N)^((N-k)/2) nu_k, so the sigma_i entry of
-    # nu_k, scaled by (4N)^(-(k-i)/2), lands at tau index N-i
-    nu_in_tau = tuple(
-        tuple((N - i, q / (4 * N) ** ((k - i) // 2)) for i, q in reversed(col))
-        for k, col in enumerate(map(nu_in_sigma_column, range(N + 1)))
-    )
-    if src == Basis.NU:
-        return nu_in_tau
-    # Invert the triangular-by-parity expansion by forward substitution:
-    # tau_(N-k) = 2 nu_k - 2 sum_(i<k) c_ik tau_(N-i).
-    tau_in_nu: list[FrameColumn] = [()] * (N + 1)
-    lcms = [1] * (N + 1)
-    for k, col in enumerate(nu_in_tau):
-        entries = [(j, -2 * q.numerator, q.denominator) for j, q in col if j != N - k]
-        sums, L = _accumulate(tau_in_nu, lcms, entries)
-        sums[k] += 2 * L
-        tau_in_nu[N - k] = tuple((i, Fraction(n, L)) for i, n in enumerate(sums) if n)
-        lcms[N - k] = math.lcm(*(q.denominator for _, q in tau_in_nu[N - k]))
-    return tuple(tau_in_nu)
+def conversion_matrix(N: int, src: Basis, dst: Basis) -> FrameMatrix:
+    """The bridge between the frames of src and dst, in frame indices: the
+    rational part of every bridge from src to dst."""
+    return _frame_bridge(N, _FRAME[src], _FRAME[dst])
 
 
 @lru_cache(maxsize=None)
-def nu_in_sigma_column(k: int) -> tuple[tuple[int, Fraction], ...]:
+def _column_lcms(N: int, src: Basis, dst: Basis) -> tuple[int, ...]:
+    """One common denominator per column of a frame bridge."""
+    bridge = _frame_bridge(N, src, dst)
+    return tuple(math.lcm(*(q.denominator for _, q in col)) for col in bridge)
+
+
+@lru_cache(maxsize=None)
+def nu_in_sigma_column(k: int) -> FrameColumn:
     """nu_k in sigma coordinates: half the u^k-coefficients of the
     contraction powers, nu_k = 1/2 sum_i [u^k](u/sqrt(1+u^2))^i sigma_i,
     as (i, binom(-i/2, (k-i)/2) / 2) in ascending i.  The column does not
     depend on the sphere dimension."""
-    # i/2 + j = k/2 is fixed along the column, so the entry at i is the
-    # one at i + 2 times -i/(2j) = -i/(k-i); the entry at i = 0 vanishes
-    # unless k = 0
-    out = [(k, Fraction(1, 2))]
-    for i in range(k - 2, 0, -2):
-        out.append((i, out[-1][1] * Fraction(-i, k - i)))
-    return tuple(reversed(out))
-
-
-# -- bridges -----------------------------------------------------------------
+    # binom(-i/2, j) = (-1)^j binom(k/2 - 1, j) at i = k - 2j: the column is
+    # (1 - x^2)^((k-2)/2) read at k - s, and it stops short of sigma_0
+    # unless k = 0; halved by hand, since q / 2 takes about twice as long
+    series = binomial_x2_series(k, 0, Fraction(k - 2, 2), -1)
+    return tuple(
+        (k - s, Fraction(q.numerator, 2 * q.denominator)) for s, q in reversed(series)
+    )
 
 
 def _accumulate(
@@ -230,41 +236,6 @@ def _accumulate(
     return sums, L
 
 
-def _compose(later: FrameMatrix, first: FrameMatrix) -> FrameMatrix:
-    lcms = _denominator_lcms(later)
-    cols = []
-    for col in first:
-        sums, L = _accumulate(later, lcms, [(j, a.numerator, a.denominator) for j, a in col])
-        cols.append(tuple((i, Fraction(n, L)) for i, n in enumerate(sums) if n))
-    return tuple(cols)
-
-
-@lru_cache(maxsize=None)
-def _route_matrix(N: int, route: tuple[Basis, ...]) -> FrameMatrix:
-    """The product of the frame edges along a slice of the path: its last
-    edge composed onto the cached product along the slice's prefix."""
-    if len(route) == 1:
-        return tuple(((k, Fraction(1)),) for k in range(N + 1))
-    edge = _frame_edge(N, route[-2], route[-1])
-    if len(route) == 2:
-        return edge
-    return _compose(edge, _route_matrix(N, route[:-1]))
-
-
-@lru_cache(maxsize=None)
-def conversion_matrix(N: int, src: Basis, dst: Basis) -> FrameMatrix:
-    """The frame product between the frames of src and dst, in frame
-    indices: the rational part of every bridge from src to dst."""
-    a, b = _ON_PATH[src], _ON_PATH[dst]
-    route = _PATH[min(a, b) : max(a, b) + 1]
-    return _route_matrix(N, route if a <= b else route[::-1])
-
-
-@lru_cache(maxsize=None)
-def _column_lcms(N: int, src: Basis, dst: Basis) -> tuple[int, ...]:
-    return _denominator_lcms(conversion_matrix(N, src, dst))
-
-
 def _times(x: Monomial, m: int, r: int) -> Monomial:
     """The monomial x times pi^(m/2) sqrt(r), as (m, r, num, den)."""
     mx, rx, num, den = x
@@ -279,7 +250,7 @@ def _apply(
 
     Each nonzero coefficient's (pi power, radicand) components are
     multiplied by the integer monomial w_src(k).  Per vector and component,
-    the frame product accumulates integer numerators over one common
+    the frame bridge accumulates integer numerators over one common
     denominator; each nonzero output is one Fraction, divided by w_dst(i)."""
     if N < 1:
         raise ValueError("dimension must be positive")
@@ -289,7 +260,7 @@ def _apply(
             "use the float evaluation paths for larger dimensions"
         )
     matrix = conversion_matrix(N, src, dst)
-    lcms = _column_lcms(N, src, dst)
+    lcms = _column_lcms(N, _FRAME[src], _FRAME[dst])
     w_in, w_out = _weights(N, src)[0], _weights(N, dst)[1]
     out = []
     for coeffs in vectors:

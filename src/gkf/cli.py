@@ -213,7 +213,7 @@ def cmd_converge(args) -> tuple[list[dict], int]:
         D = parse_gauss_set(args.D) if args.D else CenteredBall(2, 1.0)
         if not isinstance(D, CenteredBall):
             raise ValueError("nu convergence expects a ball descriptor")
-        return nu_convergence(D.d, D.rho, args.k_max or 2, n_list), 0
+        return nu_convergence(D.d, D.rho, args.k_max, n_list), 0
     if args.mode == "poincare":
         rows = []
         for N in n_list:
@@ -452,8 +452,12 @@ def main(argv=None) -> int:
     document = build_document(args.command, echo, rows, args.seed, t0)
     text = render(document, args.format)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write report: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

@@ -290,14 +290,16 @@ def mesh_chi_sublevel(inside: np.ndarray, depth: int) -> int:
     return int(np.count_nonzero(inside) - (n2 + 3 * n3) // 2 + n3)
 
 
-def mesh_chi_quadratic(
-    F_map: np.ndarray, rho: float, start_depth: int = 6, max_depth: int = 9
-) -> int:
+# the first subdivision level the mesh oracle compares
+_MESH_START_DEPTH = 6
+
+
+def mesh_chi_quadratic(F_map: np.ndarray, rho: float, max_depth: int = 9) -> int:
     """Triangulation oracle for the quadratic excursion chi on the 2-sphere:
-    refine until two successive subdivision levels agree (the value is an
-    integer, so stability is a sharp stopping rule) and refuse if none do
-    by max_depth.  One quadric evaluation at start_depth + 1 serves the
-    first two levels, whose vertices it holds as a prefix."""
+    refine from `_MESH_START_DEPTH` until two successive subdivision levels
+    agree (the value is an integer, so stability is a sharp stopping rule)
+    and refuse if none do by max_depth.  One quadric evaluation a level
+    deeper serves the first two levels, whose vertices it holds as a prefix."""
     F_map = np.asarray(F_map, dtype=float)
     if F_map.ndim != 2 or F_map.shape[1] != 3:
         raise ValueError("map shape mismatch")
@@ -306,10 +308,10 @@ def mesh_chi_quadratic(
     Q = F_map.T @ F_map
     weights = Q[[0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]]
     level = rho * rho
-    inside = weights @ _vertex_monomials(start_depth + 1) <= level
-    previous = mesh_chi_sublevel(inside, start_depth)
-    for depth in range(start_depth + 1, max_depth + 1):
-        if depth > start_depth + 1:
+    inside = weights @ _vertex_monomials(_MESH_START_DEPTH + 1) <= level
+    previous = mesh_chi_sublevel(inside, _MESH_START_DEPTH)
+    for depth in range(_MESH_START_DEPTH + 1, max_depth + 1):
+        if depth > _MESH_START_DEPTH + 1:
             inside = weights @ _vertex_monomials(depth) <= level
         current = mesh_chi_sublevel(inside, depth)
         if current == previous:

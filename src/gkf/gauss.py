@@ -229,22 +229,19 @@ def _fd_weights(nodes: tuple[float, ...], m: int) -> list[float]:
     return [c[i][m] for i in range(n)]
 
 
-_DEFAULT_STEP = {0: 0.0, 1: 0.02, 2: 0.03, 3: 0.05, 4: 0.06, 5: 0.08, 6: 0.1, 7: 0.12, 8: 0.14}
+_FD_STEP = {0: 0.0, 1: 0.02, 2: 0.03, 3: 0.05, 4: 0.06, 5: 0.08, 6: 0.1, 7: 0.12, 8: 0.14}
 
 
-def gamma_fd_oracle(
-    D: GaussSet, k: int, h: float | None = None, one_sided: bool = False
-) -> float:
+def gamma_fd_oracle(D: GaussSet, k: int, one_sided: bool = False) -> float:
     """k-th derivative of the tube measure at 0 estimated from a high-order
-    stencil; independent of the exact differentiation route.  Central
-    stencils on the analytic extension by default; one-sided on request.
-    Reliable for k <= 8."""
+    stencil with a fixed step per order; independent of the exact
+    differentiation route.  Central stencils on the analytic extension by
+    default; one-sided on request.  Reliable for k <= 8."""
     if k < 0 or k > 8:
         raise ValueError("oracle supports derivative orders up to 8")
     if k == 0:
         return _tube_measure_extended(D, 0.0)
-    if h is None:
-        h = _DEFAULT_STEP[k]
+    h = _FD_STEP[k]
     if isinstance(D, CenteredBall):
         h = min(h, D.rho / 8)
     if one_sided:

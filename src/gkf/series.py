@@ -29,14 +29,19 @@ def binomial_x2_series(
     N: int, shift: int, exponent: Fraction, inner: Fraction
 ) -> tuple[tuple[int, Fraction], ...]:
     """x^shift (1 + inner x^2)^exponent truncated at degree N, as
-    (index, coefficient) pairs in ascending index with zero terms left out."""
+    (index, coefficient) pairs in ascending index with zero terms left out.
+    exponent and inner are int or Fraction."""
+    a, b = exponent.numerator, exponent.denominator
+    n, d = inner.numerator, inner.denominator
     out = []
     q = Fraction(1)
     for j in range((N - shift) // 2 + 1):
-        # q = binom(exponent, j) * inner^j
-        if q:
-            out.append((shift + 2 * j, q))
-        q = q * (exponent - j) * inner / (j + 1)
+        # q = binom(exponent, j) * inner^j, one reduced Fraction per term
+        # (left unreduced, the integers blow up on long series)
+        if not q:
+            break
+        out.append((shift + 2 * j, q))
+        q = Fraction(q.numerator * (a - j * b) * n, q.denominator * (j + 1) * b * d)
     return tuple(out)
 
 

@@ -5,6 +5,7 @@ another way than the code it is compared with.
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import betainc
@@ -94,6 +95,79 @@ def u_in_phi(N: int) -> tuple:
     """u = t / sqrt(4N) as a series in phi."""
     scale = sqrt_pow(4 * N, -1)
     return tuple(scale * c for c in t_in_phi(N))
+
+
+# -- exact bridges by route composition ---------------------------------------
+#
+# The frame bridges the long way: one edge at a time along the path
+# PHI -- T -- TAU -- NU, with the edge into NU inverted by forward
+# substitution, and the edges multiplied out in plain Fraction arithmetic.
+
+FRAME_PATH = (Basis.PHI, Basis.T, Basis.TAU, Basis.NU)
+
+
+def sparse(dense: tuple) -> tuple:
+    return tuple((i, c) for i, c in enumerate(dense) if c)
+
+
+@lru_cache(maxsize=None)
+def frame_edge(N: int, src: Basis, dst: Basis) -> tuple:
+    """The bridge between neighbouring frames on the path, column-sparse."""
+    if Basis.T in (src, dst):
+        # t^k = phi^k (1 - phi^2/4N)^(-k/2), phi^k = t^k (1 + t^2/4N)^(-k/2),
+        # and between t and tau the exponent is -(k+2)/2 each way
+        lift = 2 if Basis.TAU in (src, dst) else 0
+        inner = Fraction(-1 if src == Basis.T else 1, 4 * N)
+        return tuple(
+            sparse(binomial_series(N, k, Fraction(-k - lift, 2), inner)) for k in range(N + 1)
+        )
+    # NU frame element k is (4N)^((N-k)/2) nu_k with
+    # nu_k = 1/2 sum_j binom(-i/2, j) sigma_i over i = k - 2j > 0 (or k = 0)
+    # and sigma_i = (4N)^(-(N-i)/2) tau_(N-i)
+    nu_in_tau = tuple(
+        tuple(
+            (N - k + 2 * j, generalized_binomial(Fraction(2 * j - k, 2), j) / 2 / (4 * N) ** j)
+            for j in range(k // 2 + 1)
+            if 2 * j < k or k == 0
+        )
+        for k in range(N + 1)
+    )
+    if src == Basis.NU:
+        return nu_in_tau
+    # forward substitution: tau_(N-k) = 2 nu_k - 2 sum_(i<k) c_ik tau_(N-i)
+    tau_in_nu = [()] * (N + 1)
+    for k, col in enumerate(nu_in_tau):
+        acc = {k: Fraction(2)}
+        for j, q in col:
+            if j != N - k:
+                for i, c in tau_in_nu[j]:
+                    acc[i] = acc.get(i, 0) - 2 * q * c
+        tau_in_nu[N - k] = tuple((i, c) for i, c in sorted(acc.items()) if c)
+    return tuple(tau_in_nu)
+
+
+def compose(later: tuple, first: tuple) -> tuple:
+    """The matrix product later * first of two column-sparse matrices."""
+    cols = []
+    for col in first:
+        acc: dict = {}
+        for j, a in col:
+            for i, b in later[j]:
+                acc[i] = acc.get(i, 0) + a * b
+        cols.append(tuple((i, c) for i, c in sorted(acc.items()) if c))
+    return tuple(cols)
+
+
+@lru_cache(maxsize=None)
+def route_product(N: int, src: Basis, dst: Basis) -> tuple:
+    """The bridge between two frames as the product of the frame edges
+    along the path from src to dst, composed from the first edge on."""
+    a, b = FRAME_PATH.index(src), FRAME_PATH.index(dst)
+    route = FRAME_PATH[a : b + 1] if a <= b else FRAME_PATH[b : a + 1][::-1]
+    product = tuple(((k, Fraction(1)),) for k in range(N + 1))
+    for x, y in zip(route, route[1:]):
+        product = compose(frame_edge(N, x, y), product)
+    return product
 
 
 # -- closed forms ------------------------------------------------------------------

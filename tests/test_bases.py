@@ -10,9 +10,6 @@ import pytest
 from gkf.bases import (
     Basis,
     ValuationVector,
-    _compose,
-    _frame_edge,
-    _route_matrix,
     basis_element,
     change_basis,
     chi_vector,
@@ -27,6 +24,7 @@ from oracles import (
     binomial_series,
     phi_in_t,
     power_columns,
+    route_product,
     sigma_in_u_columns,
     substitute,
     t_in_phi,
@@ -35,7 +33,6 @@ from oracles import (
 )
 
 ALL_BASES = list(Basis)
-FRAME_PATH = (Basis.PHI, Basis.T, Basis.TAU, Basis.NU)
 FRAME = {Basis.U: Basis.T, Basis.MU: Basis.T, Basis.SIGMA: Basis.TAU}
 
 
@@ -55,11 +52,9 @@ def frame_index(N: int, basis: Basis, k: int) -> int:
     return N - k if basis == Basis.SIGMA else k
 
 
-def frame_slice(src: Basis, dst: Basis) -> tuple:
-    """The frames from src's to dst's along the path, both ends included."""
-    a = FRAME_PATH.index(FRAME.get(src, src))
-    b = FRAME_PATH.index(FRAME.get(dst, dst))
-    return FRAME_PATH[a : b + 1] if a <= b else FRAME_PATH[b : a + 1][::-1]
+def frame_product(N: int, src: Basis, dst: Basis) -> tuple:
+    """The oracle route product between the frames of src and dst."""
+    return route_product(N, FRAME.get(src, src), FRAME.get(dst, dst))
 
 
 def bridge(N: int, src: Basis, dst: Basis) -> list:
@@ -242,18 +237,14 @@ class TestChangeBasis:
                     expected = PiScalar.one() if i == k else PiScalar.zero()
                     assert total == expected
 
-    @pytest.mark.parametrize("N", [5, 12, 21, 40])
+    @pytest.mark.parametrize("N", [1, 2, 5, 12, 21, 40, 64])
     def test_bridge_is_the_route_product(self, N):
-        # each bridge composes its last frame edge onto the cached product
-        # along the slice's prefix; it must equal the weights applied to
-        # the product of every edge along the slice, composed from the
-        # first edge on
+        # each bridge reads its columns off one binomial series; it must
+        # equal the weights applied to the product of the frame edges along
+        # the path, the edge into NU inverted by forward substitution
         for src in Basis:
             for dst in Basis:
-                route = frame_slice(src, dst)
-                product = tuple(((k, Fraction(1)),) for k in range(N + 1))
-                for a, b in zip(route, route[1:]):
-                    product = _compose(_frame_edge(N, a, b), product)
+                product = frame_product(N, src, dst)
                 expected = []
                 for k in range(N + 1):
                     col = {}
@@ -285,7 +276,7 @@ class TestChangeBasis:
     @pytest.mark.parametrize("N", [5, 12, 21, 40, 64])
     def test_every_bridge_factors(self, N):
         # every entry is w_src(k) / w_dst(i) times a rational, and the
-        # frame edges hold only Fractions, so a bridge that breaks the
+        # rational parts hold only Fractions, so a bridge that breaks the
         # grading fails here
         for src in Basis:
             for dst in Basis:
@@ -293,19 +284,20 @@ class TestChangeBasis:
                     for i, c in col:
                         ratio = frame_weight(N, src, k) / frame_weight(N, dst, i)
                         assert (c / ratio).is_rational(), (src, dst, k, i)
-        for a, b in zip(FRAME_PATH, FRAME_PATH[1:]):
-            for edge in (_frame_edge(N, a, b), _frame_edge(N, b, a)):
-                assert all(type(q) is Fraction for col in edge for _, q in col), (a, b)
+                matrix = conversion_matrix(N, src, dst)
+                assert all(type(q) is Fraction for col in matrix for _, q in col), (src, dst)
 
     @pytest.mark.parametrize("N", [5, 12, 21, 40, 64])
     def test_conversion_matrices_are_the_cached_frame_products(self, N):
-        # the public matrix is the rational route product itself, in frame
-        # indices; the weights never enter it
+        # the public matrix is the rational frame bridge itself, in frame
+        # indices, built once per pair of frames; the weights never enter it
         for src in Basis:
             for dst in Basis:
                 matrix = conversion_matrix(N, src, dst)
-                assert matrix is _route_matrix(N, frame_slice(src, dst)), (src, dst)
+                assert entry_sets(matrix) == entry_sets(frame_product(N, src, dst)), (src, dst)
                 assert all(type(q) is Fraction for col in matrix for _, q in col), (src, dst)
+        shared = conversion_matrix(N, Basis.T, Basis.TAU)
+        assert conversion_matrix(N, Basis.U, Basis.SIGMA) is shared
 
     def test_inexact_coefficients_rejected(self):
         v = chi_vector(3)

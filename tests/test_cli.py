@@ -289,6 +289,13 @@ class TestConverge:
         assert code == 0
         assert len(doc["results"]) == 4
 
+    def test_nu_mode_k_max_zero(self, capsys):
+        code, doc = run_json(
+            ["converge", "--mode", "nu", "--N-list", "50,100", "--k-max", "0"], capsys
+        )
+        assert code == 0
+        assert [row["k"] for row in doc["results"]] == [0, 0]
+
     def test_poincare_mode(self, capsys):
         code, doc = run_json(
             ["converge", "--mode", "poincare", "--N-list", "200", "--samples",
@@ -356,6 +363,15 @@ class TestDocumentContract:
         assert out == ""
         doc = json.loads(target.read_text())
         assert doc["results"][1]["value"] == pytest.approx(6.283185307179586)
+
+    def test_unwritable_out_file_exit_two(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code = main(["tables", "--what", "omega", "--max", "2", "--out", str(target)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "cannot write report" in captured.err
+        assert not target.exists()
 
     def test_csv_format(self, capsys):
         code, out = run_cli(
