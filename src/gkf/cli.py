@@ -377,7 +377,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--source", required=True, help="phi|t|u|mu|tau|sigma|nu")
     p.add_argument("--target", required=True)
-    p.add_argument("--coeffs", required=True, help="comma-separated rationals")
+    p.add_argument(
+        "--coeffs", required=True,
+        help="comma-separated rationals; write --coeffs=-5/1,2 when the first is negative",
+    )
     p.set_defaults(handler=cmd_convert)
 
     p = sub.add_parser("nu", parents=[common], help="dual-family rows and evaluations")

@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from scipy.integrate import quad
-
 from .bases import (
     EXACT_N_CAP,
     ZERO,
@@ -30,8 +28,8 @@ from .bases import (
     nu_in_sigma_column,
 )
 from .evaluate import sigma_evaluate
-from .model_sets import GeodesicBall, ModelSet, SubsphereTube
-from .scalars import PiScalar, log_alpha, omega
+from .model_sets import GeodesicBall, ModelSet, SubsphereTube, tube_volume_fraction
+from .scalars import PiScalar, omega
 from .series import sqrt_pow
 
 HALF = PiScalar.from_rational(Fraction(1, 2))
@@ -239,25 +237,16 @@ def tube_volume_identity(N: int, d: int, s: float, r: float) -> tuple[float, flo
     """Both sides of the tube-volume identity, as fractions of the total
     sphere measure.
 
-    Left: direct quadrature of the meridian profile of the grown tube.
+    Left: the volume fraction of the grown tube of radius s + r, the
+    incomplete beta form of its meridian integral.
     Right: sum_k u^k(ball of radius r) nu_k(tube of radius s) in the
     telescoped SIGMA (x) SIGMA form of `p_chi(N, sigma_sigma=True)`,
     1/2 sum_a sigma_a(ball) P_(N-a)(tube) with P_j = sigma_j + P_(j-2).
     The identity needs s + r below the focal distance.
     """
-    R = math.sqrt(N)
-    if not 0 <= s + r < 0.5 * math.pi * R:
+    if not 0 <= s + r < 0.5 * math.pi * math.sqrt(N):
         raise ValueError("tube radius out of range")
-
-    theta = (s + r) / R
-
-    def integrand(t):
-        return math.sin(t) ** (d - 1) * math.cos(t) ** (N - d)
-
-    integral = quad(integrand, 0.0, theta, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
-    log_prefactor = log_alpha(d - 1) + log_alpha(N - d) - log_alpha(N)
-    lhs = math.exp(log_prefactor) * integral
-
+    lhs = tube_volume_fraction(N, d, s + r)
     tube, ball = SubsphereTube(N, d, s), GeodesicBall(N, r)
     P = [0.0, 0.0]  # P_(-2), P_(-1); P_j then sits at index j + 2
     for j in range(N + 1):

@@ -13,7 +13,10 @@ Wishart(m, I_{n+1}); it is drawn as R^T R with R the Bartlett factor
 distribution"), the R of a QR decomposition of an m x (n+1) Gaussian
 matrix: independent chi(m - i) on the diagonal, standard normals above it.
 So a finite-N draw costs the same at every N, and as N grows it converges
-pathwise to the Gaussian draw made from the same generator.
+pathwise to the Gaussian draw made from the same generator.  The Gram
+matrix, its Cholesky factor and the triangular solve for T L^-T are
+elementwise numpy over the batch axis, one (n+1) x (n+1) entry at a time,
+with no per-matrix LAPACK call.
 """
 
 from __future__ import annotations
@@ -56,24 +59,43 @@ def pi_n_batch(
     pi_infinity_batch draws them; the Gram matrix of the other m = N+1-d
     rows is R^T R for the Bartlett factor R, with min(m, n+1) rows
     (R[i, i] = sqrt(chisquare(m - i)), standard normals above the diagonal,
-    zeros below; exact also when m < n+1).  The result is
-    sqrt(N) T L^-T with L L^T = T^T T + R^T R."""
+    zeros below; exact also when m < n+1).  The result is sqrt(N) X with
+    X L^T = T and L L^T = T^T T + R^T R.  T and R are laid out as
+    (row, column, map) arrays, and the Cholesky factor L and the forward
+    substitution for X run column by column on rows over the batch axis.
+    A pivot that is not finite and positive raises ValueError."""
     if N < max(n, d):
         raise ValueError("block does not fit in the rotation group")
-    top = gen.standard_normal((size, d, n + 1))
+    k = n + 1
+    top = gen.standard_normal((size, d, k))
     m = N + 1 - d
-    rows = min(m, n + 1)
-    upper = np.triu_indices(rows, k=1, m=n + 1)
-    bartlett = np.zeros((size, rows, n + 1))
+    rows = min(m, k)
     diag = np.arange(rows)
-    bartlett[:, diag, diag] = np.sqrt(gen.chisquare(m - diag, (size, rows)))
-    bartlett[:, upper[0], upper[1]] = gen.standard_normal((size, len(upper[0])))
-    gram = np.einsum("bij,bik->bjk", top, top) + np.einsum(
-        "bij,bik->bjk", bartlett, bartlett
-    )
-    chol = np.linalg.cholesky(gram)  # lower, positive diagonal
-    inv = np.linalg.inv(chol)
-    return math.sqrt(N) * np.einsum("bij,bkj->bik", top, inv)
+    upper = np.triu_indices(rows, k=1, m=k)
+    # the rows of T, then those of R, so that G = factors^T factors
+    factors = np.zeros((d + rows, k, size))
+    factors[:d] = top.transpose(1, 2, 0)
+    factors[d + diag, diag] = np.sqrt(gen.chisquare(m - diag, (size, rows))).T
+    factors[d + upper[0], upper[1]] = gen.standard_normal((size, len(upper[0]))).T
+    lower = []  # lower[j] holds the column L[j:, j]
+    for j in range(k):
+        column = (factors[:, j:] * factors[:, j, None]).sum(axis=0)
+        for p, done in enumerate(lower):
+            column -= done[j - p :] * done[j - p]
+        pivot = column[0]
+        if not np.all((pivot > 0) & (pivot < math.inf)):
+            raise ValueError("rotation-block Gram matrix is not positive definite")
+        column[0] = np.sqrt(pivot)
+        column[1:] /= column[0]
+        lower.append(column)
+    solved = np.empty((d, k, size))
+    for i in range(k):
+        x = factors[:d, i].copy()
+        for j in range(i):
+            x -= lower[j][i - j] * solved[:, j]
+        solved[:, i] = x / lower[i][0]
+    solved *= math.sqrt(N)
+    return solved.transpose(2, 0, 1)
 
 
 def sample_pi_n(n: int, d: int, N: int, rng: RngStream) -> LinearMapSample:

@@ -8,6 +8,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.special import betainc
 
 from gkf.bases import Basis
@@ -17,7 +18,7 @@ from gkf.functionals import gauss_set_membership, sample_uniform_on
 from gkf.gauss import CenteredBall, FullSpace, GaussSet, HalfSpace, gauss_measure_tube
 from gkf.kinematics import KinematicTensor, gkf_coefficient, nu_values_on_set
 from gkf.model_sets import GeodesicBall, GreatSubsphere, ModelSet, SubsphereTube
-from gkf.scalars import float_of, generalized_binomial, log_omega
+from gkf.scalars import float_of, generalized_binomial, log_alpha, log_omega
 from gkf.series import sqrt_pow
 
 
@@ -179,6 +180,16 @@ def projected_coordinate_cdf(x: float, N: int) -> float:
     t2 = min(x * x / N, 1.0)
     tail = 0.5 * betainc(0.5, N / 2.0, t2)
     return 0.5 + math.copysign(tail, x)
+
+
+def tube_volume_fraction_quadrature(N: int, d: int, s: float) -> float:
+    """vol(subsphere tube) / vol(ambient sphere) by quadrature of the
+    meridian profile sin^(d-1) cos^(N-d) up to the angular radius."""
+    integral = quad(
+        lambda t: math.sin(t) ** (d - 1) * math.cos(t) ** (N - d),
+        0.0, s / math.sqrt(N), epsabs=1e-14, epsrel=1e-13, limit=200,
+    )[0]
+    return math.exp(log_alpha(d - 1) + log_alpha(N - d) - log_alpha(N)) * integral
 
 
 def u_power_on_euclidean_ball(k: int, N: int, radius: float = 1.0) -> float:
@@ -374,3 +385,25 @@ def hit_fractions_einsum(
     images = np.einsum("bij,bpj->bpi", F_batch, points)
     hits = gauss_set_membership(D, images.reshape(-1, D.d))
     return hits.reshape(len(F_batch), n_points).mean(axis=1)
+
+
+# -- samplers ------------------------------------------------------------------------
+
+
+def pi_n_batch_lapack(n: int, d: int, N: int, size: int, gen: np.random.Generator) -> np.ndarray:
+    """The finite-N rotation block from the same draws as `pi_n_batch`, with
+    the Gram matrix and the product formed by einsum and the factor and its
+    inverse by LAPACK, one matrix at a time."""
+    top = gen.standard_normal((size, d, n + 1))
+    m = N + 1 - d
+    rows = min(m, n + 1)
+    upper = np.triu_indices(rows, k=1, m=n + 1)
+    bartlett = np.zeros((size, rows, n + 1))
+    diag = np.arange(rows)
+    bartlett[:, diag, diag] = np.sqrt(gen.chisquare(m - diag, (size, rows)))
+    bartlett[:, upper[0], upper[1]] = gen.standard_normal((size, len(upper[0])))
+    gram = np.einsum("bij,bik->bjk", top, top) + np.einsum(
+        "bij,bik->bjk", bartlett, bartlett
+    )
+    inv = np.linalg.inv(np.linalg.cholesky(gram))
+    return math.sqrt(N) * np.einsum("bij,bkj->bik", top, inv)

@@ -139,8 +139,8 @@ class TestAcceptance:
         report(
             "A05 tube identity",
             worst < 1e-8 and elapsed < 30.0,
-            f"quadrature vs curvature expansion, worst relative difference "
-            f"{worst:.2e} < 1e-8 ({elapsed:.2f}s < 30s)",
+            "incomplete-beta tube volume vs curvature expansion, "
+            f"worst relative difference {worst:.2e} < 1e-8 ({elapsed:.2f}s < 30s)",
         )
 
     def test_a06_gamma_oracle(self):

@@ -2,6 +2,9 @@
 aliases of one object, and no name defined in the package is dead."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import gkf
@@ -20,6 +23,16 @@ def test_no_aliases():
     for name in gkf.__all__:
         owners.setdefault(id(getattr(gkf, name)), []).append(name)
     assert [names for names in owners.values() if len(names) > 1] == []
+
+
+def test_import_leaves_out_scipy_integrate():
+    """Importing the package and its CLI loads no quadrature code."""
+    probe = "import sys, gkf, gkf.cli; print('scipy.integrate' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    assert result.stdout.strip() == "False"
 
 
 def _is_dunder(name: str) -> bool:

@@ -105,6 +105,14 @@ class TestConvert:
         assert code == 0
         assert [row["value"] for row in doc["results"]] == [1.0, 0.0, 0.0, 0.0]
 
+    def test_leading_negative_coefficient(self, capsys):
+        # "--coeffs -5/1,2" reads as an option; the "=" form takes the list
+        argv = ["convert", "--N", "1", "--source", "t", "--target", "t", "--coeffs=-5/1,2"]
+        code, doc = run_json(argv, capsys)
+        assert code == 0
+        assert doc["command"]["coeffs"] == "-5/1,2"
+        assert [row["value"] for row in doc["results"]] == [-5.0, 2.0]
+
     def test_length_mismatch(self, capsys):
         code, _ = run_cli(
             ["convert", "--N", "3", "--source", "t", "--target", "u", "--coeffs", "1"],

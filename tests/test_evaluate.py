@@ -38,7 +38,7 @@ from gkf.model_sets import (
 from gkf.scalars import PiScalar, alpha, float_of, omega
 from gkf.series import sqrt_pow, u_power_in_sigma
 
-from oracles import omega_float, u_power_on_euclidean_ball
+from oracles import omega_float, tube_volume_fraction_quadrature, u_power_on_euclidean_ball
 
 
 # -- finite-difference second-fundamental-form oracle ----------------------
@@ -210,6 +210,16 @@ class TestVolumeFractions:
         # the full integral equals half the sphere measure ratio
         expected = num / den * tube_volume_fraction(N, d, 0.5 * math.pi * R * 0.999999999)
         assert tube_volume_fraction(N, d, s) == pytest.approx(expected, rel=1e-8)
+
+    @pytest.mark.parametrize("N", [3, 20, 300, 2000])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_tube_fraction_against_meridian_integral(self, N, d):
+        # the incomplete beta form against the normalized meridian integral
+        for fraction in (0.05, 0.3, 0.7, 0.95):
+            s = fraction * 0.5 * math.pi * math.sqrt(N)
+            assert tube_volume_fraction(N, d, s) == pytest.approx(
+                tube_volume_fraction_quadrature(N, d, s), rel=1e-11
+            )
 
     def test_hemisphere(self):
         assert ball_volume_fraction(9, 0.5 * math.pi * 3.0) == pytest.approx(0.5, abs=1e-12)

@@ -72,6 +72,7 @@ from oracles import (
     chi_quadratic_eigvalsh,
     hit_fractions_einsum,
     pair_tensor,
+    pi_n_batch_lapack,
     pi_n_prediction_nu_route,
     projected_coordinate_cdf,
     u_power_on_great_subsphere,
@@ -169,6 +170,45 @@ class TestRotationBlockEnsemble:
     def test_block_must_fit(self):
         with pytest.raises(ValueError):
             sample_pi_n(5, 2, 3, RngStream(0))
+
+    @pytest.mark.parametrize(
+        "n, d, N, tol",
+        [
+            (2, 2, 50, 2e-15),
+            (2, 2, 1000, 2e-15),
+            # R has fewer rows than columns at these two, and the Gram
+            # matrix is ill-conditioned: the routes differed by 1.3e-10 and
+            # 1.5e-14 here, and by up to 3.5e-8 and 5.5e-14 on seeds 12..19
+            (2, 2, 2, 1e-7),
+            (3, 4, 5, 1e-12),
+            (1, 1, 40, 2e-15),
+            (5, 3, 40, 2e-15),
+            (9, 3, 40, 2e-15),
+            (2, 1, 10**8, 2e-15),
+        ],
+    )
+    def test_matches_lapack_route(self, n, d, N, tol):
+        # the same draws in the same order as the per-matrix LAPACK route:
+        # the entries agree to rounding, relative to sqrt(N), and the
+        # generator is left at the same point
+        gen, ref_gen = RngStream(12).generator(), RngStream(12).generator()
+        got = pi_n_batch(n, d, N, 4096, gen)
+        want = pi_n_batch_lapack(n, d, N, 4096, ref_gen)
+        assert got.shape == want.shape == (4096, d, n + 1)
+        assert np.abs(got - want).max() <= tol * math.sqrt(N)
+        assert gen.standard_normal() == ref_gen.standard_normal()
+
+    def test_singular_gram_raises(self):
+        # all-zero draws make the Gram matrix zero: a refused pivot, not NaN
+        class ZeroGenerator:
+            def standard_normal(self, shape):
+                return np.zeros(shape)
+
+            def chisquare(self, df, shape):
+                return np.zeros(shape)
+
+        with pytest.raises(ValueError, match="not positive definite"):
+            pi_n_batch(2, 2, 50, 16, ZeroGenerator())
 
 
 class TestCapSampler:
