@@ -379,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True)
     p.add_argument(
         "--coeffs", required=True,
-        help="comma-separated rationals; write --coeffs=-5/1,2 when the first is negative",
+        help="comma-separated rationals; when the first is negative, "
+        "join with '=' (--coeffs=-5/1,2)",
     )
     p.set_defaults(handler=cmd_convert)
 

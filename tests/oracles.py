@@ -390,7 +390,9 @@ def hit_fractions_einsum(
 # -- samplers ------------------------------------------------------------------------
 
 
-def pi_n_batch_lapack(n: int, d: int, N: int, size: int, gen: np.random.Generator) -> np.ndarray:
+def pi_n_batch_lapack(
+    n: int, d: int, N: int, size: int, gen: np.random.Generator
+) -> np.ndarray:
     """The finite-N rotation block from the same draws as `pi_n_batch`, with
     the Gram matrix and the product formed by einsum and the factor and its
     inverse by LAPACK, one matrix at a time."""

@@ -107,7 +107,9 @@ class TestConvert:
 
     def test_leading_negative_coefficient(self, capsys):
         # "--coeffs -5/1,2" reads as an option; the "=" form takes the list
-        argv = ["convert", "--N", "1", "--source", "t", "--target", "t", "--coeffs=-5/1,2"]
+        argv = [
+            "convert", "--N", "1", "--source", "t", "--target", "t", "--coeffs=-5/1,2",
+        ]
         code, doc = run_json(argv, capsys)
         assert code == 0
         assert doc["command"]["coeffs"] == "-5/1,2"

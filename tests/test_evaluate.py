@@ -38,7 +38,11 @@ from gkf.model_sets import (
 from gkf.scalars import PiScalar, alpha, float_of, omega
 from gkf.series import sqrt_pow, u_power_in_sigma
 
-from oracles import omega_float, tube_volume_fraction_quadrature, u_power_on_euclidean_ball
+from oracles import (
+    omega_float,
+    tube_volume_fraction_quadrature,
+    u_power_on_euclidean_ball,
+)
 
 
 # -- finite-difference second-fundamental-form oracle ----------------------

@@ -34,6 +34,7 @@ from oracles import (
     pair_tensor,
     printed_nu_closed_form,
     tube_rhs_nu_route,
+    tube_volume_fraction_quadrature,
     u_power_on_great_subsphere,
 )
 
@@ -362,9 +363,7 @@ class TestTubeIdentity:
     def test_zero_growth_radius(self):
         N, d, s = 14, 2, 0.9
         lhs, rhs = tube_volume_identity(N, d, s, 0.0)
-        from gkf.model_sets import tube_volume_fraction
-
-        assert lhs == pytest.approx(tube_volume_fraction(N, d, s), rel=1e-10)
+        assert lhs == pytest.approx(tube_volume_fraction_quadrature(N, d, s), rel=1e-10)
         assert rhs == pytest.approx(lhs, rel=1e-10)
 
     def test_monotone_in_growth_radius(self):
