@@ -26,38 +26,42 @@ c = 1/(4N),
 
 so column k of the bridge between two frames is one truncated binomial
 series with rational coefficients, read in phi against PHI or TAU and in
-t = phi (1 - c phi^2)^(-1/2) against T or NU.  Each bridge is held once,
-beside one integer per column: the lcm of its denominators.
-A conversion takes a batch of vectors (a vector is a batch of one, a
-tensor converts all its columns or rows at once).  It multiplies each
+t = phi (1 - c phi^2)^(-1/2) against T or NU.  Each bridge is held once
+as Fraction columns and once in integer form: per column, the lcm D of
+its denominators and the integer numerators over D.
+A conversion takes a batch of sparse vectors, (index, coefficient) pairs
+of the nonzero coefficients only (a vector is a batch of one, a tensor
+converts its nonzero columns or rows at once).  It multiplies each
 coefficient's (pi power, radicand) components by the integer weight
 monomial w_src(k), puts each component over one common denominator and
-accumulates integer numerators through the bridge, then builds one
-Fraction per nonzero output component, divided by w_dst(i).
+accumulates integer numerators through the integer bridge, one multiply-add
+per bridge entry, then builds one Fraction per nonzero output component,
+divided by w_dst(i).  Only the nonzero outputs come back.
 Conversions are exact, so every round trip is the identity on the nose.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
 from .scalars import PiScalar, ScalarLike, _square_split, omega
-from .series import binomial_x2_series, sqrt_pow
+from .series import binomial_x2_series
 
 ZERO = PiScalar.zero()
 ONE = PiScalar.one()
 
-# Exact tensor/vector paths are capped.  Measured on 2 cores (Python 3.11)
-# at N = 64 / 96 / 128: a cold build of all 49 bridges takes 0.06-0.10 /
-# 0.12-0.19 / 0.26-0.31 s, a round trip of 100 dense rational vectors
-# through the six other bases 1.9-2.1 / 3.8-4.2 / 9.4-10.3 s, and bridge
-# entries reach 307 / 489 / 689 bits.  Large-dimension work goes through
-# the dedicated log-space float routines in the evaluation modules.
+# Exact tensor/vector paths are capped.  Measured with the cap lifted on a
+# 2-core VM (Python 3.11.7), three runs each, at N = 64 / 96 / 128: a cold
+# build of all 49 bridges takes 0.05-0.06 / 0.10-0.12 / 0.20-0.28 s, 100
+# dense rational T vectors taken round trip through each of the six other
+# bases (warm bridges) 0.7-0.9 / 1.1-1.5 / 1.9-2.7 s, and bridge entry
+# denominators reach 307 / 489 / 689 bits.  Large-dimension work goes
+# through the dedicated log-space float routines in the evaluation modules.
 EXACT_N_CAP = 64
 
 
@@ -130,11 +134,6 @@ _FRAME = {Basis.PHI: Basis.PHI, Basis.T: Basis.T, Basis.U: Basis.T, Basis.MU: Ba
           Basis.TAU: Basis.TAU, Basis.SIGMA: Basis.TAU, Basis.NU: Basis.NU}
 
 
-def _frame_index(N: int, basis: Basis, k: int) -> int:
-    """SIGMA element k sits at TAU index N-k; every other basis keeps k."""
-    return N - k if basis == Basis.SIGMA else k
-
-
 # a monomial q pi^(m/2) sqrt(r) as the integers (m, r, numerator, denominator)
 Monomial = tuple[int, int, int, int]
 
@@ -144,24 +143,36 @@ def _monomial(x: PiScalar) -> Monomial:
     return m, r, q.numerator, q.denominator
 
 
+def _inverse(x: Monomial) -> Monomial:
+    """1/x of a positive monomial: pi^(-m/2) sqrt(r) / (q r)."""
+    m, r, num, den = x
+    g = math.gcd(den, num * r)
+    return -m, r, den // g, num * r // g
+
+
+def _root_power(n: int, j: int) -> Monomial:
+    """n^(j/2) as a monomial (j may be negative)."""
+    a, odd = divmod(abs(j), 2)
+    s, r = _square_split(n) if odd else (1, 1)
+    x = (0, r, n**a * s, 1)
+    return x if j >= 0 else _inverse(x)
+
+
 @lru_cache(maxsize=None)
 def _weights(N: int, basis: Basis) -> tuple[tuple[Monomial, ...], tuple[Monomial, ...]]:
     """w(k) and 1/w(k): basis element k is w(k) times its frame element."""
     if basis == Basis.U:
-        w = [sqrt_pow(4 * N, -k) for k in range(N + 1)]
+        w = [_root_power(4 * N, -k) for k in range(N + 1)]
     elif basis == Basis.MU:
         w = [
-            (math.factorial(k) * omega(k) * PiScalar.pi_power(-2 * k)).reciprocal()
+            _inverse(_monomial(math.factorial(k) * omega(k) * PiScalar.pi_power(-2 * k)))
             for k in range(N + 1)
         ]
     elif basis in (Basis.SIGMA, Basis.NU):
-        w = [sqrt_pow(4 * N, -(N - k)) for k in range(N + 1)]
+        w = [_root_power(4 * N, k - N) for k in range(N + 1)]
     else:
-        w = [ONE] * (N + 1)
-    return (
-        tuple(_monomial(x) for x in w),
-        tuple(_monomial(x.reciprocal()) for x in w),
-    )
+        w = [(0, 1, 1, 1)] * (N + 1)
+    return tuple(w), tuple(_inverse(x) for x in w)
 
 
 @lru_cache(maxsize=None)
@@ -198,11 +209,20 @@ def conversion_matrix(N: int, src: Basis, dst: Basis) -> FrameMatrix:
     return _frame_bridge(N, _FRAME[src], _FRAME[dst])
 
 
+# column k of an integer bridge: (D, ((row, D * coeff), ...)), D the lcm of
+# the column's denominators
+IntegerColumn = tuple[int, tuple[tuple[int, int], ...]]
+
+
 @lru_cache(maxsize=None)
-def _column_lcms(N: int, src: Basis, dst: Basis) -> tuple[int, ...]:
-    """One common denominator per column of a frame bridge."""
-    bridge = _frame_bridge(N, src, dst)
-    return tuple(math.lcm(*(q.denominator for _, q in col)) for col in bridge)
+def _integer_bridge(N: int, src: Basis, dst: Basis) -> tuple[IntegerColumn, ...]:
+    """The bridge between frames src and dst with each column over one
+    common denominator, the form that `_accumulate` multiplies through."""
+    out = []
+    for col in conversion_matrix(N, src, dst):
+        D = math.lcm(*(q.denominator for _, q in col))
+        out.append((D, tuple((g, q.numerator * (D // q.denominator)) for g, q in col)))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -221,18 +241,18 @@ def nu_in_sigma_column(k: int) -> FrameColumn:
 
 
 def _accumulate(
-    matrix: Sequence[FrameColumn], lcms: Sequence[int], entries: list[tuple[int, int, int]]
+    bridge: tuple[IntegerColumn, ...], entries: list[tuple[int, int, int]]
 ) -> tuple[list[int], int]:
-    """matrix times the column sum(num/den e_f for f, num, den in entries),
+    """bridge times the column sum(num/den e_f for f, num, den in entries),
     as integer numerators over one common denominator L: each product is an
     integer, and the caller reduces each nonzero n/L once."""
-    L = math.lcm(*(den * lcms[f] for f, _, den in entries))
-    sums = [0] * len(matrix)
+    L = math.lcm(*(den * bridge[f][0] for f, _, den in entries))
+    sums = [0] * len(bridge)
     for f, num, den in entries:
-        D = lcms[f]
+        D, col = bridge[f]
         t = num * (L // (den * D))
-        for g, c in matrix[f]:
-            sums[g] += t * c.numerator * (D // c.denominator)
+        for g, c in col:
+            sums[g] += t * c
     return sums, L
 
 
@@ -244,14 +264,19 @@ def _times(x: Monomial, m: int, r: int) -> Monomial:
 
 
 def _apply(
-    N: int, src: Basis, dst: Basis, vectors: Iterable[Sequence[ScalarLike]]
-) -> list[tuple[PiScalar, ...]]:
-    """dst coordinates of each src coefficient vector in the batch.
+    N: int,
+    src: Basis,
+    dst: Basis,
+    vectors: Iterable[Iterable[tuple[int, ScalarLike]]],
+) -> list[dict[int, PiScalar]]:
+    """dst coordinates of each sparse src vector in the batch: a vector is
+    (index, coefficient) pairs with nonzero coefficients, and its image maps
+    each index to a nonzero coefficient.
 
-    Each nonzero coefficient's (pi power, radicand) components are
-    multiplied by the integer monomial w_src(k).  Per vector and component,
-    the frame bridge accumulates integer numerators over one common
-    denominator; each nonzero output is one Fraction, divided by w_dst(i)."""
+    Each coefficient's (pi power, radicand) components are multiplied by the
+    integer monomial w_src(k).  Per vector and component, the integer bridge
+    accumulates numerators over one common denominator; each nonzero output
+    is one Fraction, divided by w_dst(i)."""
     if N < 1:
         raise ValueError("dimension must be positive")
     if N > EXACT_N_CAP:
@@ -259,41 +284,48 @@ def _apply(
             f"exact basis conversion capped at N = {EXACT_N_CAP}; "
             "use the float evaluation paths for larger dimensions"
         )
-    matrix = conversion_matrix(N, src, dst)
-    lcms = _column_lcms(N, _FRAME[src], _FRAME[dst])
+    bridge = _integer_bridge(N, _FRAME[src], _FRAME[dst])
     w_in, w_out = _weights(N, src)[0], _weights(N, dst)[1]
+    # SIGMA element k sits at TAU index N-k; every other basis keeps k
+    flip_in, flip_out = src == Basis.SIGMA, dst == Basis.SIGMA
     out = []
-    for coeffs in vectors:
+    for vector in vectors:
         # (pi power, radicand) -> [(frame column, numerator, denominator)]
         parts: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-        for k, x in enumerate(coeffs):
-            if x:
-                f = _frame_index(N, src, k)
-                for (m, r), q in PiScalar._exact(x)._terms.items():
-                    m, r, num, den = _times(w_in[k], m, r)
-                    parts.setdefault((m, r), []).append(
-                        (f, num * q.numerator, den * q.denominator)
-                    )
+        for k, x in vector:
+            f = N - k if flip_in else k
+            for (m, r), q in PiScalar._exact(x)._terms.items():
+                m, r, num, den = _times(w_in[k], m, r)
+                parts.setdefault((m, r), []).append(
+                    (f, num * q.numerator, den * q.denominator)
+                )
         terms: dict[int, dict[tuple[int, int], Fraction]] = {}
         for (m, r), entries in parts.items():
-            sums, L = _accumulate(matrix, lcms, entries)
+            sums, L = _accumulate(bridge, entries)
             for g, n in enumerate(sums):
                 if n:
-                    i = _frame_index(N, dst, g)
+                    i = N - g if flip_out else g
                     mo, ro, num, den = _times(w_out[i], m, r)
                     terms.setdefault(i, {})[mo, ro] = Fraction(n * num, L * den)
-        row = [ZERO] * (N + 1)
-        for i, t in terms.items():
-            row[i] = PiScalar(t)
-        out.append(tuple(row))
+        out.append({i: PiScalar(t) for i, t in terms.items()})
     return out
+
+
+def _dense(N: int, entries: dict[int, PiScalar]) -> tuple[PiScalar, ...]:
+    """The N+1 coefficients with the given nonzero ones, ZERO elsewhere."""
+    coeffs = [ZERO] * (N + 1)
+    for i, x in entries.items():
+        coeffs[i] = x
+    return tuple(coeffs)
 
 
 def change_basis(v: ValuationVector, target: Basis) -> ValuationVector:
     """Exact coordinates of v in the target basis."""
     if v.basis == target:
         return v
-    return ValuationVector(v.N, target, _apply(v.N, v.basis, target, (v.coeffs,))[0])
+    vector = [(k, x) for k, x in enumerate(v.coeffs) if x]
+    (image,) = _apply(v.N, v.basis, target, (vector,))
+    return ValuationVector(v.N, target, _dense(v.N, image))
 
 
 def lk_multiply(a: ValuationVector, b: ValuationVector) -> ValuationVector:

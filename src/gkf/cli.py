@@ -286,7 +286,7 @@ def cmd_check(args) -> tuple[list[dict], int]:
         for k in range(N + 1):
             via_tau = p_tau(k, N).convert_left(Basis.SIGMA).convert_right(Basis.SIGMA)
             via_sigma = p_sigma(N - k, N).scale(sqrt_pow(4 * N, k))
-            if via_tau.rows != via_sigma.rows:
+            if via_tau != via_sigma:
                 ok = False
     record("operator-normalization", ok)
 

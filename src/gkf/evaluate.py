@@ -16,6 +16,8 @@ sphere (exact) together with the degree-k dilation homogeneity for caps.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
+from functools import lru_cache
 
 from .bases import Basis, EXACT_N_CAP, ValuationVector, change_basis
 from .model_sets import (
@@ -33,7 +35,7 @@ from .model_sets import (
     curvature_profile,
     tube_volume_fraction,
 )
-from .scalars import PiScalar, float_of, log_alpha, log_omega, omega
+from .scalars import PiScalar, _double_factorial, float_of, log_alpha, log_omega
 from .series import sqrt_pow, u_power_in_sigma
 
 NEG_INF = float("-inf")
@@ -235,24 +237,28 @@ def mu_on_euclidean_ball(k: int, N: int, radius: float = 1.0) -> float:
 # -- unit-sphere side -------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def lk_unit_sphere(n: int, k: int) -> PiScalar:
-    """t^k of the unit n-sphere, from the euclidean tube expansion.
+    """t^k of the unit n-sphere: 2^(k+1) n!! / ((n-k)!! k!!) for even n - k,
+    and 0 for odd n - k.
 
     The tube of radius rho about the unit sphere in (n+1)-space has volume
     omega_{n+1} ((1+rho)^{n+1} - (1-rho)^{n+1}); matching the Steiner
-    expansion gives the intrinsic volumes, and e^(pi t) = sum omega_i mu_i
-    converts them to generator powers.
+    expansion gives mu_k = 2 binom(n+1, k) omega_{n+1} / omega_{n+1-k}, and
+    e^(pi t) = sum omega_i mu_i gives t^k = k! omega_k pi^(-k) mu_k.  With
+    omega_j = pi^(j/2) / Gamma(j/2 + 1) and Gamma(j/2 + 1) = j!! 2^(-j/2)
+    for even j, j!! 2^(-j/2) sqrt(pi/2) for odd j, the powers of pi cancel
+    and the double factorials telescope to the rational above.
     """
     if not 0 <= k <= n:
         raise ValueError("index out of range")
     if (n - k) % 2 == 1:
         return PiScalar.zero()
-    mu_k = 2 * omega(n + 1) * omega(n + 1 - k).reciprocal() * math.comb(n + 1, k)
-    return (
-        mu_k
-        * math.factorial(k)
-        * omega(k)
-        * PiScalar.pi_power(-2 * k)
+    return PiScalar.from_rational(
+        Fraction(
+            2 ** (k + 1) * _double_factorial(n),
+            _double_factorial(n - k) * _double_factorial(k),
+        )
     )
 
 

@@ -16,8 +16,9 @@ constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .bases import (
     EXACT_N_CAP,
@@ -25,6 +26,7 @@ from .bases import (
     Basis,
     ValuationVector,
     _apply,
+    _dense,
     nu_in_sigma_column,
 )
 from .evaluate import sigma_evaluate
@@ -35,41 +37,78 @@ from .series import sqrt_pow
 HALF = PiScalar.from_rational(Fraction(1, 2))
 
 
-@dataclass(frozen=True)
+# row i of a sparse tensor: column j -> the nonzero entry at (i, j)
+SparseRows = dict[int, dict[int, PiScalar]]
+
+
+@dataclass(frozen=True, init=False)
 class KinematicTensor:
-    """Element of V (x) V as an exact coefficient matrix: rows[i][j] is the
-    coefficient of (left basis element i) tensor (right basis element j)."""
+    """Element of V (x) V as an exact coefficient matrix, stored sparse:
+    entries[i][j] is the nonzero coefficient of (left basis element i)
+    tensor (right basis element j), and rows without one are left out.
+    `rows` is the dense view, with `bases.ZERO` in every empty cell; both
+    are read-only.
+
+    The constructor takes dense rows and stores none of their zeros."""
 
     N: int
     basis_left: Basis
     basis_right: Basis
-    rows: tuple[tuple[PiScalar, ...], ...]
+    entries: SparseRows = field(hash=False)
 
-    def __post_init__(self):
-        n = self.N + 1
-        if len(self.rows) != n or any(len(row) != n for row in self.rows):
+    def __init__(self, N: int, basis_left: Basis, basis_right: Basis, rows):
+        n = N + 1
+        if len(rows) != n or any(len(row) != n for row in rows):
             raise ValueError("tensor must be (N+1) x (N+1)")
+        sparse = ({j: x for j, x in enumerate(row) if x} for row in rows)
+        self.__dict__.update(
+            N=N,
+            basis_left=basis_left,
+            basis_right=basis_right,
+            entries={i: row for i, row in enumerate(sparse) if row},
+        )
+
+    @classmethod
+    def _sparse(
+        cls, N: int, basis_left: Basis, basis_right: Basis, entries: SparseRows
+    ) -> "KinematicTensor":
+        """The tensor with these entries, which hold no zero and no empty row."""
+        tensor = cls.__new__(cls)
+        tensor.__dict__.update(
+            N=N, basis_left=basis_left, basis_right=basis_right, entries=entries
+        )
+        return tensor
+
+    @cached_property
+    def rows(self) -> tuple[tuple[PiScalar, ...], ...]:
+        empty: dict[int, PiScalar] = {}
+        return tuple(
+            _dense(self.N, self.entries.get(i, empty)) for i in range(self.N + 1)
+        )
 
     def entry(self, i: int, j: int) -> PiScalar:
-        return self.rows[i][j]
+        row = self.entries.get(i)
+        return ZERO if row is None else row.get(j, ZERO)
 
     def is_symmetric(self) -> bool:
-        n = self.N + 1
         return all(
-            self.rows[i][j] == self.rows[j][i] for i in range(n) for j in range(i)
+            j in self.entries and self.entries[j].get(i) == x
+            for i, row in self.entries.items()
+            for j, x in row.items()
         )
 
     def convert_left(self, target: Basis) -> "KinematicTensor":
         if target == self.basis_left:
             return self
-        columns = _apply(self.N, self.basis_left, target, zip(*self.rows))
-        return KinematicTensor(self.N, target, self.basis_right, tuple(zip(*columns)))
+        columns = _transpose(self.entries)
+        columns = _convert_rows(self.N, self.basis_left, target, columns)
+        return self._sparse(self.N, target, self.basis_right, _transpose(columns))
 
     def convert_right(self, target: Basis) -> "KinematicTensor":
         if target == self.basis_right:
             return self
-        rows = tuple(_apply(self.N, self.basis_right, target, self.rows))
-        return KinematicTensor(self.N, self.basis_left, target, rows)
+        rows = _convert_rows(self.N, self.basis_right, target, self.entries)
+        return self._sparse(self.N, self.basis_left, target, rows)
 
     def __add__(self, other: "KinematicTensor") -> "KinematicTensor":
         if (self.N, self.basis_left, self.basis_right) != (
@@ -78,42 +117,54 @@ class KinematicTensor:
             other.basis_right,
         ):
             raise ValueError("mismatched tensors")
-        return KinematicTensor(
-            self.N,
-            self.basis_left,
-            self.basis_right,
-            tuple(
-                tuple((a + b or ZERO) if a or b else ZERO for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            ),
-        )
+        entries = {i: dict(row) for i, row in self.entries.items()}
+        for i, row in other.entries.items():
+            total = entries.setdefault(i, {})
+            for j, x in row.items():
+                x = total.pop(j) + x if j in total else x
+                if x:
+                    total[j] = x
+            if not total:
+                del entries[i]
+        return self._sparse(self.N, self.basis_left, self.basis_right, entries)
 
     def scale(self, c) -> "KinematicTensor":
         c = PiScalar._exact(c)
-        return KinematicTensor(
-            self.N,
-            self.basis_left,
-            self.basis_right,
-            tuple(tuple(c * x if x else ZERO for x in row) for row in self.rows),
+        entries = (
+            {i: {j: c * x for j, x in row.items()} for i, row in self.entries.items()}
+            if c
+            else {}
         )
+        return self._sparse(self.N, self.basis_left, self.basis_right, entries)
+
+
+def _transpose(entries: SparseRows) -> SparseRows:
+    out: SparseRows = {}
+    for i, row in entries.items():
+        for j, x in row.items():
+            out.setdefault(j, {})[i] = x
+    return out
+
+
+def _convert_rows(N: int, src: Basis, dst: Basis, entries: SparseRows) -> SparseRows:
+    """Every row of entries, as a vector in src, converted to dst in one batch."""
+    images = _apply(N, src, dst, [row.items() for row in entries.values()])
+    return dict(zip(entries, images))
 
 
 def _check_tensor_dim(N: int):
     if N > EXACT_N_CAP:
         raise ValueError(
-            f"dense exact tensors are capped at N = {EXACT_N_CAP}; the "
+            f"exact tensors are capped at N = {EXACT_N_CAP}; the "
             "per-row helpers (nu_values_on_set, sigma_evaluate) work at any N"
         )
 
 
 def _diagonal_sum_tensor(N: int, total: int, coeff: PiScalar, basis: Basis):
     _check_tensor_dim(N)
-    rows = [[ZERO] * (N + 1) for _ in range(N + 1)]
-    for i in range(N + 1):
-        j = total - i
-        if 0 <= j <= N:
-            rows[i][j] = coeff
-    return KinematicTensor(N, basis, basis, tuple(tuple(r) for r in rows))
+    lo, hi = max(0, total - N), min(N, total)
+    entries = {i: {total - i: coeff} for i in range(lo, hi + 1)}
+    return KinematicTensor._sparse(N, basis, basis, entries)
 
 
 def p_sigma(k: int, N: int) -> KinematicTensor:
@@ -146,19 +197,15 @@ def p_chi(N: int, sigma_sigma: bool = False) -> KinematicTensor:
         raise ValueError("dimension must be positive")
     _check_tensor_dim(N)
     if sigma_sigma:
-        rows = [
-            tuple(
-                HALF if (s + i <= N and (s + i - N) % 2 == 0) else ZERO
-                for i in range(N + 1)
-            )
-            for s in range(N + 1)
-        ]
-        return KinematicTensor(N, Basis.SIGMA, Basis.SIGMA, tuple(rows))
-    rows = [[ZERO] * (N + 1) for _ in range(N + 1)]
-    for k in range(N + 1):
-        for i, q in nu_in_sigma_column(k):
-            rows[k][i] = PiScalar.from_rational(q)
-    return KinematicTensor(N, Basis.U, Basis.SIGMA, tuple(tuple(r) for r in rows))
+        entries = {
+            s: {i: HALF for i in range((N - s) % 2, N - s + 1, 2)} for s in range(N + 1)
+        }
+        return KinematicTensor._sparse(N, Basis.SIGMA, Basis.SIGMA, entries)
+    entries = {
+        k: {i: PiScalar.from_rational(q) for i, q in nu_in_sigma_column(k)}
+        for k in range(N + 1)
+    }
+    return KinematicTensor._sparse(N, Basis.U, Basis.SIGMA, entries)
 
 
 @dataclass(frozen=True)
@@ -190,7 +237,7 @@ def nu_defining_identity_holds(N: int) -> bool:
     """Exact check that sum_k u^k (x) nu_k, re-expanded over SIGMA (x) SIGMA
     via the binomial expansion of u^k, reproduces the independent telescoped
     form of the kinematic image of chi."""
-    return p_chi(N).convert_left(Basis.SIGMA).rows == p_chi(N, sigma_sigma=True).rows
+    return p_chi(N).convert_left(Basis.SIGMA) == p_chi(N, sigma_sigma=True)
 
 
 def p_u_power(m: int, N: int) -> KinematicTensor:
@@ -198,11 +245,9 @@ def p_u_power(m: int, N: int) -> KinematicTensor:
     so the left degrees all sit at m + k."""
     if not 0 <= m <= N:
         raise ValueError("index out of range")
-    table = nu_table(N)
-    rows = [[ZERO] * (N + 1) for _ in range(N + 1)]
-    for k in range(N + 1 - m):
-        rows[m + k] = list(table.rows[k])
-    return KinematicTensor(N, Basis.U, Basis.SIGMA, tuple(tuple(r) for r in rows))
+    chi = p_chi(N).entries
+    entries = {m + k: chi[k] for k in range(N + 1 - m)}
+    return KinematicTensor._sparse(N, Basis.U, Basis.SIGMA, entries)
 
 
 def gkf_coefficient(k: int) -> PiScalar:

@@ -11,14 +11,21 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import betainc
 
-from gkf.bases import Basis
+from gkf.bases import ZERO, Basis, nu_in_sigma_column
 from gkf.drivers import _top_degree, pull_back_set
 from gkf.evaluate import sigma_evaluate, t_power_unit, tau_evaluate, u_power_on_ball
 from gkf.functionals import gauss_set_membership, sample_uniform_on
 from gkf.gauss import CenteredBall, FullSpace, GaussSet, HalfSpace, gauss_measure_tube
 from gkf.kinematics import KinematicTensor, gkf_coefficient, nu_values_on_set
 from gkf.model_sets import GeodesicBall, GreatSubsphere, ModelSet, SubsphereTube
-from gkf.scalars import float_of, generalized_binomial, log_alpha, log_omega
+from gkf.scalars import (
+    PiScalar,
+    float_of,
+    generalized_binomial,
+    log_alpha,
+    log_omega,
+    omega,
+)
 from gkf.series import sqrt_pow
 
 
@@ -231,6 +238,51 @@ def u_power_on_great_subsphere(k: int, N: int, n: int) -> Fraction:
     if k > n or (n - k) % 2 == 1:
         return Fraction(0)
     return 2 * generalized_binomial(Fraction(n, 2), (n - k) // 2)
+
+
+def lk_unit_sphere_tube_route(n: int, k: int) -> PiScalar:
+    """t^k of the unit n-sphere from the euclidean tube expansion: the tube
+    of radius rho about the unit sphere in (n+1)-space has volume
+    omega_(n+1) ((1+rho)^(n+1) - (1-rho)^(n+1)), so mu_k = 2 binom(n+1, k)
+    omega_(n+1) / omega_(n+1-k) for even n - k, and t^k = k! omega_k
+    pi^(-k) mu_k, as six PiScalar products."""
+    if (n - k) % 2 == 1:
+        return PiScalar.zero()
+    mu_k = 2 * omega(n + 1) * omega(n + 1 - k).reciprocal() * math.comb(n + 1, k)
+    return mu_k * math.factorial(k) * omega(k) * PiScalar.pi_power(-2 * k)
+
+
+# -- dense kinematic tensors, cell by cell ------------------------------------------
+#
+# Each cell of the (N+1) x (N+1) grid is filled from the defining rule of the
+# operator, with bases.ZERO in every cell the rule leaves empty.
+
+
+def diagonal_sum_rows(N: int, total: int, coeff: PiScalar) -> tuple:
+    """coeff at every (i, j) with i + j = total: p_sigma and p_tau."""
+    return tuple(
+        tuple(coeff if i + j == total else ZERO for j in range(N + 1)) for i in range(N + 1)
+    )
+
+
+def chi_rows(N: int, sigma_sigma: bool = False) -> tuple:
+    """p_chi: 1/2 [u^k] (u/sqrt(1+u^2))^i at (k, i), or in the telescoped
+    SIGMA (x) SIGMA form 1/2 where s + i <= N and s + i = N (mod 2)."""
+    half = PiScalar.from_rational(Fraction(1, 2))
+
+    def cell(s: int, i: int) -> PiScalar:
+        if sigma_sigma:
+            return half if i <= N - s and (N - s - i) % 2 == 0 else ZERO
+        q = dict(nu_in_sigma_column(s)).get(i)
+        return ZERO if q is None else PiScalar.from_rational(q)
+
+    return tuple(tuple(cell(s, i) for i in range(N + 1)) for s in range(N + 1))
+
+
+def u_power_rows(m: int, N: int) -> tuple:
+    """p_u_power: the p_chi row k at left degree m + k, zero rows below m."""
+    chi = chi_rows(N)
+    return tuple(chi[i - m] if i >= m else (ZERO,) * (N + 1) for i in range(N + 1))
 
 
 # -- pairings ----------------------------------------------------------------------

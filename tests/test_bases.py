@@ -8,11 +8,13 @@ from fractions import Fraction
 import pytest
 
 from gkf.bases import (
+    _FRAME,
     Basis,
     ValuationVector,
     basis_element,
     change_basis,
     chi_vector,
+    _integer_bridge,
     conversion_matrix,
     lk_multiply,
     nu_in_sigma_column,
@@ -298,6 +300,20 @@ class TestChangeBasis:
                 assert all(type(q) is Fraction for col in matrix for _, q in col), (src, dst)
         shared = conversion_matrix(N, Basis.T, Basis.TAU)
         assert conversion_matrix(N, Basis.U, Basis.SIGMA) is shared
+
+    @pytest.mark.parametrize("N", [1, 2, 7, 64])
+    def test_integer_columns_are_the_fraction_columns(self, N):
+        # the kernel's integer form of each bridge: per column, the lcm D of
+        # its denominators and the numerators over D
+        for src in Basis:
+            for dst in Basis:
+                matrix = conversion_matrix(N, src, dst)
+                integer = _integer_bridge(N, _FRAME[src], _FRAME[dst])
+                assert len(integer) == len(matrix), (src, dst)
+                for (D, col), fractions in zip(integer, matrix):
+                    assert D == math.lcm(*(q.denominator for _, q in fractions))
+                    assert all(type(c) is int for _, c in col)
+                    assert [(g, Fraction(c, D)) for g, c in col] == list(fractions), (src, dst)
 
     def test_inexact_coefficients_rejected(self):
         v = chi_vector(3)

@@ -39,6 +39,7 @@ from gkf.scalars import PiScalar, alpha, float_of, omega
 from gkf.series import sqrt_pow, u_power_in_sigma
 
 from oracles import (
+    lk_unit_sphere_tube_route,
     omega_float,
     tube_volume_fraction_quadrature,
     u_power_on_euclidean_ball,
@@ -433,6 +434,11 @@ class TestUnitSide:
             for k in range(n + 1):
                 if (n - k) % 2 == 1:
                     assert lk_unit_sphere(n, k) == PiScalar.zero()
+
+    def test_against_the_tube_expansion(self):
+        for n in range(131):
+            for k in range(n + 1):
+                assert lk_unit_sphere(n, k) == lk_unit_sphere_tube_route(n, k), (n, k)
 
     def test_known_sphere_values(self):
         assert lk_unit_sphere(2, 1) == PiScalar.zero()

@@ -31,11 +31,14 @@ from gkf.scalars import PiScalar, float_of, generalized_binomial, omega
 from gkf.series import sqrt_pow
 
 from oracles import (
+    chi_rows,
+    diagonal_sum_rows,
     pair_tensor,
     printed_nu_closed_form,
     tube_rhs_nu_route,
     tube_volume_fraction_quadrature,
     u_power_on_great_subsphere,
+    u_power_rows,
 )
 
 HALF = Fraction(1, 2)
@@ -185,6 +188,92 @@ class TestTensorConversion:
         )
         assert plain.convert_left(Basis.U).rows == exact.convert_left(Basis.U).rows
         assert plain.convert_right(Basis.MU).rows == exact.convert_right(Basis.MU).rows
+
+
+def stored(tensor: KinematicTensor) -> int:
+    return sum(len(row) for row in tensor.entries.values())
+
+
+def assert_dense_view(tensor: KinematicTensor, reference: tuple):
+    # rows is the reference grid, with the shared ZERO in every empty cell
+    assert tensor.rows == reference
+    assert all(
+        (x is ZERO) == (not r)
+        for row, ref in zip(tensor.rows, reference)
+        for x, r in zip(row, ref)
+    )
+
+
+class TestSparseStore:
+    @pytest.mark.parametrize("N", [1, 8, 64])
+    def test_chi_stores_its_nu_columns(self, N):
+        assert stored(p_chi(N)) == sum(len(nu_in_sigma_column(k)) for k in range(N + 1))
+        telescoped = p_chi(N, sigma_sigma=True)
+        # one 1/2 per (s, i) with s + i <= N and s + i = N (mod 2)
+        assert stored(telescoped) == sum((N - s) // 2 + 1 for s in range(N + 1))
+        assert all(x for row in telescoped.entries.values() for x in row.values())
+
+    @pytest.mark.parametrize("N", [1, 8, 64])
+    def test_diagonal_sums_store_their_cells(self, N):
+        for k in (0, 1, N // 2, N):
+            assert stored(p_sigma(k, N)) == k + 1
+            assert stored(p_tau(k, N)) == N - k + 1
+
+    @pytest.mark.parametrize("N", [1, 2, 7, 20])
+    def test_rows_are_the_cell_by_cell_grid(self, N):
+        half = PiScalar.from_rational(HALF)
+        for k in range(N + 1):
+            assert_dense_view(p_sigma(k, N), diagonal_sum_rows(N, k, half))
+            tau_coeff = Fraction(1, 2 ** (N + 1)) * sqrt_pow(N, -N)
+            assert_dense_view(p_tau(k, N), diagonal_sum_rows(N, N + k, tau_coeff))
+            # a converted tensor is sparse too: tau_k = (4N)^(k/2) sigma_(N-k)
+            converted = p_tau(k, N).convert_left(Basis.SIGMA).convert_right(Basis.SIGMA)
+            scaled = diagonal_sum_rows(N, N - k, half * sqrt_pow(4 * N, k))
+            assert_dense_view(converted, scaled)
+            assert_dense_view(p_u_power(k, N), u_power_rows(k, N))
+        assert_dense_view(p_chi(N), chi_rows(N))
+        assert_dense_view(p_chi(N, sigma_sigma=True), chi_rows(N, sigma_sigma=True))
+        assert_dense_view(p_chi(N).convert_left(Basis.SIGMA), chi_rows(N, sigma_sigma=True))
+
+    def test_explicit_zeros_are_not_stored(self):
+        N = 6
+        rng = random.Random(17)
+        zeros = [0, Fraction(0), PiScalar.zero()]
+        rows = [[rng.choice(zeros) for _ in range(N + 1)] for _ in range(N + 1)]
+        for _ in range(9):
+            i, j = rng.randint(0, N), rng.randint(0, N)
+            rows[i][j] = Fraction(rng.randint(1, 9), rng.randint(1, 5)) * PiScalar.sqrt_int(
+                rng.choice((1, 2, 6))
+            )
+        tensor = KinematicTensor(N, Basis.T, Basis.T, tuple(map(tuple, rows)))
+        nonzero = {(i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if x}
+        assert {(i, j) for i, row in tensor.entries.items() for j in row} == nonzero
+        assert all(row for row in tensor.entries.values())
+        clean = tuple(tuple(x or ZERO for x in row) for row in rows)
+        assert tensor == KinematicTensor(N, Basis.T, Basis.T, clean)
+        assert_dense_view(tensor, clean)
+        for dst in Basis:
+            left, right = tensor.convert_left(dst), tensor.convert_right(dst)
+            for j, col in enumerate(zip(*clean)):
+                expected = change_basis(ValuationVector(N, Basis.T, col), dst).coeffs
+                assert tuple(row[j] for row in left.rows) == expected, dst
+            for row, out in zip(clean, right.rows):
+                expected = change_basis(ValuationVector(N, Basis.T, row), dst).coeffs
+                assert out == expected, dst
+
+    def test_cancelled_sum_stores_nothing(self):
+        cancelled = p_sigma(1, 4) + p_sigma(1, 4).scale(-1)
+        assert cancelled.entries == {}
+        assert cancelled == p_sigma(1, 4).scale(0)
+        assert p_sigma(1, 4) + p_sigma(1, 4) == p_sigma(1, 4).scale(2)
+
+    def test_symmetry_reads_every_stored_entry(self):
+        one = PiScalar.one()
+        upper = KinematicTensor(2, Basis.T, Basis.T, ((0, one, 0), (0, 0, 0), (0, 0, 0)))
+        assert not upper.is_symmetric()
+        both = KinematicTensor(2, Basis.T, Basis.T, ((0, one, 0), (1, 0, 0), (0, 0, 0)))
+        assert both.is_symmetric()
+        assert not (both + upper).is_symmetric()
 
 
 class TestChiExpansion:
