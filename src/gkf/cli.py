@@ -55,7 +55,7 @@ from .kinematics import (
 )
 from .model_sets import ModelSet, UnitCap, UnitGreatSubsphere, UnitSphere
 from .rng import RngStream
-from .sampling import poincare_test
+from .sampling import poincare_sweep
 from .scalars import PiScalar, alpha, float_of, omega
 from .series import sqrt_pow
 
@@ -215,18 +215,19 @@ def cmd_converge(args) -> tuple[list[dict], int]:
             raise ValueError("nu convergence expects a ball descriptor")
         return nu_convergence(D.d, D.rho, args.k_max, n_list), 0
     if args.mode == "poincare":
-        rows = []
-        for N in n_list:
-            rep = poincare_test(N, args.d, args.samples, RngStream(args.seed, args.stream))
-            rows.append(
-                {
-                    "N": N,
-                    "d": rep.d,
-                    "n_samples": rep.n_samples,
-                    "ks_statistic": rep.ks_statistic,
-                    "second_moment": rep.second_moment,
-                }
-            )
+        reports = poincare_sweep(
+            n_list, args.d, args.samples, RngStream(args.seed, args.stream)
+        )
+        rows = [
+            {
+                "N": rep.N,
+                "d": rep.d,
+                "n_samples": rep.n_samples,
+                "ks_statistic": rep.ks_statistic,
+                "second_moment": rep.second_moment,
+            }
+            for rep in reports
+        ]
         return rows, 0
     if args.mode == "law":
         A = parse_unit_set(args.A)

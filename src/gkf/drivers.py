@@ -312,6 +312,8 @@ def kinematic_inequality_check(
             raise ValueError("dimension mismatch")
         if C.r > 0.5 * math.pi * R or D.r > 0.5 * math.pi * R:
             raise ValueError("caps must be geodesically convex")
+        if n_rotations < 2:
+            raise ValueError("the volume estimate needs at least 2 rotations")
         gen = rng.generator()
         theta_c, theta_d = C.r / R, D.r / R
         clamp = lambda a: np.clip(a, -1.0, 1.0)

@@ -17,6 +17,10 @@ pathwise to the Gaussian draw made from the same generator.  The Gram
 matrix, its Cholesky factor and the triangular solve for T L^-T are
 elementwise numpy over the batch axis, one (n+1) x (n+1) entry at a time,
 with no per-matrix LAPACK call.
+
+The Poincare projection check, poincare_sweep, draws its Gaussian block
+once for a whole list of N and holds about 2d + 2 arrays of n doubles at
+any N; poincare_test is its batch of one.
 """
 
 from __future__ import annotations
@@ -132,14 +136,24 @@ def uniform_cap_batch(
 
 # -- the projection limit ------------------------------------------------------
 
+# grid entries formed at once in _ks_statistic: 64 KiB per temporary, small
+# next to a sample of 1e5-1e6 and large enough that the loop costs little
+_KS_BLOCK = 1 << 13
 
-def _ks_statistic(samples: np.ndarray, cdf) -> float:
-    """Two-sided KS distance between the empirical law and a vectorized CDF."""
-    xs = np.sort(samples)
+
+def _ks_statistic(xs: np.ndarray, F: np.ndarray) -> float:
+    """Two-sided KS distance between the empirical law of the sorted samples
+    xs and the CDF values F = cdf(xs), with the grid i/n formed one block
+    at a time."""
     n = len(xs)
-    F = np.asarray(cdf(xs), dtype=float)
-    grid = np.arange(1, n + 1) / n
-    return float(max(np.max(grid - F), np.max(F - (grid - 1 / n))))
+    above = below = -math.inf
+    for lo in range(0, n, _KS_BLOCK):
+        hi = min(lo + _KS_BLOCK, n)
+        grid = np.arange(lo + 1, hi + 1) / n
+        above = max(above, np.max(grid - F[lo:hi]))
+        grid -= 1 / n
+        below = max(below, np.max(F[lo:hi] - grid))
+    return float(max(above, below))
 
 
 @dataclass(frozen=True)
@@ -153,38 +167,80 @@ class PoincareReport:
     stream_id: int
 
 
-def poincare_test(N: int, d: int, n_samples: int, rng: RngStream) -> PoincareReport:
+def poincare_sweep(
+    N_list: tuple[int, ...], d: int, n_samples: int, rng: RngStream
+) -> list[PoincareReport]:
     """Project uniform points on the radius-sqrt(N) sphere to the first d
-    coordinates and compare against the standard Gaussian: the marginal CDF
-    for d = 1, the radial chi CDF for d > 1.
+    coordinates and compare against the standard Gaussian, for each N in
+    N_list: the marginal CDF for d = 1, the radial chi CDF for d > 1.
 
     The projected block is sampled exactly through the split g / |g| with
     the tail norm drawn as a chi-square, which is the same law without
-    materializing N+1 coordinates.
+    materializing N+1 coordinates.  Each row is the draw a fresh generator
+    of rng would make: g is drawn once, and the generator state from just
+    after that draw is restored before each N's chi-square tail.  Every N
+    is validated before the draw.  The sweep holds about 2d + 2 arrays of
+    n_samples doubles (g, the projected block, |g|^2 and the tail) at any N.
     """
     if d < 1 or n_samples < 1:
         raise ValueError("d and n_samples must be at least 1")
-    if N <= d:
+    if not N_list:
+        raise ValueError("N_list must not be empty")
+    if any(N <= d for N in N_list):
         raise ValueError("projection requires N > d")
     gen = rng.generator()
     g = gen.standard_normal((n_samples, d))
-    tail = gen.chisquare(N + 1 - d, n_samples)
-    norms_sq = np.einsum("ij,ij->i", g, g) + tail
-    x = math.sqrt(N) * g / np.sqrt(norms_sq)[:, None]
+    after_g = gen.bit_generator.state
+    g_sq = np.einsum("ij,ij->i", g, g)
+    x = np.empty_like(g)
+    reports = []
+    for N in N_list:
+        gen.bit_generator.state = after_g
+        ks, second_moment = _project_and_score(N, g, g_sq, x, gen)
+        reports.append(
+            PoincareReport(
+                N=N,
+                d=d,
+                n_samples=n_samples,
+                ks_statistic=ks,
+                second_moment=second_moment,
+                seed=rng.seed,
+                stream_id=rng.stream_id,
+            )
+        )
+    return reports
+
+
+def _project_and_score(
+    N: int, g: np.ndarray, g_sq: np.ndarray, x: np.ndarray, gen: np.random.Generator
+) -> tuple[float, float]:
+    """KS distance and second moment of sqrt(N) g / |(g, tail)| for one N,
+    computed in place in x and in the tail array.  The operations and their
+    order are those of the out-of-place formulas (the second moment is
+    taken before the sort), so every float matches them bit for bit."""
+    n, d = g.shape
+    tail = gen.chisquare(N + 1 - d, n)
+    np.add(g_sq, tail, out=tail)
+    np.sqrt(tail, out=tail)
+    np.multiply(g, math.sqrt(N), out=x)
+    np.divide(x, tail[:, None], out=x)
+    scratch = x.reshape(-1)[:n]
     if d == 1:
-        samples = x[:, 0]
-        ks = _ks_statistic(samples, ndtr)
-        second_moment = float(np.mean(samples**2))
+        samples = scratch
+        second_moment = float(np.mean(np.square(samples, out=tail)))
+        samples.sort()
+        F = ndtr(samples, out=tail)
     else:
-        samples = np.linalg.norm(x, axis=1)
-        ks = _ks_statistic(samples, lambda t: gammainc(d / 2.0, t * t / 2.0))
-        second_moment = float(np.mean(samples**2)) / d
-    return PoincareReport(
-        N=N,
-        d=d,
-        n_samples=n_samples,
-        ks_statistic=ks,
-        second_moment=second_moment,
-        seed=rng.seed,
-        stream_id=rng.stream_id,
-    )
+        np.square(x, out=x)
+        samples = np.sqrt(np.add.reduce(x, axis=1, out=tail), out=tail)
+        second_moment = float(np.mean(np.square(samples, out=scratch))) / d
+        samples.sort()
+        np.square(samples, out=scratch)
+        scratch /= 2.0
+        F = gammainc(d / 2.0, scratch, out=scratch)
+    return _ks_statistic(samples, F), second_moment
+
+
+def poincare_test(N: int, d: int, n_samples: int, rng: RngStream) -> PoincareReport:
+    """poincare_sweep for one N."""
+    return poincare_sweep((N,), d, n_samples, rng)[0]

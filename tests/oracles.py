@@ -9,7 +9,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import betainc
+from scipy.special import betainc, gammainc, ndtr
 
 from gkf.bases import ZERO, Basis, nu_in_sigma_column
 from gkf.drivers import _top_degree, pull_back_set
@@ -461,3 +461,26 @@ def pi_n_batch_lapack(
     )
     inv = np.linalg.inv(np.linalg.cholesky(gram))
     return math.sqrt(N) * np.einsum("bij,bkj->bik", top, inv)
+
+
+def poincare_out_of_place(
+    N: int, d: int, n_samples: int, gen: np.random.Generator
+) -> tuple[float, float]:
+    """(KS distance, second moment) of the Poincare projection check from a
+    fresh generator, with every intermediate array allocated anew and the
+    KS grid formed whole."""
+    g = gen.standard_normal((n_samples, d))
+    tail = gen.chisquare(N + 1 - d, n_samples)
+    norms_sq = np.einsum("ij,ij->i", g, g) + tail
+    x = math.sqrt(N) * g / np.sqrt(norms_sq)[:, None]
+    if d == 1:
+        samples, cdf = x[:, 0], ndtr
+    else:
+        samples = np.linalg.norm(x, axis=1)
+        cdf = lambda t: gammainc(d / 2.0, t * t / 2.0)
+    second_moment = float(np.mean(samples**2)) / d
+    xs = np.sort(samples)
+    F = cdf(xs)
+    grid = np.arange(1, n_samples + 1) / n_samples
+    ks = float(max(np.max(grid - F), np.max(F - (grid - 1 / n_samples))))
+    return ks, second_moment

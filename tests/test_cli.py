@@ -8,6 +8,7 @@ import pytest
 from gkf.cli import main, parse_gauss_set, parse_unit_set
 from gkf.gauss import CenteredBall, FullSpace, HalfSpace, Origin
 from gkf.model_sets import UnitCap, UnitGreatSubsphere, UnitSphere
+from gkf.rng import RngStream
 
 
 def run_cli(argv, capsys):
@@ -335,6 +336,16 @@ class TestConverge:
     @pytest.mark.parametrize("flags", [["--d", "0"], ["--d", "-1"], ["--samples", "0"]])
     def test_poincare_bad_size_exit_two(self, capsys, flags):
         argv = ["converge", "--mode", "poincare", "--N-list", "50", *flags]
+        code, out = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+
+    def test_poincare_bad_n_exit_two_before_drawing(self, capsys, monkeypatch):
+        def no_draw(self):
+            raise AssertionError("drew before validating the N list")
+
+        monkeypatch.setattr(RngStream, "generator", no_draw)
+        argv = ["converge", "--mode", "poincare", "--N-list", "400,1"]
         code, out = run_cli(argv, capsys)
         assert code == 2
         assert out == ""

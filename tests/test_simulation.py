@@ -5,6 +5,7 @@ live in the acceptance suite) with fixed seeds throughout.
 """
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -60,6 +61,7 @@ from gkf.sampling import (
     LinearMapSample,
     pi_infinity_batch,
     pi_n_batch,
+    poincare_sweep,
     poincare_test,
     sample_pi_infinity,
     sample_pi_n,
@@ -74,6 +76,7 @@ from oracles import (
     pair_tensor,
     pi_n_batch_lapack,
     pi_n_prediction_nu_route,
+    poincare_out_of_place,
     projected_coordinate_cdf,
     u_power_on_great_subsphere,
 )
@@ -760,6 +763,61 @@ class TestPoincare:
         with pytest.raises(ValueError, match="at least 1"):
             poincare_test(50, d, n_samples, RngStream(0))
 
+    # repr of (ks_statistic, second_moment) for poincare_test(400, d, 20000,
+    # RngStream(7, 0)) from the out-of-place route, which allocates every
+    # intermediate afresh; the in-place sweep must reproduce them bit for bit
+    PINNED = {
+        1: (0.006818814571078247, 0.9973192924441945),
+        2: (0.005650519222918038, 0.9963719833891613),
+        3: (0.008403031771553104, 0.9951759322972885),
+    }
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_pinned_output(self, d):
+        rep = poincare_test(400, d, 20000, RngStream(7, 0))
+        assert (rep.ks_statistic, rep.second_moment) == self.PINNED[d]
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_sweep_rows_are_single_runs(self, d):
+        rng = RngStream(7, 2)
+        sweep = poincare_sweep((50, 400, 50), d, 5000, rng)
+        assert [rep.N for rep in sweep] == [50, 400, 50]
+        for rep in sweep:
+            assert rep == poincare_test(rep.N, d, 5000, rng)
+
+    @pytest.mark.parametrize("d,n_samples", [(1, 1), (1, 30000), (2, 8193), (4, 20000)])
+    def test_sweep_matches_out_of_place_reference(self, d, n_samples):
+        rng = RngStream(12, d)
+        for rep in poincare_sweep((d + 1, 300, 5000), d, n_samples, rng):
+            reference = poincare_out_of_place(rep.N, d, n_samples, rng.generator())
+            assert (rep.ks_statistic, rep.second_moment) == reference
+
+    def test_sweep_validates_every_n_first(self):
+        with pytest.raises(ValueError, match="N > d"):
+            poincare_sweep((400, 2), 2, 10, RngStream(0))
+        with pytest.raises(ValueError):
+            poincare_sweep((), 1, 10, RngStream(0))
+
+    @staticmethod
+    def _peak_bytes(N_list, d, n_samples):
+        tracemalloc.start()
+        try:
+            poincare_sweep(N_list, d, n_samples, RngStream(11, 0))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("d,bound", [(1, 4.5), (2, 7.5)])
+    def test_footprint(self, d, bound):
+        # peak traced memory in arrays of n doubles: the sweep holds g, the
+        # projected block, |g|^2 and the tail (2d + 2 arrays) at any N; the
+        # out-of-place route peaks at 9 (d = 1) and 12 (d = 2)
+        n = 200_000
+        one = self._peak_bytes((400,), d, n)
+        assert one <= bound * 8 * n
+        three = self._peak_bytes((100, 400, 1600), d, n)
+        assert three <= one + 0.25 * 8 * n
+
 
 class TestNuConvergence:
     def test_monotone_and_small(self):
@@ -819,6 +877,14 @@ class TestKinematicInequality:
         with pytest.raises(ValueError):
             kinematic_inequality_check(
                 GeodesicBall(20, 1.0), GeodesicBall(20, 1.0), 3, 20, 10, RngStream(43)
+            )
+
+    @pytest.mark.parametrize("n_rotations", [0, 1])
+    def test_volume_case_needs_two_rotations(self, n_rotations):
+        with pytest.raises(ValueError, match="at least 2"):
+            kinematic_inequality_check(
+                GeodesicBall(20, 1.0), GeodesicBall(20, 1.0), 0, 20, n_rotations,
+                RngStream(44),
             )
 
 
