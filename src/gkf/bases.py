@@ -61,7 +61,8 @@ ONE = PiScalar.one()
 # dense rational T vectors taken round trip through each of the six other
 # bases (warm bridges) 0.7-0.9 / 1.1-1.5 / 1.9-2.7 s, and bridge entry
 # denominators reach 307 / 489 / 689 bits.  Large-dimension work goes
-# through the dedicated log-space float routines in the evaluation modules.
+# through the log-space float paths `evaluate.u_power_on_ball`,
+# `evaluate.sigma_evaluate` and `kinematics.nu_values_on_set`.
 EXACT_N_CAP = 64
 
 
@@ -281,8 +282,9 @@ def _apply(
         raise ValueError("dimension must be positive")
     if N > EXACT_N_CAP:
         raise ValueError(
-            f"exact basis conversion capped at N = {EXACT_N_CAP}; "
-            "use the float evaluation paths for larger dimensions"
+            f"exact basis conversion capped at N = {EXACT_N_CAP}; at larger N "
+            "use the float paths u_power_on_ball, sigma_evaluate and "
+            "nu_values_on_set"
         )
     bridge = _integer_bridge(N, _FRAME[src], _FRAME[dst])
     w_in, w_out = _weights(N, src)[0], _weights(N, dst)[1]

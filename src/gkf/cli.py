@@ -33,12 +33,11 @@ from .bases import (
     change_basis,
     nu_in_sigma_column,
 )
-from .drivers import estimate_lhs, nu_convergence, pull_back_set
+from .drivers import estimate_lhs, nu_convergence, pi_n_prediction, pull_back_set
 from .evaluate import mu_on_euclidean_ball
 from .gauss import (
     CenteredBall,
     FullSpace,
-    GaussSet,
     HalfSpace,
     Origin,
     gamma,
@@ -53,7 +52,7 @@ from .kinematics import (
     p_tau,
     tube_volume_identity,
 )
-from .model_sets import ModelSet, UnitCap, UnitGreatSubsphere, UnitSphere
+from .model_sets import UnitCap, UnitGreatSubsphere, UnitSphere
 from .rng import RngStream
 from .sampling import poincare_sweep
 from .scalars import PiScalar, alpha, float_of, omega
@@ -64,40 +63,33 @@ SCHEMA_VERSION = "1"
 DEFAULT_SEED = 20240817
 
 
-def parse_unit_set(text: str) -> ModelSet:
-    parts = text.split(":")
-    try:
-        if parts[0] == "sphere" and len(parts) == 2:
-            return UnitSphere(int(parts[1]))
-        if parts[0] == "cap" and len(parts) == 3:
-            return UnitCap(int(parts[1]), float(parts[2]))
-        if parts[0] == "subsphere" and len(parts) == 3:
-            return UnitGreatSubsphere(int(parts[1]), int(parts[2]))
-    except ValueError as exc:
-        raise ValueError(f"bad set descriptor {text!r}: {exc}") from exc
-    raise ValueError(
-        f"unknown set descriptor {text!r} (expected sphere:n, cap:n:theta, "
-        "subsphere:n:m)"
-    )
+# descriptor -> (set class, one converter per field); a family's usage
+# line lists its descriptors in table order
+UNIT_SETS = {
+    "sphere:n": (UnitSphere, int),
+    "cap:n:theta": (UnitCap, int, float),
+    "subsphere:n:m": (UnitGreatSubsphere, int, int),
+}
+GAUSS_SETS = {
+    "halfspace:d:u": (HalfSpace, int, float),
+    "ball:d:rho": (CenteredBall, int, float),
+    "origin:d": (Origin, int),
+    "fullspace:d": (FullSpace, int),
+}
 
 
-def parse_gauss_set(text: str) -> GaussSet:
+def parse_set(text: str, family: dict):
+    """The set a descriptor such as cap:2:1.0 names, from UNIT_SETS or
+    GAUSS_SETS."""
     parts = text.split(":")
-    try:
-        if parts[0] == "halfspace" and len(parts) == 3:
-            return HalfSpace(int(parts[1]), float(parts[2]))
-        if parts[0] == "ball" and len(parts) == 3:
-            return CenteredBall(int(parts[1]), float(parts[2]))
-        if parts[0] == "origin" and len(parts) == 2:
-            return Origin(int(parts[1]))
-        if parts[0] == "fullspace" and len(parts) == 2:
-            return FullSpace(int(parts[1]))
-    except ValueError as exc:
-        raise ValueError(f"bad set descriptor {text!r}: {exc}") from exc
-    raise ValueError(
-        f"unknown set descriptor {text!r} (expected halfspace:d:u, ball:d:rho, "
-        "origin:d, fullspace:d)"
-    )
+    for descriptor, (make, *convert) in family.items():
+        fields = descriptor.split(":")
+        if fields[0] == parts[0] and len(fields) == len(parts):
+            try:
+                return make(*(f(x) for f, x in zip(convert, parts[1:])))
+            except ValueError as exc:
+                raise ValueError(f"bad set descriptor {text!r}: {exc}") from exc
+    raise ValueError(f"unknown set descriptor {text!r} (expected {', '.join(family)})")
 
 
 def _exact_cell(x: PiScalar) -> dict:
@@ -113,29 +105,30 @@ def _nonnegative(**values) -> None:
             raise ValueError(f"--{flag.replace('_', '-')} must be nonnegative")
 
 
+# table name -> (index name, exact value at that index)
+EXACT_TABLES = {
+    "omega": ("n", omega),
+    "alpha": ("n", alpha),
+    "gkf": ("k", gkf_coefficient),
+}
+
+
 def cmd_tables(args) -> tuple[list[dict], int]:
     _nonnegative(max=args.max, N=args.N)
-    rows = []
-    if args.what == "omega":
-        for n in range(args.max + 1):
-            rows.append({"n": n, **_exact_cell(omega(n))})
-    elif args.what == "alpha":
-        for n in range(args.max + 1):
-            rows.append({"n": n, **_exact_cell(alpha(n))})
-    elif args.what == "gkf":
-        for k in range(args.max + 1):
-            rows.append({"k": k, **_exact_cell(gkf_coefficient(k))})
-    elif args.what == "mu_ball":
-        if args.N is None:
-            raise ValueError("mu_ball table needs --N")
-        for k in range(min(args.max, args.N) + 1):
-            if args.N <= EXACT_N_CAP:
-                mu = omega(args.N) * omega(args.N - k).reciprocal() * math.comb(args.N, k)
-                rows.append({"k": k, **_exact_cell(mu)})
-            else:
-                rows.append({"k": k, "symbolic": "", "value": mu_on_euclidean_ball(k, args.N)})
-    else:
+    if args.what in EXACT_TABLES:
+        index, value = EXACT_TABLES[args.what]
+        return [{index: n, **_exact_cell(value(n))} for n in range(args.max + 1)], 0
+    if args.what != "mu_ball":
         raise ValueError(f"unknown table {args.what!r}")
+    if args.N is None:
+        raise ValueError("mu_ball table needs --N")
+    rows = []
+    for k in range(min(args.max, args.N) + 1):
+        if args.N <= EXACT_N_CAP:
+            mu = omega(args.N) * omega(args.N - k).reciprocal() * math.comb(args.N, k)
+            rows.append({"k": k, **_exact_cell(mu)})
+        else:
+            rows.append({"k": k, "symbolic": "", "value": mu_on_euclidean_ball(k, args.N)})
     return rows, 0
 
 
@@ -161,7 +154,7 @@ def cmd_nu(args) -> tuple[list[dict], int]:
     k_max = min(args.k_max if args.k_max is not None else args.N, args.N)
     values = None
     if args.D is not None:
-        D = parse_gauss_set(args.D)
+        D = parse_set(args.D, GAUSS_SETS)
         values = nu_values_on_set(pull_back_set(D, args.N), k_max)
     rows = []
     for k in range(k_max + 1):
@@ -174,15 +167,15 @@ def cmd_nu(args) -> tuple[list[dict], int]:
 
 
 def cmd_predict(args) -> tuple[list[dict], int]:
-    A = parse_unit_set(args.A)
-    D = parse_gauss_set(args.D)
+    A = parse_set(args.A, UNIT_SETS)
+    D = parse_set(args.D, GAUSS_SETS)
     value = gkf_predict(A, D, args.m)
     return [{"A": args.A, "D": args.D, "m": args.m, "prediction": value}], 0
 
 
 def cmd_simulate(args) -> tuple[list[dict], int]:
-    A = parse_unit_set(args.A)
-    D = parse_gauss_set(args.D)
+    A = parse_set(args.A, UNIT_SETS)
+    D = parse_set(args.D, GAUSS_SETS)
     rng = RngStream(args.seed, args.stream)
     m = args.m if args.m == "top" else int(args.m)
     law_n = None if args.law == "infinity" else int(args.law)
@@ -210,7 +203,7 @@ def cmd_simulate(args) -> tuple[list[dict], int]:
 def cmd_converge(args) -> tuple[list[dict], int]:
     n_list = tuple(int(x) for x in args.N_list.split(","))
     if args.mode == "nu":
-        D = parse_gauss_set(args.D) if args.D else CenteredBall(2, 1.0)
+        D = parse_set(args.D, GAUSS_SETS) if args.D else CenteredBall(2, 1.0)
         if not isinstance(D, CenteredBall):
             raise ValueError("nu convergence expects a ball descriptor")
         return nu_convergence(D.d, D.rho, args.k_max, n_list), 0
@@ -230,8 +223,11 @@ def cmd_converge(args) -> tuple[list[dict], int]:
         ]
         return rows, 0
     if args.mode == "law":
-        A = parse_unit_set(args.A)
-        D = parse_gauss_set(args.D) if args.D else CenteredBall(2, 1.0)
+        A = parse_set(args.A, UNIT_SETS)
+        D = parse_set(args.D, GAUSS_SETS) if args.D else CenteredBall(2, 1.0)
+        # each finite-N prediction rejects an unsupported pair before any draw
+        for N in n_list:
+            pi_n_prediction(A, D, N, 0)
         rows = []
         runs = [(None, args.stream)]
         runs += [(N, args.stream + 1 + i) for i, N in enumerate(n_list)]
@@ -369,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("tables", help="exact constant grids", parents=[common])
-    p.add_argument("--what", choices=("omega", "alpha", "gkf", "mu_ball"), required=True)
+    p.add_argument("--what", choices=(*EXACT_TABLES, "mu_ball"), required=True)
     p.add_argument("--max", type=int, default=10)
     p.add_argument("--N", type=int, default=None)
     p.set_defaults(handler=cmd_tables)

@@ -26,6 +26,7 @@ from .model_sets import (
     UnitGreatSubsphere,
     UnitSphere,
     ball_volume_fraction,
+    top_degree,
 )
 from .rng import RngStream
 from .sampling import pi_infinity_batch, pi_n_batch, uniform_sphere_batch
@@ -124,7 +125,7 @@ def pi_n_prediction(A: ModelSet, D: GaussSet, N: int, m: int) -> float:
     2^m sum_p binom(m/2 + p, p) sigma_(n-m-2p)(trace of D), n = dim A."""
     if not isinstance(A, (UnitSphere, UnitGreatSubsphere)):
         raise ValueError("finite-N prediction supports spheres and subspheres")
-    n_embed = _top_degree(A)
+    n_embed = top_degree(A)
     if n_embed > N:
         raise ValueError(f"a {n_embed}-sphere does not embed in S^{N}")
     if m > n_embed:
@@ -135,18 +136,12 @@ def pi_n_prediction(A: ModelSet, D: GaussSet, N: int, m: int) -> float:
 # -- the main estimator ---------------------------------------------------------
 
 
-def _top_degree(A: ModelSet) -> int:
-    if isinstance(A, UnitGreatSubsphere):
-        return A.m
-    return A.n
-
-
 def _resolve_degree(A: ModelSet, m) -> int:
     if m == "top":
-        return _top_degree(A)
+        return top_degree(A)
     if m in (0, "0"):
         return 0
-    if isinstance(m, int) and m == _top_degree(A):
+    if isinstance(m, int) and m == top_degree(A):
         return m
     raise ValueError("degree must be 0 or 'top'")
 
@@ -249,7 +244,7 @@ def nu_convergence(
     gammas = gamma(D, k_max)
     rows = []
     for N in N_list:
-        values = nu_values_on_set(pull_back_set(D, N), k_max)
+        values = nu_values_on_set(pull_back_set(D, N), min(k_max, N))
         for k, value in enumerate(values):
             limit = nu_limit_constant(k) * gammas[k]
             # when the limit vanishes exactly (it does for the unit ball in

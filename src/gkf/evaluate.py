@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .bases import Basis, EXACT_N_CAP, ValuationVector, change_basis
+from .bases import Basis, ValuationVector, change_basis
 from .model_sets import (
     AmbientSphere,
     GeodesicBall,
@@ -33,6 +33,7 @@ from .model_sets import (
     UnitSphere,
     ball_volume_fraction,
     curvature_profile,
+    top_degree,
     tube_volume_fraction,
 )
 from .scalars import PiScalar, _double_factorial, float_of, log_alpha, log_omega
@@ -266,14 +267,9 @@ def t_power_unit(model_set: ModelSet, j: int):
     """t^j of a unit-side model set; exact for spheres and great subspheres,
     float for caps (which go through the geodesic-ball machinery on the
     rescaled sphere and degree-j homogeneity)."""
-    if isinstance(model_set, UnitSphere):
-        if j > model_set.n:
-            return PiScalar.zero()
-        return lk_unit_sphere(model_set.n, j)
-    if isinstance(model_set, UnitGreatSubsphere):
-        if j > model_set.m:
-            return PiScalar.zero()
-        return lk_unit_sphere(model_set.m, j)
+    if isinstance(model_set, (UnitSphere, UnitGreatSubsphere)):
+        s = top_degree(model_set)
+        return lk_unit_sphere(s, j) if j <= s else PiScalar.zero()
     if isinstance(model_set, UnitCap):
         n, theta = model_set.n, model_set.theta
         if j > n:
@@ -304,9 +300,11 @@ def evaluate(v: ValuationVector, model_set: ModelSet):
 
     Sphere-side evaluation converts to the curvature basis; the result is an
     exact scalar when every curvature value is (great subspheres, the whole
-    sphere, the point) and a float otherwise.  Unit-side sets take vectors
-    in the T basis interpreted as intrinsic generator powers of the unit
-    sphere.
+    sphere, the point) and a float otherwise.  The exact conversion to TAU is
+    capped at N = 64 by `bases`; a TAU vector needs none and pairs at any N,
+    up to `tau_evaluate`'s refusal of a tau_k past the float range.
+    Unit-side sets take vectors in the T basis interpreted as intrinsic
+    generator powers of the unit sphere.
     """
     if isinstance(model_set, UNIT_SIDE):
         n = model_set.n
@@ -321,22 +319,5 @@ def evaluate(v: ValuationVector, model_set: ModelSet):
     N = model_set.N
     if v.N != N:
         raise ValueError("vector and set dimensions differ")
-
-    # dedicated large-N route for generator powers on balls
-    if N > EXACT_N_CAP:
-        if (
-            isinstance(model_set, GeodesicBall)
-            and v.basis == Basis.U
-            and sum(1 for c in v.coeffs if c) <= 1
-        ):
-            for k, c in enumerate(v.coeffs):
-                if c:
-                    return float_of(c) * u_power_on_ball(k, N, model_set.r)
-            return 0.0
-        raise ValueError(
-            f"exact evaluation capped at N = {EXACT_N_CAP}; "
-            "use the dedicated large-N helpers"
-        )
-
     in_tau = change_basis(v, Basis.TAU)
     return _pair(in_tau.coeffs, [tau_evaluate(k, model_set) for k in range(N + 1)])

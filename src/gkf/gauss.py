@@ -29,7 +29,7 @@ from scipy.special import gammainc, ndtr
 
 from .evaluate import t_power_unit
 from .kinematics import gkf_coefficient
-from .model_sets import UNIT_SIDE, ModelSet, UnitCap, UnitSphere
+from .model_sets import UNIT_SIDE, ModelSet, UnitCap, top_degree
 from .scalars import PiScalar, float_of, float_times_exp, gamma_half
 from .series import sqrt_pow
 
@@ -79,17 +79,6 @@ class FullSpace:
 
 
 GaussSet = Union[HalfSpace, CenteredBall, Origin, FullSpace]
-
-
-@dataclass(frozen=True)
-class GammaVector:
-    """Tube-measure derivatives gamma_0 ... gamma_kmax at radius zero."""
-
-    d: int
-    values: tuple[float, ...]
-
-    def __getitem__(self, k: int) -> float:
-        return self.values[k]
 
 
 def _chi_cdf(t: float, d: int) -> float:
@@ -177,15 +166,16 @@ def _derivative_numerators(
     return c_d * Fraction(1, 1 << e * (d - 1)), x, e, r
 
 
-def gamma(D: GaussSet, k_max: int) -> GammaVector:
-    """One-sided derivatives of the tube measure at radius zero; the tube
-    measure is analytic there for every supported set, so these are the
-    coefficients of its power series.  Each gamma_k with k >= 1 is its exact
-    part rounded once; a value beyond the float range raises ValueError."""
+def gamma(D: GaussSet, k_max: int) -> tuple[float, ...]:
+    """One-sided derivatives gamma_0 ... gamma_k_max of the tube measure at
+    radius zero; the tube measure is analytic there for every supported set,
+    so these are the coefficients of its power series.  Each gamma_k with
+    k >= 1 is its exact part rounded once; a value beyond the float range
+    raises ValueError."""
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     if isinstance(D, FullSpace):
-        return GammaVector(D.d, (1.0,) + (0.0,) * k_max)
+        return (1.0,) + (0.0,) * k_max
     values = [gauss_measure_tube(D, 0.0)]
     if k_max >= 1:
         F, x, e, r = _derivative_numerators(D, k_max - 1)
@@ -193,7 +183,7 @@ def gamma(D: GaussSet, k_max: int) -> GammaVector:
             float_times_exp(F * Fraction(r[j], 1 << e * j), -0.5 * x * x)
             for j in range(k_max)
         )
-    return GammaVector(D.d, tuple(values))
+    return tuple(values)
 
 
 # -- finite-difference oracle -------------------------------------------------
@@ -299,7 +289,7 @@ def gkf_predict(A: ModelSet, D: GaussSet, m: int) -> float:
         raise ValueError("degree must lie between 0 and the dimension of the set")
     if isinstance(A, UnitCap):
         return _cap_prediction(A, D, m)
-    s = A.n if isinstance(A, UnitSphere) else A.m
+    s = top_degree(A)
     gamma_0 = Fraction(gauss_measure_tube(D, 0.0))
     head = float_times_exp(t_power_unit(A, m) * gamma_0, 0.0)
     k_top = s - m

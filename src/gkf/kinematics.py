@@ -24,7 +24,6 @@ from .bases import (
     EXACT_N_CAP,
     ZERO,
     Basis,
-    ValuationVector,
     _apply,
     _dense,
     nu_in_sigma_column,
@@ -206,31 +205,6 @@ def p_chi(N: int, sigma_sigma: bool = False) -> KinematicTensor:
         for k in range(N + 1)
     }
     return KinematicTensor._sparse(N, Basis.U, Basis.SIGMA, entries)
-
-
-@dataclass(frozen=True)
-class NuTable:
-    """The dual family: row k holds nu_k in SIGMA coordinates."""
-
-    N: int
-    rows: tuple[tuple[PiScalar, ...], ...]
-
-    def vector(self, k: int) -> ValuationVector:
-        return ValuationVector(self.N, Basis.SIGMA, self.rows[k])
-
-    def row_fractions(self, k: int) -> tuple[tuple[int, Fraction], ...]:
-        return tuple(
-            (i, c.as_fraction()) for i, c in enumerate(self.rows[k]) if c
-        )
-
-
-def nu_table(N: int) -> NuTable:
-    """nu_k as the u^k-coefficient rows of the kinematic image of chi in its
-    U (x) SIGMA form, that is the nu columns `bases.nu_in_sigma_column(k)`;
-    `nu_defining_identity_holds` checks them against the telescoped
-    SIGMA (x) SIGMA form."""
-    tensor = p_chi(N)
-    return NuTable(N, tensor.rows)
 
 
 def nu_defining_identity_holds(N: int) -> bool:

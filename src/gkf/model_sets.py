@@ -118,6 +118,12 @@ ModelSet = Union[
 UNIT_SIDE = (UnitSphere, UnitGreatSubsphere, UnitCap)
 
 
+def top_degree(A: ModelSet) -> int:
+    """The dimension of a unit-side set, the top degree at which its
+    generator powers can be nonzero."""
+    return A.m if isinstance(A, UnitGreatSubsphere) else A.n
+
+
 @dataclass(frozen=True)
 class PrincipalCurvatureProfile:
     """Boundary data of an isoparametric domain: total boundary measure (kept
@@ -202,10 +208,8 @@ def euler_characteristic(model_set: ModelSet) -> int:
         return 1 + (-1) ** model_set.j
     if isinstance(model_set, SubsphereTube):
         return 1 + (-1) ** (model_set.N - model_set.d)
-    if isinstance(model_set, UnitSphere):
-        return 1 + (-1) ** model_set.n
-    if isinstance(model_set, UnitGreatSubsphere):
-        return 1 + (-1) ** model_set.m
+    if isinstance(model_set, (UnitSphere, UnitGreatSubsphere)):
+        return 1 + (-1) ** top_degree(model_set)
     if isinstance(model_set, UnitCap):
         return 1
     raise TypeError(f"unknown model set {model_set!r}")

@@ -10,9 +10,8 @@ arithmetic and equality is structural.
 
 Also provides the named geometric constants: omega(n), the volume of the
 n-dimensional unit ball, alpha(n) = (n+1)*omega(n+1), the surface measure of
-the unit n-sphere, Gamma at half-integers, and generalized binomial
-coefficients, plus log-scale float versions used by the large-dimension
-evaluation paths.
+the unit n-sphere, and Gamma at half-integers, plus log-scale float versions
+used by the large-dimension evaluation paths.
 """
 
 from __future__ import annotations
@@ -343,19 +342,6 @@ def omega(n: int) -> PiScalar:
 def alpha(n: int) -> PiScalar:
     """Surface measure of the unit n-sphere: (n+1) * omega(n+1)."""
     return omega(n + 1) * (n + 1)
-
-
-def generalized_binomial(top, j: int) -> Fraction:
-    """binom(top, j) = top (top-1) ... (top-j+1) / j! for half-integer top."""
-    if j < 0:
-        raise ValueError("lower index must be nonnegative")
-    top = Fraction(top)
-    if top.denominator not in (1, 2):
-        raise ValueError("upper index must be an integer or half-integer")
-    num = Fraction(1)
-    for i in range(j):
-        num *= top - i
-    return num / math.factorial(j)
 
 
 # -- float/log-scale companions used by the large-N evaluation paths ----

@@ -12,16 +12,15 @@ from scipy.integrate import quad
 from scipy.special import betainc, gammainc, ndtr
 
 from gkf.bases import ZERO, Basis, nu_in_sigma_column
-from gkf.drivers import _top_degree, pull_back_set
+from gkf.drivers import pull_back_set
 from gkf.evaluate import sigma_evaluate, t_power_unit, tau_evaluate, u_power_on_ball
 from gkf.functionals import gauss_set_membership, sample_uniform_on
 from gkf.gauss import CenteredBall, FullSpace, GaussSet, HalfSpace, gauss_measure_tube
 from gkf.kinematics import KinematicTensor, gkf_coefficient, nu_values_on_set
-from gkf.model_sets import GeodesicBall, GreatSubsphere, ModelSet, SubsphereTube
+from gkf.model_sets import GeodesicBall, GreatSubsphere, ModelSet, SubsphereTube, top_degree
 from gkf.scalars import (
     PiScalar,
     float_of,
-    generalized_binomial,
     log_alpha,
     log_omega,
     omega,
@@ -34,6 +33,19 @@ from gkf.series import sqrt_pow
 # A series is a tuple of N+1 exact coefficients; the bridge columns below are
 # built the long way, as powers of one generator series by repeated
 # truncated products, with the base series taken from generalized_binomial.
+
+
+def generalized_binomial(top, j: int) -> Fraction:
+    """binom(top, j) = top (top-1) ... (top-j+1) / j! for half-integer top."""
+    if j < 0:
+        raise ValueError("lower index must be nonnegative")
+    top = Fraction(top)
+    if top.denominator not in (1, 2):
+        raise ValueError("upper index must be an integer or half-integer")
+    num = Fraction(1)
+    for i in range(j):
+        num *= top - i
+    return num / math.factorial(j)
 
 
 def omega_float(n: int) -> float:
@@ -330,7 +342,7 @@ def pi_n_prediction_nu_route(A: ModelSet, D: GaussSet, N: int, m: int) -> float:
     2^m sum_k u^(m+k)(A embedded in S^N) nu_k(trace of D).  Its terms
     alternate in sign, so it loses every digit as the dimension of A grows
     (about n = 100 at N = 200)."""
-    n_embed = _top_degree(A)
+    n_embed = top_degree(A)
     nu_vals = nu_values_on_set(pull_back_set(D, N), n_embed - m)
     total = 0.0
     for k in range(0, n_embed - m + 1):

@@ -19,11 +19,12 @@ from gkf.bases import (
     lk_multiply,
     nu_in_sigma_column,
 )
-from gkf.scalars import PiScalar, generalized_binomial, omega
+from gkf.scalars import PiScalar, omega
 from gkf.series import binomial_x2_series, sqrt_pow, u_power_in_sigma
 
 from oracles import (
     binomial_series,
+    generalized_binomial,
     phi_in_t,
     power_columns,
     route_product,
@@ -436,6 +437,26 @@ class TestBinomialRecurrences:
             assert entry_sets(matrix) == entry_sets(columns), (a, b)
 
 
+class TestVectorAddition:
+    def test_sum_commutes_with_change_of_basis(self):
+        N = 6
+        rng = random.Random(5)
+        a, b = random_vector(N, Basis.SIGMA, rng), random_vector(N, Basis.SIGMA, rng)
+        total = a + b
+        assert total.coeffs == tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
+        for target in (Basis.T, Basis.NU):
+            assert change_basis(total, target) == (
+                change_basis(a, target) + change_basis(b, target)
+            )
+
+    def test_mismatched_operands_rejected(self):
+        rng = random.Random(6)
+        a = random_vector(6, Basis.SIGMA, rng)
+        for other in (random_vector(6, Basis.T, rng), random_vector(7, Basis.SIGMA, rng)):
+            with pytest.raises(ValueError, match="mismatched"):
+                a + other
+
+
 class TestMultiplication:
     def test_unit_element(self):
         N = 9
@@ -444,6 +465,19 @@ class TestMultiplication:
         out = lk_multiply(change_basis(chi_vector(N), Basis.U), v)
         assert out.basis == Basis.U
         assert out.coeffs == v.coeffs
+
+    def test_mixed_operands_take_the_left_basis(self):
+        # the T <-> U bridge is a substitution of one generator series, so
+        # the product does not depend on the basis it is taken in
+        N = 7
+        rng = random.Random(11)
+        a, b = random_vector(N, Basis.T, rng), random_vector(N, Basis.U, rng)
+        in_t = lk_multiply(a, b)
+        assert in_t.basis == Basis.T
+        assert in_t == lk_multiply(a, change_basis(b, Basis.T))
+        in_u = lk_multiply(b, a)
+        assert in_u.basis == Basis.U
+        assert change_basis(in_u, Basis.T) == in_t
 
     def test_power_addition_and_truncation(self):
         N = 6

@@ -5,10 +5,11 @@ import math
 
 import pytest
 
-from gkf.cli import main, parse_gauss_set, parse_unit_set
+from gkf.cli import GAUSS_SETS, UNIT_SETS, main, parse_set
 from gkf.gauss import CenteredBall, FullSpace, HalfSpace, Origin
 from gkf.model_sets import UnitCap, UnitGreatSubsphere, UnitSphere
 from gkf.rng import RngStream
+from gkf.scalars import float_of, omega
 
 
 def run_cli(argv, capsys):
@@ -30,20 +31,34 @@ def canonical(document):
 
 class TestDescriptors:
     def test_unit_sets(self):
-        assert parse_unit_set("sphere:3") == UnitSphere(3)
-        assert parse_unit_set("cap:2:0.7") == UnitCap(2, 0.7)
-        assert parse_unit_set("subsphere:5:2") == UnitGreatSubsphere(5, 2)
+        assert parse_set("sphere:3", UNIT_SETS) == UnitSphere(3)
+        assert parse_set("cap:2:0.7", UNIT_SETS) == UnitCap(2, 0.7)
+        assert parse_set("subsphere:5:2", UNIT_SETS) == UnitGreatSubsphere(5, 2)
 
     def test_gauss_sets(self):
-        assert parse_gauss_set("halfspace:1:0.5") == HalfSpace(1, 0.5)
-        assert parse_gauss_set("ball:2:1.0") == CenteredBall(2, 1.0)
-        assert parse_gauss_set("origin:3") == Origin(3)
-        assert parse_gauss_set("fullspace:2") == FullSpace(2)
+        assert parse_set("halfspace:1:0.5", GAUSS_SETS) == HalfSpace(1, 0.5)
+        assert parse_set("ball:2:1.0", GAUSS_SETS) == CenteredBall(2, 1.0)
+        assert parse_set("origin:3", GAUSS_SETS) == Origin(3)
+        assert parse_set("fullspace:2", GAUSS_SETS) == FullSpace(2)
 
     def test_bad_descriptors(self):
-        for text in ("sphere", "cap:2", "blob:1", "ball:x:1"):
-            with pytest.raises(ValueError):
-                parse_gauss_set(text) if text.startswith(("ball", "blob")) else parse_unit_set(text)
+        unit = "(expected sphere:n, cap:n:theta, subsphere:n:m)"
+        gauss = "(expected halfspace:d:u, ball:d:rho, origin:d, fullspace:d)"
+        for text, family, message in [
+            ("sphere", UNIT_SETS, f"unknown set descriptor 'sphere' {unit}"),
+            ("cap:2", UNIT_SETS, f"unknown set descriptor 'cap:2' {unit}"),
+            ("blob:1", GAUSS_SETS, f"unknown set descriptor 'blob:1' {gauss}"),
+            ("origin:2:3", GAUSS_SETS, f"unknown set descriptor 'origin:2:3' {gauss}"),
+            ("ball:x:1", GAUSS_SETS,
+             "bad set descriptor 'ball:x:1': invalid literal for int() with base 10: 'x'"),
+            ("cap:2:9", UNIT_SETS,
+             "bad set descriptor 'cap:2:9': cap angle must lie in (0, pi/2]"),
+            ("ball:2:-1", GAUSS_SETS,
+             "bad set descriptor 'ball:2:-1': radius must be positive and finite"),
+        ]:
+            with pytest.raises(ValueError) as info:
+                parse_set(text, family)
+            assert str(info.value) == message
 
 
 class TestTables:
@@ -63,6 +78,27 @@ class TestTables:
         assert code == 0
         assert doc["results"][0]["value"] == 1.0
         assert doc["results"][2]["value"] == 0.25
+
+    def test_mu_ball_exact_cells(self, capsys):
+        N = 10
+        code, doc = run_json(["tables", "--what", "mu_ball", "--N", str(N)], capsys)
+        assert code == 0
+        assert [row["k"] for row in doc["results"]] == list(range(N + 1))
+        for k, row in enumerate(doc["results"]):
+            exact = omega(N) * omega(N - k).reciprocal() * math.comb(N, k)
+            assert row["symbolic"] == str(exact)
+            assert row["value"] == float_of(exact)
+
+    def test_mu_ball_above_exact_cap(self, capsys):
+        # above N = 64 the cells are floats from the log-scale route
+        N = 70
+        code, doc = run_json(["tables", "--what", "mu_ball", "--N", str(N)], capsys)
+        assert code == 0
+        assert [row["k"] for row in doc["results"]] == list(range(11))
+        for k, row in enumerate(doc["results"]):
+            exact = float_of(omega(N) * omega(N - k).reciprocal() * math.comb(N, k))
+            assert row["symbolic"] == ""
+            assert row["value"] == pytest.approx(exact, rel=1e-12)
 
     def test_mu_ball_requires_n(self, capsys):
         code, _ = run_cli(["tables", "--what", "mu_ball"], capsys)
@@ -307,6 +343,15 @@ class TestConverge:
         assert code == 0
         assert [row["k"] for row in doc["results"]] == [0, 0]
 
+    def test_nu_mode_clamps_k_max_to_n(self, capsys):
+        # as `gkf nu` does, each N reports the degrees k <= N only
+        code, doc = run_json(
+            ["converge", "--mode", "nu", "--N-list", "4,8", "--k-max", "6"], capsys
+        )
+        assert code == 0
+        rows = [(row["N"], row["k"]) for row in doc["results"]]
+        assert rows == [(4, k) for k in range(5)] + [(8, k) for k in range(7)]
+
     def test_poincare_mode(self, capsys):
         code, doc = run_json(
             ["converge", "--mode", "poincare", "--N-list", "200", "--samples",
@@ -349,6 +394,25 @@ class TestConverge:
         code, out = run_cli(argv, capsys)
         assert code == 2
         assert out == ""
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--A", "cap:2:1.0", "--D", "halfspace:1:0.5", "--N-list", "50"],
+             "spheres and subspheres"),
+            (["--A", "sphere:2", "--N-list", "1"], "does not embed in S^1"),
+        ],
+    )
+    def test_law_mode_refuses_before_drawing(self, capsys, monkeypatch, flags, message):
+        def no_draw(self):
+            raise AssertionError("drew before checking the finite-N predictions")
+
+        monkeypatch.setattr(RngStream, "generator", no_draw)
+        code = main(["converge", "--mode", "law", "--samples", "100000", *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert message in captured.err
 
     @pytest.mark.parametrize("samples", ["0", "1"])
     def test_too_few_samples_exit_two(self, capsys, samples):

@@ -411,11 +411,24 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(chi_vector(4), UnitSphere(5))
 
-    def test_large_n_single_u_power_fast_path(self):
+    def test_large_n_u_power_refused(self):
+        # u^k on a ball above the exact cap has its own entry point, and the
+        # refusal names it
         N = 2000
         v = basis_element(N, Basis.U, 2)
-        ball = GeodesicBall(N, 0.5)
-        assert evaluate(v, ball) == pytest.approx(u_power_on_ball(2, N, 0.5), rel=1e-12)
+        with pytest.raises(ValueError, match="capped at N = 64") as info:
+            evaluate(v, GeodesicBall(N, 0.5))
+        for helper in ("u_power_on_ball", "sigma_evaluate", "nu_values_on_set"):
+            assert helper in str(info.value)
+
+    def test_large_n_tau_vector_needs_no_conversion(self):
+        N = 2000
+        v = basis_element(N, Basis.TAU, 3) + basis_element(N, Basis.TAU, 5).scale(2)
+        assert evaluate(v, GreatSubsphere(N, 3)) == 2 * sqrt_pow(4 * N, 3)
+        N, ball = 100, GeodesicBall(100, 0.5)
+        v = basis_element(N, Basis.TAU, 0) + basis_element(N, Basis.TAU, 7).scale(-3)
+        expected = tau_evaluate(0, ball) - 3 * tau_evaluate(7, ball)
+        assert evaluate(v, ball) == pytest.approx(expected, rel=1e-14)
 
     def test_large_n_general_vector_rejected(self):
         N = 100

@@ -91,7 +91,7 @@ class TestTubeMeasure:
 class TestGammaFamily:
     def test_full_space_derivatives_vanish(self):
         g = gamma(FullSpace(3), 5)
-        assert g.values == (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        assert g == (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_half_space_first_derivative(self):
         for u in [0.0, 0.8, 2.0]:
@@ -122,13 +122,13 @@ class TestGammaFamily:
     def test_exact_table_matches_float_recurrences(self, D):
         # at low orders the float Hermite and radial-polynomial recurrences
         # keep their digits, so the exact table must agree with them
-        for exact, floated in zip(gamma(D, 12).values, gamma_float_route(D, 12)):
+        for exact, floated in zip(gamma(D, 12), gamma_float_route(D, 12)):
             assert exact == pytest.approx(floated, rel=1e-13, abs=1e-300)
 
     def test_high_orders_finite_or_refused(self):
         # the float radial polynomials overflowed here; each exact value is
         # rounded once, and a value past the float range is refused
-        values = gamma(CenteredBall(3, 2.0), 300).values
+        values = gamma(CenteredBall(3, 2.0), 300)
         assert all(math.isfinite(v) for v in values)
         assert abs(values[300]) > 1e300
         with pytest.raises(ValueError, match="float range"):

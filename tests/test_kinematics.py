@@ -19,7 +19,6 @@ from gkf.kinematics import (
     KinematicTensor,
     gkf_coefficient,
     nu_defining_identity_holds,
-    nu_table,
     p_chi,
     p_sigma,
     p_tau,
@@ -27,11 +26,12 @@ from gkf.kinematics import (
     tube_volume_identity,
 )
 from gkf.model_sets import GeodesicBall, GreatSubsphere, SubsphereTube
-from gkf.scalars import PiScalar, float_of, generalized_binomial, omega
+from gkf.scalars import PiScalar, float_of, omega
 from gkf.series import sqrt_pow
 
 from oracles import (
     chi_rows,
+    generalized_binomial,
     diagonal_sum_rows,
     pair_tensor,
     printed_nu_closed_form,
@@ -314,29 +314,19 @@ class TestNuFamily:
         assert nu_defining_identity_holds(N)
 
     def test_bottom_rows(self):
-        table = nu_table(12)
-        assert table.row_fractions(0) == ((0, HALF),)
-        assert table.row_fractions(1) == ((1, HALF),)
-        assert table.row_fractions(2) == ((2, HALF),)
+        assert nu_in_sigma_column(0) == ((0, HALF),)
+        assert nu_in_sigma_column(1) == ((1, HALF),)
+        assert nu_in_sigma_column(2) == ((2, HALF),)
 
     def test_closed_forms_match_extraction(self):
         # the even-degree closed form carries sign (-1)^(k-1-j); with that
         # reading the printed family agrees with the extraction for all k
-        table = nu_table(20)
         for k in range(21):
-            assert table.row_fractions(k) == printed_nu_closed_form(k)
+            assert nu_in_sigma_column(k) == printed_nu_closed_form(k)
 
     def test_printed_even_sign_would_fail(self):
         # the (-1)^j variant flips nu_4: extraction gives (sigma_4 - sigma_2)/2
-        table = nu_table(10)
-        assert dict(table.row_fractions(4)) == {2: Fraction(-1, 2), 4: HALF}
-
-    def test_vector_accessor(self):
-        table = nu_table(6)
-        v = table.vector(3)
-        assert v.basis == Basis.SIGMA
-        assert v.coeff(3) == HALF
-        assert v.coeff(1) == Fraction(-1, 4)
+        assert dict(nu_in_sigma_column(4)) == {2: Fraction(-1, 2), 4: HALF}
 
 
 class TestUPowerOperator:
@@ -353,9 +343,9 @@ class TestUPowerOperator:
     def test_shifted_rows_are_nu_rows(self):
         N, m = 8, 2
         tensor = p_u_power(m, N)
-        table = nu_table(N)
+        chi = p_chi(N)
         for k in range(N + 1 - m):
-            assert tensor.rows[m + k] == table.rows[k]
+            assert tensor.rows[m + k] == chi.rows[k]
 
 
 class TestGreatSubsphereUPowers:

@@ -13,12 +13,11 @@ from gkf.scalars import (
     float_of,
     float_times_exp,
     gamma_half,
-    generalized_binomial,
     log_omega,
     omega,
 )
 
-from oracles import omega_float
+from oracles import generalized_binomial, omega_float
 
 PI = PiScalar.pi_power(2)
 SQRT_PI = PiScalar.pi_power(1)
@@ -61,6 +60,16 @@ class TestRingArithmetic:
             assert (a + b) + c == a + (b + c)
             assert (a * b) * c == a * (b * c)
             assert a * (b + c) == a * b + a * c
+
+    def test_integer_powers(self):
+        x = 3 * SQRT_PI * PiScalar.sqrt_int(2)
+        assert x**0 == PiScalar.one()
+        assert x**1 == x
+        assert x**3 == x * x * x
+        assert x**-1 * x == 1
+        assert x**-2 == (x * x).reciprocal()
+        with pytest.raises(ValueError, match="multi-term"):
+            (PI + 1) ** -1
 
     def test_radical_normalization(self):
         # sqrt(8) = 2 sqrt(2); sqrt(2)*sqrt(6) = 2 sqrt(3); sqrt(9) = 3
