@@ -281,17 +281,19 @@ def t_power_unit(model_set: ModelSet, j: int):
 # -- the general evaluator --------------------------------------------------
 
 
-def _pair(coeffs, values):
-    """sum c_k * value_k: exact when every value is, float otherwise."""
-    if all(isinstance(val, PiScalar) for val in values):
+def _pair(coeffs, value, exact: bool):
+    """sum c_k * value(k) over the nonzero coefficients c_k, so a value the
+    vector does not contain is never computed: an exact scalar on a set
+    whose values are exact, a float otherwise (0.0 for a zero vector)."""
+    terms = [(c, value(k)) for k, c in enumerate(coeffs) if c]
+    if exact:
         out = PiScalar.zero()
-        for c, val in zip(coeffs, values):
+        for c, val in terms:
             out = out + c * val
         return out
     total = 0.0
-    for c, val in zip(coeffs, values):
-        if c:
-            total += float_of(c) * float_of(val)
+    for c, val in terms:
+        total += float_of(c) * float_of(val)
     return total
 
 
@@ -302,22 +304,24 @@ def evaluate(v: ValuationVector, model_set: ModelSet):
     exact scalar when every curvature value is (great subspheres, the whole
     sphere, the point) and a float otherwise.  The exact conversion to TAU is
     capped at N = 64 by `bases`; a TAU vector needs none and pairs at any N,
-    up to `tau_evaluate`'s refusal of a tau_k past the float range.
+    up to `tau_evaluate`'s refusal of a tau_k past the float range for a k
+    whose coefficient is nonzero.
     Unit-side sets take vectors in the T basis interpreted as intrinsic
     generator powers of the unit sphere.
     """
     if isinstance(model_set, UNIT_SIDE):
-        n = model_set.n
-        if v.N != n:
+        if v.N != model_set.n:
             raise ValueError("vector dimension must match the unit sphere")
         if v.basis != Basis.T:
             raise ValueError(
                 "unit-side sets pair with T-basis vectors (intrinsic powers)"
             )
-        return _pair(v.coeffs, [t_power_unit(model_set, j) for j in range(n + 1)])
+        exact = isinstance(model_set, (UnitSphere, UnitGreatSubsphere))
+        return _pair(v.coeffs, lambda j: t_power_unit(model_set, j), exact)
 
-    N = model_set.N
-    if v.N != N:
+    if v.N != model_set.N:
         raise ValueError("vector and set dimensions differ")
     in_tau = change_basis(v, Basis.TAU)
-    return _pair(in_tau.coeffs, [tau_evaluate(k, model_set) for k in range(N + 1)])
+    # sigma is exact at every index of a set or at none
+    exact = _exact_sigma(0, model_set) is not None
+    return _pair(in_tau.coeffs, lambda k: tau_evaluate(k, model_set), exact)

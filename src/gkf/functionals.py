@@ -18,11 +18,14 @@ elementwise over the batch axis with no per-matrix LAPACK call; above that
 cap the recurrence loses the sign pattern and eigvalsh counts instead.
 Both batch kernels refuse maps with non-finite entries.
 A triangulated Euler count on the 2-sphere serves as the independent oracle
-for the quadratic branch.  Subdivision only appends vertices, so each
-level's vertices are a prefix of the next level's and one quadric
-evaluation serves two levels; every edge lies in two faces, so the count
-V_in - (n_2 + 3 n_3) / 2 + n_3 needs only n_s, the number of faces with s
-inside vertices.
+for the quadratic branch.  Each level is built from the level below and
+its sorted edge list, in a few arrays the size of the new level: each face
+side is looked up among the edges of its lower end, and the new edges (two
+halves per old edge, three inner edges per split face) are listed once and
+sorted.  Subdivision only appends vertices, so each level's vertices are a
+prefix of the next level's and one quadric evaluation serves two levels;
+every edge lies in two faces, so the count V_in - (n_2 + 3 n_3) / 2 + n_3
+needs only n_s, the number of faces with s inside vertices.
 """
 
 from __future__ import annotations
@@ -235,36 +238,77 @@ def icosphere(depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     edges, faces).  Each level splits every face of the level below into
     four at its edge midpoints and appends the midpoints in order of first
     appearance, so the vertices of depth d are a prefix of those of depth
-    d + 1.  Edges are (lo, hi) rows in ascending order.  Cached per depth."""
+    d + 1.  Edges are (lo, hi) rows in ascending order.
+
+    A level is built from the level below and its edge list: each face
+    side is found among the edges of its lower end, which are consecutive
+    rows, and the new edges are listed once each (the two halves of every
+    old edge and the three inner edges of every split face) and sorted,
+    not read off the sides of the new faces.  Each temporary is dropped
+    once used, so a build peaks at about 1.25 times the arrays it returns.
+    Cached per depth."""
+    if not isinstance(depth, int) or depth < 0:
+        raise ValueError(f"icosphere depth must be a non-negative integer, got {depth!r}")
     if depth == 0:
         V = np.array([np.array(v) / np.linalg.norm(v) for v in _ICOSAHEDRON_VERTICES])
         F = np.array(_ICOSAHEDRON_FACES, dtype=np.int64)
-    else:
-        V_prev, _, F_prev = icosphere(depth - 1)
-        n = len(V_prev)
-        codes, first, inverse = np.unique(
-            _edge_codes(F_prev, n), return_index=True, return_inverse=True
-        )
-        # number the midpoints in the order a walk over the faces meets them
-        order = np.argsort(first)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        a, b, c = F_prev.T
-        ab, bc, ca = (n + rank[inverse]).reshape(-1, 3).T
-        lo, hi = np.divmod(codes[order], n)
-        mid = V_prev[lo] + V_prev[hi]
-        V = np.concatenate([V_prev, mid / np.linalg.norm(mid, axis=1, keepdims=True)])
-        F = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1).reshape(-1, 3)
-    # every edge lies in exactly two faces, so its code appears twice
-    n = len(V)
-    codes = np.sort(_edge_codes(F, n))[::2]
-    return V, np.stack(np.divmod(codes, n), axis=1), F
+        # every edge lies in exactly two faces, so its code appears twice
+        lo, hi = _face_sides(F)
+        codes = np.sort(lo * len(V) + hi)[::2]
+        return V, np.stack(np.divmod(codes, len(V)), axis=1), F
+    V_prev, E_prev, F_prev = icosphere(depth - 1)
+    n, n_mid = len(V_prev), len(E_prev)
+    # the edge of each side ab, bc, ca of each face: a vertex has at most
+    # six edges to higher vertices, so walk its rows until the higher end matches
+    lo, hi = _face_sides(F_prev)
+    side = np.searchsorted(E_prev[:, 0], np.arange(n))[lo]
+    higher = E_prev[:, 1]
+    while (step := higher[side] < hi).any():
+        side += step
+    del lo, hi, step
+    # number the midpoints in the order a walk over the faces first meets them
+    first = np.full(n_mid, len(side))
+    np.minimum.at(first, side, np.arange(len(side)))
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(n_mid)
+    mids = (n + rank[side]).reshape(-1, 3)
+    del side, first, rank
+    # faces (a, ab, ca), (b, bc, ab), (c, ca, bc) and the inner (ab, bc, ca)
+    F = np.empty((len(F_prev), 4, 3), dtype=np.int64)
+    F[:, :3, 0] = F_prev
+    F[:, :3, 1] = mids
+    F[:, :3, 2] = mids[:, [2, 0, 1]]
+    F[:, 3] = mids
+    F = F.reshape(-1, 3)
+    del mids
+    ends = E_prev.take(order, axis=0)
+    V = np.empty((n + n_mid, 3))
+    V[:n] = V_prev
+    mid = V[n:]
+    np.add(V_prev.take(ends[:, 0], axis=0), V_prev.take(ends[:, 1], axis=0), out=mid)
+    mid /= np.linalg.norm(mid, axis=1, keepdims=True)
+    n_new = len(V)
+    # the new edges: the halves (lo, m) and (hi, m) of each old edge, then
+    # the sides of each inner face
+    codes = np.empty(2 * n_mid + 3 * len(F_prev), dtype=np.int64)
+    halves = codes[: 2 * n_mid].reshape(n_mid, 2)
+    np.multiply(ends, n_new, out=halves)
+    halves += np.arange(n, n_new)[:, None]
+    del ends, halves
+    lo, hi = _face_sides(F[3::4])
+    codes[2 * n_mid :] = lo * n_new + hi
+    del lo, hi
+    codes.sort()
+    E = np.empty((len(codes), 2), dtype=np.int64)
+    np.divmod(codes, n_new, out=(E[:, 0], E[:, 1]))
+    return V, E, F
 
 
-def _edge_codes(F: np.ndarray, n: int) -> np.ndarray:
-    """lo * n + hi of the edges ab, bc, ca of every face abc, face by face."""
+def _face_sides(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) of the sides ab, bc, ca of every face abc, face by face."""
     a, b = F.ravel(), F[:, [1, 2, 0]].ravel()
-    return np.minimum(a, b) * n + np.maximum(a, b)
+    return np.minimum(a, b), np.maximum(a, b)
 
 
 @lru_cache(maxsize=None)
@@ -300,6 +344,11 @@ def mesh_chi_quadratic(F_map: np.ndarray, rho: float, max_depth: int = 9) -> int
     agree (the value is an integer, so stability is a sharp stopping rule)
     and refuse if none do by max_depth.  One quadric evaluation a level
     deeper serves the first two levels, whose vertices it holds as a prefix."""
+    if not isinstance(max_depth, int) or max_depth < _MESH_START_DEPTH + 1:
+        raise ValueError(
+            f"max_depth must be an integer of at least {_MESH_START_DEPTH + 1}: "
+            f"the count compares levels {_MESH_START_DEPTH} and {_MESH_START_DEPTH + 1} first"
+        )
     F_map = np.asarray(F_map, dtype=float)
     if F_map.ndim != 2 or F_map.shape[1] != 3:
         raise ValueError("map shape mismatch")

@@ -14,7 +14,12 @@ from scipy.special import betainc, gammainc, ndtr
 from gkf.bases import ZERO, Basis, nu_in_sigma_column
 from gkf.drivers import pull_back_set
 from gkf.evaluate import sigma_evaluate, t_power_unit, tau_evaluate, u_power_on_ball
-from gkf.functionals import gauss_set_membership, sample_uniform_on
+from gkf.functionals import (
+    _ICOSAHEDRON_FACES,
+    _ICOSAHEDRON_VERTICES,
+    gauss_set_membership,
+    sample_uniform_on,
+)
 from gkf.gauss import CenteredBall, FullSpace, GaussSet, HalfSpace, gauss_measure_tube
 from gkf.kinematics import KinematicTensor, gkf_coefficient, nu_values_on_set
 from gkf.model_sets import GeodesicBall, GreatSubsphere, ModelSet, SubsphereTube, top_degree
@@ -437,6 +442,37 @@ def chi_quadratic_eigvalsh(F_batch: np.ndarray, n: int, rho: float) -> np.ndarra
     signs = np.array([2 * (-1) ** (kernel_dim + i) for i in range(m)])
     base = (1 + (-1) ** (kernel_dim - 1)) if kernel_dim >= 1 else 0
     return base + (inside * signs).sum(axis=1)
+
+
+def icosphere_unique(depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The icosphere with each level's edges re-derived from its faces: one
+    np.unique over the face-side codes lo * n + hi numbers the midpoints in
+    order of first appearance, and the edges are the sorted side codes
+    taken every second entry (every edge lies in two faces)."""
+
+    def side_codes(F, n):
+        a, b = F.ravel(), F[:, [1, 2, 0]].ravel()
+        return np.minimum(a, b) * n + np.maximum(a, b)
+
+    V = np.array([np.array(v) / np.linalg.norm(v) for v in _ICOSAHEDRON_VERTICES])
+    F = np.array(_ICOSAHEDRON_FACES, dtype=np.int64)
+    for _ in range(depth):
+        n = len(V)
+        codes, first, inverse = np.unique(
+            side_codes(F, n), return_index=True, return_inverse=True
+        )
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        a, b, c = F.T
+        ab, bc, ca = (n + rank[inverse]).reshape(-1, 3).T
+        lo, hi = np.divmod(codes[order], n)
+        mid = V[lo] + V[hi]
+        V = np.concatenate([V, mid / np.linalg.norm(mid, axis=1, keepdims=True)])
+        F = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1).reshape(-1, 3)
+    n = len(V)
+    codes = np.sort(side_codes(F, n))[::2]
+    return V, np.stack(np.divmod(codes, n), axis=1), F
 
 
 def hit_fractions_einsum(

@@ -430,6 +430,35 @@ class TestEvaluate:
         expected = tau_evaluate(0, ball) - 3 * tau_evaluate(7, ball)
         assert evaluate(v, ball) == pytest.approx(expected, rel=1e-14)
 
+    def test_large_n_tau_vector_pairs_only_its_coefficients(self):
+        # tau_212 of this ball is past the float range, but the vector holds
+        # only tau_0
+        N, ball = 2000, GeodesicBall(2000, 3.0)
+        with pytest.raises(ValueError, match="tau_212 exceeds the float range"):
+            tau_evaluate(212, ball)
+        assert evaluate(basis_element(N, Basis.TAU, 0), ball) == tau_evaluate(0, ball)
+
+    @pytest.mark.parametrize(
+        "model_set", [GeodesicBall(6, 1.0), SubsphereTube(6, 2, 0.5), UnitCap(6, 0.8)]
+    )
+    def test_zero_vector_is_a_float_on_float_valued_sets(self, model_set):
+        value = evaluate(basis_element(6, Basis.T, 0).scale(0), model_set)
+        assert type(value) is float and value == 0.0
+
+    @pytest.mark.parametrize(
+        "model_set",
+        [
+            GreatSubsphere(6, 2),
+            AmbientSphere(6),
+            GeodesicBall(6, 0.0),
+            UnitSphere(6),
+            UnitGreatSubsphere(6, 3),
+        ],
+    )
+    def test_zero_vector_is_exact_on_exact_sets(self, model_set):
+        value = evaluate(basis_element(6, Basis.T, 0).scale(0), model_set)
+        assert isinstance(value, PiScalar) and value == PiScalar.zero()
+
     def test_large_n_general_vector_rejected(self):
         N = 100
         v = basis_element(N, Basis.SIGMA, 3)

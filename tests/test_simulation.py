@@ -73,6 +73,7 @@ from gkf.series import u_power_in_sigma
 from oracles import (
     chi_quadratic_eigvalsh,
     hit_fractions_einsum,
+    icosphere_unique,
     pair_tensor,
     pi_n_batch_lapack,
     pi_n_prediction_nu_route,
@@ -497,6 +498,31 @@ class TestIcosphereMesh:
         assert np.array_equal(E, E_ref)
         assert np.abs(V - V_ref).max() <= 1e-15
 
+    @pytest.mark.parametrize("depth", range(8))
+    def test_matches_unique_reference_bytes(self, depth):
+        for part, ref in zip(icosphere(depth), icosphere_unique(depth)):
+            assert part.dtype == ref.dtype
+            assert part.shape == ref.shape
+            assert part.tobytes() == ref.tobytes()
+
+    def test_cold_build_peak_memory(self):
+        # a level is built in place from the level below: the temporaries
+        # stay under half the returned arrays (the face-side route read 2.4x)
+        icosphere.cache_clear()
+        icosphere(6)
+        tracemalloc.start()
+        try:
+            V, E, F = icosphere(7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * (V.nbytes + E.nbytes + F.nbytes)
+
+    @pytest.mark.parametrize("depth", [-1, 2.0])
+    def test_refuses_bad_depth(self, depth):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            icosphere(depth)
+
     @pytest.mark.parametrize("depth", range(6))
     def test_face_count_is_vertex_edge_face_count(self, depth):
         V, E, F = icosphere(depth)
@@ -533,6 +559,11 @@ class TestIcosphereMesh:
         # the inside vertices scatter and no two levels agree
         with pytest.raises(ValueError, match="did not settle"):
             mesh_chi_quadratic(np.eye(3), 1.0, max_depth=7)
+
+    @pytest.mark.parametrize("max_depth", [6, 8.0])
+    def test_refuses_bad_max_depth(self, max_depth):
+        with pytest.raises(ValueError, match="an integer of at least 7"):
+            mesh_chi_quadratic(np.diag([1.0, 2.0, 3.0]), 1.5, max_depth=max_depth)
 
 
 class TestVolumeFraction:
