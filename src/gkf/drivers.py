@@ -1,9 +1,10 @@
 """Seeded Monte Carlo drivers and their closed-form predictions.
 
 Each driver draws i.i.d. random maps in fixed-size chunks with one child
-stream per chunk, so results are bit-reproducible for a fixed (seed,
-stream_id, n_samples, worker count) and chunks can be farmed out to worker
-processes without changing the reduction.
+stream per chunk and merges the chunk moments in chunk order, so results
+are bit-reproducible for a fixed (seed, stream_id, n_samples) and the same
+at any worker count: chunks can be farmed out to worker processes without
+changing the reduction.
 """
 
 from __future__ import annotations

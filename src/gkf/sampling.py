@@ -19,8 +19,11 @@ elementwise numpy over the batch axis, one (n+1) x (n+1) entry at a time,
 with no per-matrix LAPACK call.
 
 The Poincare projection check, poincare_sweep, draws its Gaussian block
-once for a whole list of N and holds about 2d + 2 arrays of n doubles at
-any N; poincare_test is its batch of one.
+once for a whole list of N and forms each N's projection one block of rows
+at a time, so it holds d + 2 arrays of n doubles (the Gaussian block, the
+samples and one scratch array) at any N; the chi-square tail is drawn block
+by block in stream order, so the draws are those of one whole-length call.
+poincare_test is its batch of one.
 """
 
 from __future__ import annotations
@@ -136,9 +139,11 @@ def uniform_cap_batch(
 
 # -- the projection limit ------------------------------------------------------
 
-# grid entries formed at once in _ks_statistic: 64 KiB per temporary, small
-# next to a sample of 1e5-1e6 and large enough that the loop costs little
-_KS_BLOCK = 1 << 13
+# rows formed at once by the projection (its chi-square tail and its (block, d)
+# quotient) and by the KS grid, 256 KiB per column.  At n = 1e6 and d = 1 on a
+# 2-core Xeon VM these steps took 48 ms per N with 2^13 rows and 40 ms with
+# 2^15 or 2^16; the sort and the CDF do not depend on the block
+_BLOCK = 1 << 15
 
 
 def _ks_statistic(xs: np.ndarray, F: np.ndarray) -> float:
@@ -147,9 +152,10 @@ def _ks_statistic(xs: np.ndarray, F: np.ndarray) -> float:
     at a time."""
     n = len(xs)
     above = below = -math.inf
-    for lo in range(0, n, _KS_BLOCK):
-        hi = min(lo + _KS_BLOCK, n)
-        grid = np.arange(lo + 1, hi + 1) / n
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        grid = np.arange(lo + 1.0, hi + 1.0)
+        grid /= n
         above = max(above, np.max(grid - F[lo:hi]))
         grid -= 1 / n
         below = max(below, np.max(F[lo:hi] - grid))
@@ -167,6 +173,10 @@ class PoincareReport:
     stream_id: int
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def poincare_sweep(
     N_list: tuple[int, ...], d: int, n_samples: int, rng: RngStream
 ) -> list[PoincareReport]:
@@ -174,14 +184,19 @@ def poincare_sweep(
     coordinates and compare against the standard Gaussian, for each N in
     N_list: the marginal CDF for d = 1, the radial chi CDF for d > 1.
 
-    The projected block is sampled exactly through the split g / |g| with
-    the tail norm drawn as a chi-square, which is the same law without
+    The projected block is sampled exactly through the split g / |(g, tail)|
+    with the tail norm drawn as a chi-square, which is the same law without
     materializing N+1 coordinates.  Each row is the draw a fresh generator
     of rng would make: g is drawn once, and the generator state from just
-    after that draw is restored before each N's chi-square tail.  Every N
-    is validated before the draw.  The sweep holds about 2d + 2 arrays of
-    n_samples doubles (g, the projected block, |g|^2 and the tail) at any N.
+    after that draw is restored before each N's chi-square tail.  The tail
+    is drawn and the projection formed one block of rows at a time; the
+    generator fills arrays in stream order, so the blocks hold the values of
+    one whole-length draw.  Every N, d and n_samples is validated before
+    the draw.  The sweep holds d + 2 arrays of n_samples doubles (g, the
+    samples and one scratch array) and a few arrays of one block at any N.
     """
+    if not all(_is_integer(v) for v in (d, n_samples, *N_list)):
+        raise ValueError("N, d and n_samples must be integers")
     if d < 1 or n_samples < 1:
         raise ValueError("d and n_samples must be at least 1")
     if not N_list:
@@ -191,12 +206,13 @@ def poincare_sweep(
     gen = rng.generator()
     g = gen.standard_normal((n_samples, d))
     after_g = gen.bit_generator.state
-    g_sq = np.einsum("ij,ij->i", g, g)
-    x = np.empty_like(g)
+    samples = np.empty(n_samples)
+    scratch = np.empty(n_samples)
     reports = []
     for N in N_list:
         gen.bit_generator.state = after_g
-        ks, second_moment = _project_and_score(N, g, g_sq, x, gen)
+        _project(N, g, samples, scratch, gen)
+        ks, second_moment = _score(samples, scratch, d)
         reports.append(
             PoincareReport(
                 N=N,
@@ -211,30 +227,45 @@ def poincare_sweep(
     return reports
 
 
-def _project_and_score(
-    N: int, g: np.ndarray, g_sq: np.ndarray, x: np.ndarray, gen: np.random.Generator
-) -> tuple[float, float]:
-    """KS distance and second moment of sqrt(N) g / |(g, tail)| for one N,
-    computed in place in x and in the tail array.  The operations and their
-    order are those of the out-of-place formulas (the second moment is
-    taken before the sort), so every float matches them bit for bit."""
+def _project(
+    N: int,
+    g: np.ndarray,
+    samples: np.ndarray,
+    scratch: np.ndarray,
+    gen: np.random.Generator,
+) -> None:
+    """Write each row's sample of sqrt(N) g / |(g, tail)| to samples: the
+    projected value for d = 1, its length for d > 1.  The chi-square tail
+    and the (block, d) quotient are formed one block of rows at a time, and
+    the norms in the matching block of scratch."""
     n, d = g.shape
-    tail = gen.chisquare(N + 1 - d, n)
-    np.add(g_sq, tail, out=tail)
-    np.sqrt(tail, out=tail)
-    np.multiply(g, math.sqrt(N), out=x)
-    np.divide(x, tail[:, None], out=x)
-    scratch = x.reshape(-1)[:n]
+    scale = math.sqrt(N)
+    quotient = None if d == 1 else np.empty((min(n, _BLOCK), d))
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        g_b = g[lo:hi]
+        norms = np.einsum("ij,ij->i", g_b, g_b, out=scratch[lo:hi])
+        norms += gen.chisquare(N + 1 - d, hi - lo)
+        np.sqrt(norms, out=norms)
+        x = samples[lo:hi, None] if d == 1 else quotient[: hi - lo]
+        np.multiply(g_b, scale, out=x)
+        np.divide(x, norms[:, None], out=x)
+        if d > 1:
+            np.square(x, out=x)
+            np.sqrt(np.add.reduce(x, axis=1, out=samples[lo:hi]), out=samples[lo:hi])
+
+
+def _score(samples: np.ndarray, scratch: np.ndarray, d: int) -> tuple[float, float]:
+    """KS distance and second moment of the samples, computed in place in
+    samples and scratch.  The operations and their order are those of the
+    out-of-place formulas (the second moment is a pairwise mean over the
+    whole array, taken before the sort), so every float matches them bit
+    for bit."""
+    second_moment = float(np.mean(np.square(samples, out=scratch))) / d
+    samples.sort()
     if d == 1:
-        samples = scratch
-        second_moment = float(np.mean(np.square(samples, out=tail)))
-        samples.sort()
-        F = ndtr(samples, out=tail)
+        F = ndtr(samples, out=scratch)
     else:
-        np.square(x, out=x)
-        samples = np.sqrt(np.add.reduce(x, axis=1, out=tail), out=tail)
-        second_moment = float(np.mean(np.square(samples, out=scratch))) / d
-        samples.sort()
         np.square(samples, out=scratch)
         scratch /= 2.0
         F = gammainc(d / 2.0, scratch, out=scratch)

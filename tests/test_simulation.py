@@ -58,6 +58,7 @@ from gkf.model_sets import (
 )
 from gkf.rng import RngStream
 from gkf.sampling import (
+    _BLOCK,
     LinearMapSample,
     pi_infinity_batch,
     pi_n_batch,
@@ -816,7 +817,14 @@ class TestPoincare:
         for rep in sweep:
             assert rep == poincare_test(rep.N, d, 5000, rng)
 
-    @pytest.mark.parametrize("d,n_samples", [(1, 1), (1, 30000), (2, 8193), (4, 20000)])
+    @pytest.mark.parametrize(
+        "d,n_samples",
+        [
+            (1, 1), (1, 30000), (2, 8193), (4, 20000),
+            # one row past a block, and several blocks with a ragged last one
+            (1, _BLOCK + 1), (3, _BLOCK + 1), (1, 3 * _BLOCK + 4321), (3, 3 * _BLOCK + 4321),
+        ],
+    )
     def test_sweep_matches_out_of_place_reference(self, d, n_samples):
         rng = RngStream(12, d)
         for rep in poincare_sweep((d + 1, 300, 5000), d, n_samples, rng):
@@ -829,6 +837,33 @@ class TestPoincare:
         with pytest.raises(ValueError):
             poincare_sweep((), 1, 10, RngStream(0))
 
+    @pytest.mark.parametrize(
+        "N_list,d,n_samples",
+        [
+            ((math.nan,), 1, 1000),
+            ((math.inf,), 1, 1000),
+            ((400, 100.5), 1, 1000),
+            ((True,), 0, 1000),
+            ((400,), 1.0, 1000),
+            ((400,), 2.5, 1000),
+            ((400,), True, 1000),
+            ((400,), 1, 1000.0),
+            ((400,), 1, True),
+        ],
+    )
+    def test_refuses_non_integers_before_drawing(self, N_list, d, n_samples, monkeypatch):
+        def no_draw(self):
+            raise AssertionError("drew before validating the input")
+
+        monkeypatch.setattr(RngStream, "generator", no_draw)
+        with pytest.raises(ValueError, match="integers"):
+            poincare_sweep(N_list, d, n_samples, RngStream(0))
+
+    def test_accepts_numpy_integers(self):
+        rng = RngStream(7, 1)
+        sweep = poincare_sweep((np.int64(50), 400), np.int32(2), np.int64(3000), rng)
+        assert sweep == poincare_sweep((50, 400), 2, 3000, rng)
+
     @staticmethod
     def _peak_bytes(N_list, d, n_samples):
         tracemalloc.start()
@@ -838,11 +873,12 @@ class TestPoincare:
         finally:
             tracemalloc.stop()
 
-    @pytest.mark.parametrize("d,bound", [(1, 4.5), (2, 7.5)])
+    @pytest.mark.parametrize("d,bound", [(1, 3.5), (2, 4.75), (3, 6.0)])
     def test_footprint(self, d, bound):
         # peak traced memory in arrays of n doubles: the sweep holds g, the
-        # projected block, |g|^2 and the tail (2d + 2 arrays) at any N; the
-        # out-of-place route peaks at 9 (d = 1) and 12 (d = 2)
+        # samples and one scratch array (d + 2 arrays) and a few blocks of
+        # rows at any N; the out-of-place route peaks at 9 (d = 1) and 12
+        # (d = 2)
         n = 200_000
         one = self._peak_bytes((400,), d, n)
         assert one <= bound * 8 * n
