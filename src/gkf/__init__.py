@@ -17,7 +17,6 @@ from .drivers import (
     McReport,
     estimate_lhs,
     kinematic_inequality_check,
-    mean_abs_chi,
     nu_convergence,
     pi_n_prediction,
     pull_back_set,
@@ -31,7 +30,7 @@ from .evaluate import (
     tau_evaluate,
     u_power_on_ball,
 )
-from .functionals import chi_intersection, mesh_chi_quadratic, volume_fraction
+from .functionals import chi_intersection, mesh_chi_quadratic
 from .gauss import (
     CenteredBall,
     FullSpace,
@@ -70,9 +69,6 @@ from .sampling import (
     LinearMapSample,
     PoincareReport,
     poincare_sweep,
-    poincare_test,
-    sample_pi_infinity,
-    sample_pi_n,
 )
 from .scalars import (
     PiScalar,
@@ -125,7 +121,6 @@ __all__ = [
     "kinematic_inequality_check",
     "lk_multiply",
     "lk_unit_sphere",
-    "mean_abs_chi",
     "mesh_chi_quadratic",
     "nu_convergence",
     "omega",
@@ -135,16 +130,12 @@ __all__ = [
     "p_u_power",
     "pi_n_prediction",
     "poincare_sweep",
-    "poincare_test",
     "pull_back_set",
-    "sample_pi_infinity",
-    "sample_pi_n",
     "sigma_evaluate",
     "t_power_unit",
     "tau_evaluate",
     "tube_volume_identity",
     "u_power_on_ball",
-    "volume_fraction",
 ]
 
 __version__ = "0.1.0"

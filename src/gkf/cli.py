@@ -5,7 +5,8 @@ Reports are JSON (default) or CSV documents with a schema version, an echo
 of the parsed command, the result rows, and provenance.  Identical
 invocations produce identical documents apart from the wall-time field;
 floats are serialized with the shortest round-trip representation (at most
-17 significant digits).
+17 significant digits).  JSON documents are strict JSON: a non-finite float
+is written as the string "inf", "-inf" or "nan", the text of its CSV cell.
 
 Exit codes: 0 success, 1 a FAIL-gated statistical check or identity check
 failed, 2 invalid configuration.  The environment variable GKF_SEED
@@ -328,9 +329,19 @@ def build_document(command: str, args_echo: dict, rows: list[dict], seed: int, t
     }
 
 
+def _json_safe(value):
+    """The document with each non-finite float replaced by its CSV text."""
+    if isinstance(value, dict):
+        return {k: _json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(v) for v in value]
+    return repr(float(value)) if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def render(document: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(document, sort_keys=True, indent=2) + "\n"
+        text = json.dumps(_json_safe(document), sort_keys=True, indent=2, allow_nan=False)
+        return text + "\n"
     if fmt == "csv":
         rows = document["results"]
         buffer = io.StringIO()

@@ -218,17 +218,6 @@ def estimate_lhs(
     return _make_report([moments for _, moments in results], prediction, rng)
 
 
-def mean_abs_chi(
-    A: ModelSet, D: GaussSet, n_samples: int, rng: RngStream, law_n: int | None = None
-) -> float:
-    """Empirical mean of |chi| (uniform-integrability proxy)."""
-    total = 0.0
-    for index, size in _chunk_plan(n_samples):
-        chi = _chunk_values(A, D, None, law_n, 1, rng, index, size)
-        total += float(np.abs(chi).sum())
-    return total / n_samples
-
-
 # -- convergence tables ----------------------------------------------------------
 
 
@@ -279,12 +268,14 @@ def kinematic_inequality_check(
     """Check that the rotation average of |sigma_k| of an intersection stays
     below the diagonal product bound.
 
-    Supported configurations (the ones whose intersection functional has an
-    exact route): the whole sphere as one factor (the intersection is the
-    other factor, by invariance), and the volume case k = 0 for cap pairs,
-    where the left side is the expected normalized intersection volume,
-    estimated by hit-or-miss sampling.
+    Both sets are sphere-side sets of dimension N.  Supported configurations
+    (the ones whose intersection functional has an exact route): the whole
+    sphere as one factor (the intersection is the other factor, by
+    invariance), and the volume case k = 0 for cap pairs, where the left
+    side is the expected normalized intersection volume, by hit-or-miss.
     """
+    if any(getattr(S, "N", None) != N for S in (C, D)):  # unit-side sets have no N
+        raise ValueError("dimension mismatch")
     if isinstance(C, AmbientSphere) or isinstance(D, AmbientSphere):
         fixed = D if isinstance(C, AmbientSphere) else C
         lhs = abs(sigma_evaluate(k, fixed))
@@ -304,8 +295,6 @@ def kinematic_inequality_check(
         }
     if k == 0 and isinstance(C, GeodesicBall) and isinstance(D, GeodesicBall):
         R = math.sqrt(N)
-        if C.N != N or D.N != N:
-            raise ValueError("dimension mismatch")
         if C.r > 0.5 * math.pi * R or D.r > 0.5 * math.pi * R:
             raise ValueError("caps must be geodesically convex")
         if n_rotations < 2:

@@ -219,10 +219,11 @@ def u_power_on_ball(k: int, N: int, r: float) -> float:
     sum_p binom(k/2 + p, p) sigma_(N-k-2p)(ball); requires r <= hemisphere."""
     if not 0 <= k <= N:
         raise ValueError("index out of range")
-    if r == 0:
-        return 1.0 if k == 0 else 0.0
-    if r > 0.5 * math.pi * math.sqrt(N) + 1e-12:
-        raise ValueError("log-scale ball expansion requires r <= hemisphere")
+    if not 0 <= r <= 0.5 * math.pi * math.sqrt(N) + 1e-12:
+        raise ValueError("log-scale ball expansion requires 0 <= r <= hemisphere")
+    # u^0 is chi, exactly 1 on every ball accepted here; the log-scale sum rounds it
+    if k == 0 or r == 0:
+        return float(k == 0)
     return _section_u_power(k, N, GeodesicBall(N, r))
 
 

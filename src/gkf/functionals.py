@@ -43,7 +43,6 @@ from .model_sets import (
     UnitSphere,
     euler_characteristic,
 )
-from .rng import RngStream
 from .sampling import LinearMapSample, uniform_cap_batch, uniform_sphere_batch
 
 
@@ -413,13 +412,3 @@ def _hit_fractions(
     hits = gauss_set_membership(D, images.reshape(-1, D.d))
     return hits.reshape(len(F_batch), n_points).mean(axis=1)
 
-
-def volume_fraction(
-    A: ModelSet, D: GaussSet, F: LinearMapSample, rng: RngStream, n_points: int
-) -> float:
-    """Hit-or-miss estimate of vol(A intersect F^(-1)D) / vol(A): the batch
-    estimate applied to a batch of one map."""
-    if n_points < 1:
-        raise ValueError(f"n_points must be at least 1, got {n_points}")
-    entries = np.asarray(F.entries, dtype=float)
-    return float(_hit_fractions(A, D, entries[None], n_points, rng.generator())[0])

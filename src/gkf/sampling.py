@@ -23,7 +23,7 @@ once for a whole list of N and forms each N's projection one block of rows
 at a time, so it holds d + 2 arrays of n doubles (the Gaussian block, the
 samples and one scratch array) at any N; the chi-square tail is drawn block
 by block in stream order, so the draws are those of one whole-length call.
-poincare_test is its batch of one.
+A single N is a sweep over a one-entry list.
 """
 
 from __future__ import annotations
@@ -39,21 +39,14 @@ from .rng import RngStream
 
 @dataclass(frozen=True, eq=False)
 class LinearMapSample:
-    """A d x (n+1) linear map drawn from one of the two ensembles; origin_n
-    is None for the Gaussian ensemble and the block dimension otherwise."""
+    """One d x (n+1) linear map: the single-map input that the benchmark
+    harness's mesh_map_* jobs still pass to chi_intersection."""
 
     entries: np.ndarray
-    origin_n: int | None = None
 
 
 def pi_infinity_batch(n: int, d: int, size: int, gen: np.random.Generator) -> np.ndarray:
     return gen.standard_normal((size, d, n + 1))
-
-
-def sample_pi_infinity(n: int, d: int, rng: RngStream) -> LinearMapSample:
-    if n < 1 or d < 1:
-        raise ValueError("dimensions must be positive")
-    return LinearMapSample(pi_infinity_batch(n, d, 1, rng.generator())[0])
 
 
 def pi_n_batch(
@@ -103,12 +96,6 @@ def pi_n_batch(
         solved[:, i] = x / lower[i][0]
     solved *= math.sqrt(N)
     return solved.transpose(2, 0, 1)
-
-
-def sample_pi_n(n: int, d: int, N: int, rng: RngStream) -> LinearMapSample:
-    if n < 1 or d < 1:
-        raise ValueError("dimensions must be positive")
-    return LinearMapSample(pi_n_batch(n, d, N, 1, rng.generator())[0], origin_n=N)
 
 
 # -- uniform points -----------------------------------------------------------
@@ -271,7 +258,3 @@ def _score(samples: np.ndarray, scratch: np.ndarray, d: int) -> tuple[float, flo
         F = gammainc(d / 2.0, scratch, out=scratch)
     return _ks_statistic(samples, F), second_moment
 
-
-def poincare_test(N: int, d: int, n_samples: int, rng: RngStream) -> PoincareReport:
-    """poincare_sweep for one N."""
-    return poincare_sweep((N,), d, n_samples, rng)[0]

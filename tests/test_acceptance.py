@@ -41,7 +41,7 @@ from gkf.kinematics import (
 )
 from gkf.model_sets import AmbientSphere, GeodesicBall, UnitSphere
 from gkf.rng import RngStream
-from gkf.sampling import LinearMapSample, poincare_test
+from gkf.sampling import LinearMapSample, poincare_sweep
 from gkf.scalars import PiScalar, omega
 from gkf.series import sqrt_pow
 
@@ -235,12 +235,12 @@ class TestAcceptance:
         )
 
     def test_a10_projection_limit(self):
-        rep = poincare_test(1000, 1, 10**5, RngStream(ACCEPT_SEED, 100))
+        rep = poincare_sweep((1000,), 1, 10**5, RngStream(ACCEPT_SEED, 100))[0]
         gate = rep.ks_statistic < 0.01
         means = {}
         for N in (100, 10**4):
             values = [
-                poincare_test(N, 1, 10**5, RngStream(ACCEPT_SEED, 101 + i)).ks_statistic
+                poincare_sweep((N,), 1, 10**5, RngStream(ACCEPT_SEED, 101 + i))[0].ks_statistic
                 for i in range(10)
             ]
             means[N] = sum(values) / len(values)

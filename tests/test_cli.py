@@ -18,9 +18,15 @@ def run_cli(argv, capsys):
     return code, out
 
 
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
 def run_json(argv, capsys):
+    """Run the CLI and parse its document as strict JSON: the bare tokens
+    Infinity, -Infinity and NaN are refused."""
     code, out = run_cli(argv, capsys)
-    return code, json.loads(out) if out else None
+    return code, json.loads(out, parse_constant=_refuse_constant) if out else None
 
 
 def canonical(document):
@@ -276,6 +282,22 @@ class TestSimulate:
         assert code == 0
         assert doc["provenance"]["seed"] == 99
         assert doc["results"][0]["seed"] == 99
+
+    def test_euler_characteristic_of_a_cap_is_exact(self, capsys):
+        # every sample is chi = 1 and so is the prediction: no spread, z = 0
+        argv = ["simulate", "--A", "cap:2:1.0", "--D", "fullspace:1", "--samples", "100"]
+        code, doc = run_json(argv, capsys)
+        assert code == 0
+        row = doc["results"][0]
+        assert (row["estimate"], row["prediction"], row["z_score"]) == (1.0, 1.0, 0.0)
+
+    def test_non_finite_floats_are_strings(self, capsys):
+        # all samples miss the far half-space, so the stderr is 0 and z is
+        # -inf; the document stays strict JSON
+        argv = ["simulate", "--A", "cap:2:0.3", "--D", "halfspace:1:9.0", "--samples", "100"]
+        code, doc = run_json(argv, capsys)
+        assert code == 1
+        assert doc["results"][0]["z_score"] == "-inf"
 
     def test_invalid_law_combination(self, capsys):
         argv = [

@@ -18,10 +18,11 @@ from gkf.drivers import (
     CHUNK_SIZE,
     McReport,
     _chunk_moments,
+    _chunk_plan,
+    _chunk_values,
     _make_report,
     estimate_lhs,
     kinematic_inequality_check,
-    mean_abs_chi,
     nu_convergence,
     nu_limit_constant,
     pi_n_prediction,
@@ -36,7 +37,6 @@ from gkf.functionals import (
     icosphere,
     mesh_chi_quadratic,
     mesh_chi_sublevel,
-    volume_fraction,
 )
 from gkf.gauss import (
     CenteredBall,
@@ -63,9 +63,6 @@ from gkf.sampling import (
     pi_infinity_batch,
     pi_n_batch,
     poincare_sweep,
-    poincare_test,
-    sample_pi_infinity,
-    sample_pi_n,
     uniform_cap_batch,
     uniform_sphere_batch,
 )
@@ -86,26 +83,24 @@ from oracles import (
 
 class TestRngStreams:
     def test_reproducible(self):
-        a = sample_pi_infinity(4, 2, RngStream(42, 3))
-        b = sample_pi_infinity(4, 2, RngStream(42, 3))
-        assert np.array_equal(a.entries, b.entries)
+        a = pi_infinity_batch(4, 2, 1, RngStream(42, 3).generator())[0]
+        b = pi_infinity_batch(4, 2, 1, RngStream(42, 3).generator())[0]
+        assert np.array_equal(a, b)
 
     def test_independent_streams_differ(self):
-        a = sample_pi_infinity(4, 2, RngStream(42, 0))
-        b = sample_pi_infinity(42, 2, RngStream(42, 1)) if False else sample_pi_infinity(4, 2, RngStream(42, 1))
-        assert not np.array_equal(a.entries, b.entries)
+        a = pi_infinity_batch(4, 2, 1, RngStream(42, 0).generator())[0]
+        b = pi_infinity_batch(4, 2, 1, RngStream(42, 1).generator())[0]
+        assert not np.array_equal(a, b)
 
 
 class TestGaussianEnsemble:
     def test_shape_and_moments(self):
         n, d = 5, 3
-        gen = RngStream(7).generator()
-        batch = gen.standard_normal((20000, d, n + 1))
+        batch = pi_infinity_batch(n, d, 20000, RngStream(7).generator())
         assert abs(batch.mean()) < 3 * 1.0 / math.sqrt(batch.size)
         # |Fx|^2 for unit x sums d unit variances
         x = np.zeros(n + 1)
         x[2] = 1.0
-        норм = None
         images = batch @ x
         mean_sq = (images**2).sum(axis=1).mean()
         assert mean_sq == pytest.approx(d, abs=3 * math.sqrt(2 * d / 20000) + 0.05)
@@ -140,10 +135,9 @@ class TestRotationBlockEnsemble:
         # each column of the pre-scaled frame is a unit vector, so each
         # column of the sample has norm at most sqrt(N)
         n, d, N = 3, 4, 30
-        sample = sample_pi_n(n, d, N, RngStream(8))
-        norms = np.linalg.norm(sample.entries, axis=0)
+        sample = pi_n_batch(n, d, N, 1, RngStream(8).generator())[0]
+        norms = np.linalg.norm(sample, axis=0)
         assert np.all(norms <= math.sqrt(N) + 1e-9)
-        assert sample.origin_n == N
 
     def test_entry_law_matches_sphere_coordinate(self):
         # one entry over sqrt(N) is a coordinate of a uniform point on the
@@ -154,7 +148,6 @@ class TestRotationBlockEnsemble:
         var = entries.var()
         # direct uniform-sphere oracle
         oracle = uniform_sphere_batch(N, 40000, RngStream(10).generator())[:, 0].var()
-        se = math.sqrt(2.0 / 40000) / (N + 1) * 3
         assert abs(var - 1 / (N + 1)) < 3e-4
         assert abs(var - oracle) < 6e-4
 
@@ -174,7 +167,7 @@ class TestRotationBlockEnsemble:
 
     def test_block_must_fit(self):
         with pytest.raises(ValueError):
-            sample_pi_n(5, 2, 3, RngStream(0))
+            pi_n_batch(5, 2, 3, 1, RngStream(0).generator())
 
     @pytest.mark.parametrize(
         "n, d, N, tol",
@@ -442,7 +435,7 @@ class TestDescartesCount:
             with pytest.raises(ValueError, match="map entries must be finite"):
                 chi_intersection(A, D, F)
             with pytest.raises(ValueError, match="map entries must be finite"):
-                volume_fraction(A, D, F, RngStream(44), 10)
+                _hit_fractions(A, D, F.entries[None], 10, RngStream(44).generator())
 
 
 def dict_icosphere(depth: int):
@@ -569,19 +562,20 @@ class TestIcosphereMesh:
 
 class TestVolumeFraction:
     def test_full_space(self):
-        F = sample_pi_infinity(3, 2, RngStream(17))
-        assert volume_fraction(UnitSphere(3), FullSpace(2), F, RngStream(18), 100) == 1.0
+        F = pi_infinity_batch(3, 2, 1, RngStream(17).generator())
+        frac = _hit_fractions(UnitSphere(3), FullSpace(2), F, 100, RngStream(18).generator())[0]
+        assert frac == 1.0
 
     @pytest.mark.parametrize("D", [HalfSpace(1, 0.0), FullSpace(1)])
     @pytest.mark.parametrize("n_points", [0, -1])
     def test_rejects_empty_point_set(self, D, n_points):
-        F = sample_pi_infinity(2, 1, RngStream(19))
         with pytest.raises(ValueError, match="n_points must be at least 1"):
-            volume_fraction(UnitSphere(2), D, F, RngStream(20), n_points)
+            estimate_lhs(UnitSphere(2), D, "top", 64, RngStream(20), n_points=n_points)
 
     def test_halfspace_zero_threshold_symmetry(self):
-        F = sample_pi_infinity(2, 1, RngStream(19))
-        frac = volume_fraction(UnitSphere(2), HalfSpace(1, 0.0), F, RngStream(20), 200000)
+        F = pi_infinity_batch(2, 1, 1, RngStream(19).generator())
+        gen = RngStream(20).generator()
+        frac = _hit_fractions(UnitSphere(2), HalfSpace(1, 0.0), F, 200000, gen)[0]
         assert frac == pytest.approx(0.5, abs=0.005)
 
     def test_fixed_point_gaussian_image(self):
@@ -677,8 +671,6 @@ class TestEstimateLhs:
     def test_too_few_samples(self, n_samples):
         with pytest.raises(ValueError):
             estimate_lhs(UnitSphere(2), HalfSpace(1, 0.5), 0, n_samples, RngStream(0))
-        with pytest.raises(ValueError):
-            mean_abs_chi(UnitSphere(2), HalfSpace(1, 0.5), n_samples, RngStream(0))
 
 
 class TestFiniteNPrediction:
@@ -758,11 +750,11 @@ class TestFiniteNPrediction:
 
 class TestPoincare:
     def test_marginal_ks_small_at_large_n(self):
-        rep = poincare_test(1000, 1, 20000, RngStream(30, 0))
+        rep = poincare_sweep((1000,), 1, 20000, RngStream(30, 0))[0]
         assert rep.ks_statistic < 0.015
 
     def test_second_moment(self):
-        rep = poincare_test(500, 1, 50000, RngStream(31, 0))
+        rep = poincare_sweep((500,), 1, 50000, RngStream(31, 0))[0]
         assert rep.second_moment == pytest.approx(1.0, abs=0.02)
 
     def test_exact_projected_cdf_is_better_fit(self):
@@ -782,22 +774,23 @@ class TestPoincare:
         assert ks_exact < ks_gauss
 
     def test_radial_mode(self):
-        rep = poincare_test(800, 2, 20000, RngStream(33, 0))
+        rep = poincare_sweep((800,), 2, 20000, RngStream(33, 0))[0]
         assert rep.ks_statistic < 0.02
         assert rep.second_moment == pytest.approx(1.0, abs=0.03)
 
     def test_dimension_guard(self):
         with pytest.raises(ValueError):
-            poincare_test(2, 3, 10, RngStream(0))
+            poincare_sweep((2,), 3, 10, RngStream(0))
 
     @pytest.mark.parametrize("d,n_samples", [(0, 10), (-1, 10), (1, 0), (2, -3)])
     def test_bad_sizes(self, d, n_samples):
         with pytest.raises(ValueError, match="at least 1"):
-            poincare_test(50, d, n_samples, RngStream(0))
+            poincare_sweep((50,), d, n_samples, RngStream(0))
 
-    # repr of (ks_statistic, second_moment) for poincare_test(400, d, 20000,
-    # RngStream(7, 0)) from the out-of-place route, which allocates every
-    # intermediate afresh; the in-place sweep must reproduce them bit for bit
+    # repr of (ks_statistic, second_moment) for poincare_sweep((400,), d,
+    # 20000, RngStream(7, 0)) from the out-of-place route, which allocates
+    # every intermediate afresh; the in-place sweep must reproduce them bit
+    # for bit
     PINNED = {
         1: (0.006818814571078247, 0.9973192924441945),
         2: (0.005650519222918038, 0.9963719833891613),
@@ -806,7 +799,7 @@ class TestPoincare:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_pinned_output(self, d):
-        rep = poincare_test(400, d, 20000, RngStream(7, 0))
+        rep = poincare_sweep((400,), d, 20000, RngStream(7, 0))[0]
         assert (rep.ks_statistic, rep.second_moment) == self.PINNED[d]
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -815,7 +808,7 @@ class TestPoincare:
         sweep = poincare_sweep((50, 400, 50), d, 5000, rng)
         assert [rep.N for rep in sweep] == [50, 400, 50]
         for rep in sweep:
-            assert rep == poincare_test(rep.N, d, 5000, rng)
+            assert rep == poincare_sweep((rep.N,), d, 5000, rng)[0]
 
     @pytest.mark.parametrize(
         "d,n_samples",
@@ -946,6 +939,19 @@ class TestKinematicInequality:
                 GeodesicBall(20, 1.0), GeodesicBall(20, 1.0), 3, 20, 10, RngStream(43)
             )
 
+    @pytest.mark.parametrize(
+        "C, D, k",
+        [
+            (AmbientSphere(10), GeodesicBall(5, 1.0), 2),
+            (GeodesicBall(20, 4.0), AmbientSphere(19), 1),
+            (AmbientSphere(20), UnitCap(20, 1.0), 0),
+            (GeodesicBall(20, 1.0), GeodesicBall(19, 1.0), 0),
+        ],
+    )
+    def test_dimension_mismatch_is_refused(self, C, D, k):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            kinematic_inequality_check(C, D, k, 20, 10, RngStream(0))
+
     @pytest.mark.parametrize("n_rotations", [0, 1])
     def test_volume_case_needs_two_rotations(self, n_rotations):
         with pytest.raises(ValueError, match="at least 2"):
@@ -980,10 +986,12 @@ class TestKinematicPairingAgainstRotationMonteCarlo:
 
 class TestUniformIntegrabilityProxy:
     def test_bounded_over_n(self):
-        values = [
-            mean_abs_chi(
-                UnitSphere(2), CenteredBall(2, 1.0), 10000, RngStream(44), law_n=N
+        A, D, rng = UnitSphere(2), CenteredBall(2, 1.0), RngStream(44)
+        for N in (50, 200, 1000):
+            chi = np.concatenate(
+                [
+                    _chunk_values(A, D, None, N, 1, rng, index, size)
+                    for index, size in _chunk_plan(10000)
+                ]
             )
-            for N in (50, 200, 1000)
-        ]
-        assert max(values) < 2.0
+            assert np.abs(chi).mean() < 2.0
