@@ -243,18 +243,20 @@ def nu_in_sigma_column(k: int) -> FrameColumn:
 
 def _accumulate(
     bridge: tuple[IntegerColumn, ...], entries: list[tuple[int, int, int]]
-) -> tuple[list[int], int]:
+) -> tuple[list[tuple[int, int]], int]:
     """bridge times the column sum(num/den e_f for f, num, den in entries),
-    as integer numerators over one common denominator L: each product is an
-    integer, and the caller reduces each nonzero n/L once."""
+    as (output index, integer numerator) pairs of the nonzero outputs in
+    ascending index, over one common denominator L: each product is an
+    integer, and the caller reduces each n/L once.  The sums are keyed by
+    output index, so the cost follows the columns' support, not N."""
     L = math.lcm(*(den * bridge[f][0] for f, _, den in entries))
-    sums = [0] * len(bridge)
+    sums: dict[int, int] = {}
     for f, num, den in entries:
         D, col = bridge[f]
         t = num * (L // (den * D))
         for g, c in col:
-            sums[g] += t * c
-    return sums, L
+            sums[g] = sums.get(g, 0) + t * c
+    return sorted((g, n) for g, n in sums.items() if n), L
 
 
 def _times(x: Monomial, m: int, r: int) -> Monomial:
@@ -304,11 +306,10 @@ def _apply(
         terms: dict[int, dict[tuple[int, int], Fraction]] = {}
         for (m, r), entries in parts.items():
             sums, L = _accumulate(bridge, entries)
-            for g, n in enumerate(sums):
-                if n:
-                    i = N - g if flip_out else g
-                    mo, ro, num, den = _times(w_out[i], m, r)
-                    terms.setdefault(i, {})[mo, ro] = Fraction(n * num, L * den)
+            for g, n in sums:
+                i = N - g if flip_out else g
+                mo, ro, num, den = _times(w_out[i], m, r)
+                terms.setdefault(i, {})[mo, ro] = Fraction(n * num, L * den)
         out.append({i: PiScalar(t) for i, t in terms.items()})
     return out
 

@@ -11,6 +11,10 @@ is written as the string "inf", "-inf" or "nan", the text of its CSV cell.
 Exit codes: 0 success, 1 a FAIL-gated statistical check or identity check
 failed, 2 invalid configuration.  The environment variable GKF_SEED
 overrides --seed.
+
+The argument parser is built once per process, on the first call to
+`main`, and every later call parses its argv against the same parser:
+parsing leaves the parser unchanged, and each call gets a fresh namespace.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 from . import __version__
 from .bases import (
@@ -360,6 +365,7 @@ def render(document: dict, fmt: str) -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gkf",
@@ -435,9 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     t0 = time.monotonic()
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     env_seed = os.environ.get("GKF_SEED")

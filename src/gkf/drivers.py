@@ -5,6 +5,15 @@ stream per chunk and merges the chunk moments in chunk order, so results
 are bit-reproducible for a fixed (seed, stream_id, n_samples) and the same
 at any worker count: chunks can be farmed out to worker processes without
 changing the reduction.
+
+The z-score divides the gap between estimate and prediction by the
+standard error, floored at n eps u: n samples, eps the float64 machine
+epsilon, and u the functional's unit, 1 for the integer-valued chi and
+t^top(A) for the top-degree functional (t^top times a fraction in
+[0, 1]).  A mean of n values of magnitude up to about u carries a
+rounding error up to that much, so a smaller spread is float noise, and a
+run whose every sample is equal is gated on a finite z.  At n = 10^6 the
+floor is 2.2e-10 u, far below the spread of any run whose samples differ.
 """
 
 from __future__ import annotations
@@ -38,6 +47,8 @@ CHUNK_SIZE = 8192
 Z_PASS = 3.0
 Z_WARN = 4.0
 
+_EPS = float(np.finfo(float).eps)
+
 
 @dataclass(frozen=True)
 class McReport:
@@ -66,14 +77,15 @@ def _chunk_moments(values: np.ndarray) -> tuple[int, float, float]:
     return len(values), total, float((deviations * deviations).sum())
 
 
-def _make_report(parts, prediction: float, rng: RngStream) -> McReport:
+def _make_report(parts, prediction: float, unit: float, rng: RngStream) -> McReport:
     """The report of a sequence of chunk moments (count, sum, M2), merged
     in order by the pairwise update of Chan, Golub & LeVeque ("Algorithms
     for computing the sample variance", Amer. Statist. 37, 1983): M2 =
     M2_a + M2_b + delta^2 n_a n_b / (n_a + n_b), delta the gap between the
     two means.  No sum of squares is formed, so a large common mean costs
     no digits of the spread, and the chunk plan fixes the order, hence the
-    result, at any worker count."""
+    result, at any worker count.  z divides by the standard error floored
+    at the float resolution n eps unit of the mean (module docstring)."""
     n, total, m2 = 0, 0.0, 0.0
     for n_i, total_i, m2_i in parts:
         delta = total_i / n_i - (total / n if n else 0.0)
@@ -82,11 +94,7 @@ def _make_report(parts, prediction: float, rng: RngStream) -> McReport:
         total += total_i
     mean = total / n
     stderr = math.sqrt(m2 / max(n - 1, 1) / n)
-    diff = mean - prediction
-    if stderr > 0:
-        z = diff / stderr
-    else:
-        z = 0.0 if diff == 0 else math.copysign(math.inf, diff)
+    z = (mean - prediction) / max(stderr, n * _EPS * unit)
     return McReport(
         estimate=mean,
         stderr=stderr,
@@ -215,7 +223,8 @@ def estimate_lhs(
             results = sorted(pool.map(_chunk_task, chunks))
     else:
         results = [_chunk_task(c) for c in chunks]
-    return _make_report([moments for _, moments in results], prediction, rng)
+    unit = 1.0 if t_top is None else abs(t_top)
+    return _make_report([moments for _, moments in results], prediction, unit, rng)
 
 
 # -- convergence tables ----------------------------------------------------------

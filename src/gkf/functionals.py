@@ -24,8 +24,13 @@ side is looked up among the edges of its lower end, and the new edges (two
 halves per old edge, three inner edges per split face) are listed once and
 sorted.  Subdivision only appends vertices, so each level's vertices are a
 prefix of the next level's and one quadric evaluation serves two levels;
-every edge lies in two faces, so the count V_in - (n_2 + 3 n_3) / 2 + n_3
-needs only n_s, the number of faces with s inside vertices.
+every edge lies in two faces, so chi = V_in - e / 2 + f, where e sums the
+inside sides (both ends inside) over the faces and f counts the faces with
+three inside vertices.  The first two levels come from one gather: the
+inside bits of the corners and side midpoints of each coarse face form a
+6-bit code, and one histogram of the codes, times a table of each code's
+(e, f) share at both levels, gives both counts.  Deeper levels count their
+own faces.
 """
 
 from __future__ import annotations
@@ -333,6 +338,59 @@ def mesh_chi_sublevel(inside: np.ndarray, depth: int) -> int:
     return int(np.count_nonzero(inside) - (n2 + 3 * n3) // 2 + n3)
 
 
+# the corners a, b, c and side midpoints ab, bc, ca of a face, as bits 0-5
+# of its code, make the face itself and its four children (a, ab, ca),
+# (b, bc, ab), (c, ca, bc), (ab, bc, ca)
+_PARENT_FACE = ((0, 1, 2),)
+_CHILD_FACES = ((0, 3, 5), (1, 4, 3), (2, 5, 4), (3, 4, 5))
+
+
+def _code_shares(faces) -> tuple[np.ndarray, np.ndarray]:
+    """Per 6-bit code: the inside sides of the faces, summed, and the
+    number of faces with all three corners inside."""
+    bits = (np.arange(64)[:, None] >> np.arange(6)) & 1
+    sides = sum(bits[:, i] & bits[:, j] for f in faces for i, j in zip(f, f[1:] + f[:1]))
+    full = sum(bits[:, i] & bits[:, j] & bits[:, k] for i, j, k in faces)
+    return sides, full
+
+
+# rows: inside sides and full faces of the face itself, then of its children
+_TWO_LEVEL_TABLE = np.stack([*_code_shares(_PARENT_FACE), *_code_shares(_CHILD_FACES)])
+
+
+@lru_cache(maxsize=None)
+def _corners_and_midpoints(depth: int) -> np.ndarray:
+    """(6, |F|) vertex indices, per face of icosphere(depth): its corners
+    a, b, c and side midpoints ab, bc, ca.  Face i splits into faces 4i to
+    4i + 3 of the next level in the order of _CHILD_FACES, so these are
+    columns 0, 3, 6, 9, 10 and 11 of the next level's faces, twelve to a
+    row.  Each row is contiguous, the fastest layout to gather through."""
+    children = icosphere(depth + 1)[2].reshape(-1, 12)
+    return np.stack([children[:, j] for j in (0, 3, 6, 9, 10, 11)])
+
+
+def _two_level_chi(inside: np.ndarray, depth: int) -> tuple[int, int]:
+    """mesh_chi_sublevel of a boolean vertex mask of icosphere(depth + 1)
+    at depth and depth + 1, from one gather over the faces of depth: the
+    six inside bits of each face form its code, and the histogram of the
+    codes times _TWO_LEVEL_TABLE gives both levels' inside sides and full
+    faces."""
+    index = _corners_and_midpoints(depth)
+    bits = inside.view(np.uint8)
+    code = np.take(bits, index[0])
+    bit = np.empty_like(code)
+    for k in range(1, 6):
+        np.take(bits, index[k], out=bit)
+        bit <<= k
+        code |= bit
+    sides, full, child_sides, child_full = _TWO_LEVEL_TABLE @ np.bincount(code, minlength=64)
+    n, n_fine = len(icosphere(depth)[0]), len(icosphere(depth + 1)[0])
+    return (
+        int(np.count_nonzero(inside[:n]) - sides // 2 + full),
+        int(np.count_nonzero(inside[:n_fine]) - child_sides // 2 + child_full),
+    )
+
+
 # the first subdivision level the mesh oracle compares
 _MESH_START_DEPTH = 6
 
@@ -342,7 +400,8 @@ def mesh_chi_quadratic(F_map: np.ndarray, rho: float, max_depth: int = 9) -> int
     refine from `_MESH_START_DEPTH` until two successive subdivision levels
     agree (the value is an integer, so stability is a sharp stopping rule)
     and refuse if none do by max_depth.  One quadric evaluation a level
-    deeper serves the first two levels, whose vertices it holds as a prefix."""
+    deeper serves the first two levels, whose vertices it holds as a prefix,
+    and one gather over the coarser level's faces counts both."""
     if not isinstance(max_depth, int) or max_depth < _MESH_START_DEPTH + 1:
         raise ValueError(
             f"max_depth must be an integer of at least {_MESH_START_DEPTH + 1}: "
@@ -357,15 +416,15 @@ def mesh_chi_quadratic(F_map: np.ndarray, rho: float, max_depth: int = 9) -> int
     weights = Q[[0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]]
     level = rho * rho
     inside = weights @ _vertex_monomials(_MESH_START_DEPTH + 1) <= level
-    previous = mesh_chi_sublevel(inside, _MESH_START_DEPTH)
-    for depth in range(_MESH_START_DEPTH + 1, max_depth + 1):
-        if depth > _MESH_START_DEPTH + 1:
-            inside = weights @ _vertex_monomials(depth) <= level
-        current = mesh_chi_sublevel(inside, depth)
-        if current == previous:
-            return current
-        previous = current
-    raise ValueError(f"mesh count did not settle by depth {max_depth}")
+    previous, current = _two_level_chi(inside, _MESH_START_DEPTH)
+    depth = _MESH_START_DEPTH + 1
+    while current != previous:
+        if depth == max_depth:
+            raise ValueError(f"mesh count did not settle by depth {max_depth}")
+        depth += 1
+        inside = weights @ _vertex_monomials(depth) <= level
+        previous, current = current, mesh_chi_sublevel(inside, depth)
+    return current
 
 
 # -- volume functionals -----------------------------------------------------------

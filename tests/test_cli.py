@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from gkf.cli import GAUSS_SETS, UNIT_SETS, main, parse_set
+from gkf.cli import GAUSS_SETS, UNIT_SETS, build_parser, main, parse_set, render
 from gkf.gauss import CenteredBall, FullSpace, HalfSpace, Origin
 from gkf.model_sets import UnitCap, UnitGreatSubsphere, UnitSphere
 from gkf.rng import RngStream
@@ -291,13 +291,39 @@ class TestSimulate:
         row = doc["results"][0]
         assert (row["estimate"], row["prediction"], row["z_score"]) == (1.0, 1.0, 0.0)
 
-    def test_non_finite_floats_are_strings(self, capsys):
-        # all samples miss the far half-space, so the stderr is 0 and z is
-        # -inf; the document stays strict JSON
+    def test_zero_spread_far_from_a_tiny_prediction_passes(self, capsys):
+        # every sample misses the far half-space: stderr 0 against a
+        # prediction of 9e-19, gated at the float resolution of the mean
         argv = ["simulate", "--A", "cap:2:0.3", "--D", "halfspace:1:9.0", "--samples", "100"]
         code, doc = run_json(argv, capsys)
-        assert code == 1
-        assert doc["results"][0]["z_score"] == "-inf"
+        assert code == 0
+        row = doc["results"][0]
+        assert (row["estimate"], row["stderr"], row["gate"]) == (0.0, 0.0, "PASS")
+        assert 0 < row["prediction"] < 1e-18
+        assert abs(row["z_score"]) < 1e-3
+
+    def test_float_noise_spread_passes(self, capsys):
+        # every map scores t^top times a hit fraction of 1; the summed
+        # values differ from the prediction by rounding alone
+        argv = [
+            "simulate", "--A", "cap:2:1.0", "--D", "fullspace:1", "--m", "top",
+            "--samples", "100",
+        ]
+        code, doc = run_json(argv, capsys)
+        assert code == 0
+        row = doc["results"][0]
+        assert row["gate"] == "PASS"
+        assert 0 < row["stderr"] < 1e-15
+        assert abs(row["estimate"] - row["prediction"]) < 1e-14
+        assert abs(row["z_score"]) < 0.1
+
+    def test_non_finite_floats_are_strings(self):
+        # the document stays strict JSON
+        document = {"results": [{"z_score": -math.inf, "ratio": math.inf, "gap": math.nan}]}
+        text = render(document, "json")
+        assert json.loads(text, parse_constant=_refuse_constant) == {
+            "results": [{"z_score": "-inf", "ratio": "inf", "gap": "nan"}]
+        }
 
     def test_invalid_law_combination(self, capsys):
         argv = [
@@ -497,3 +523,36 @@ class TestDocumentContract:
 
     def test_unknown_command_exit_two(self, capsys):
         assert main(["no-such-command"]) == 2
+
+
+class TestParserReuse:
+    COMMANDS = [
+        ["simulate", "--A", "sphere:2", "--D", "ball:2:1.0", "--samples", "2000", "--seed", "3"],
+        ["converge", "--mode", "law", "--N-list", "50", "--samples", "2000", "--seed", "4"],
+        ["check"],
+    ]
+
+    def test_documents_match_a_fresh_parser(self, capsys):
+        fresh = []
+        for argv in self.COMMANDS:
+            build_parser.cache_clear()
+            fresh.append(canonical(run_json(argv, capsys)[1]))
+        build_parser.cache_clear()
+        assert main(["simulate", "--A"]) == 2
+        reused = [canonical(run_json(argv, capsys)[1]) for argv in self.COMMANDS]
+        assert reused == fresh
+        assert build_parser.cache_info().misses == 1
+
+    def test_seed_override_and_help_on_a_reused_parser(self, capsys, monkeypatch):
+        argv = self.COMMANDS[0]
+        monkeypatch.setenv("GKF_SEED", "99")
+        _, doc = run_json(argv, capsys)
+        assert doc["provenance"]["seed"] == doc["results"][0]["seed"] == 99
+        monkeypatch.delenv("GKF_SEED")
+        _, doc = run_json(argv, capsys)
+        assert doc["provenance"]["seed"] == doc["results"][0]["seed"] == 3
+        assert main(["--help"]) == 0
+        assert main(["simulate", "--help"]) == 0
+        capsys.readouterr()
+        _, doc = run_json(argv, capsys)
+        assert doc["results"][0]["seed"] == 3

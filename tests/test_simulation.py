@@ -31,7 +31,10 @@ from gkf.drivers import (
 from gkf.evaluate import sigma_evaluate
 from gkf.functionals import (
     _DESCARTES_MAX_DIM,
+    _corners_and_midpoints,
     _hit_fractions,
+    _two_level_chi,
+    _vertex_monomials,
     chi_intersection,
     chi_quadratic_batch,
     icosphere,
@@ -536,6 +539,58 @@ class TestIcosphereMesh:
         assert mesh_chi_sublevel(np.ones(n, dtype=bool), depth) == 2
         assert mesh_chi_sublevel(np.zeros(n, dtype=bool), depth) == 0
 
+    @pytest.mark.parametrize("depth", range(7))
+    def test_child_layout(self, depth):
+        # face i of a level splits into faces 4i .. 4i+3 of the next:
+        # (a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)
+        V, _, F = icosphere(depth)
+        V_fine, _, F_fine = icosphere(depth + 1)
+        children = F_fine.reshape(-1, 4, 3)
+        a, b, c = F.T
+        ab, bc, ca = children[:, 3].T
+        for child, expected in zip(children.transpose(1, 2, 0), [
+            (a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca),
+        ]):
+            assert np.array_equal(child, np.stack(expected))
+        for mid, (p, q) in ((ab, (a, b)), (bc, (b, c)), (ca, (c, a))):
+            assert (mid >= len(V)).all()
+            half = V[p] + V[q]
+            half /= np.linalg.norm(half, axis=1, keepdims=True)
+            assert np.abs(V_fine[mid] - half).max() <= 1e-15
+        index = _corners_and_midpoints(depth)
+        assert index.flags.c_contiguous
+        assert np.array_equal(index, np.stack([a, b, c, ab, bc, ca]))
+
+    @pytest.mark.parametrize("depth", [0, 2, 6])
+    def test_two_level_count_matches_each_level(self, depth):
+        n = len(icosphere(depth + 1)[0])
+        gen = RngStream(19, depth).generator()
+        for p in (0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95):
+            inside = gen.random(n) < p
+            assert _two_level_chi(inside, depth) == (
+                mesh_chi_sublevel(inside, depth),
+                mesh_chi_sublevel(inside, depth + 1),
+            )
+        assert _two_level_chi(np.ones(n, dtype=bool), depth) == (2, 2)
+        assert _two_level_chi(np.zeros(n, dtype=bool), depth) == (0, 0)
+
+    def test_count_settling_at_depth_eight(self):
+        # rho^2 is the middle Gram eigenvalue times 1 + 1e-4: the sublevel
+        # set is a band joined through two thin necks at the saddles, which
+        # depth 6 misses (two disks, chi 2) and depths 7 and 8 see (chi 0),
+        # so mesh_chi_sublevel counts depth 8
+        F = np.array([[-2.83, 1.02, -0.96], [-1.67, 0.28, 0.7], [-0.44, -1.08, 0.03]])
+        rho = 1.2817275829873807
+        try:
+            with pytest.raises(ValueError, match="did not settle by depth 7"):
+                mesh_chi_quadratic(F, rho, max_depth=7)
+            morse = chi_intersection(UnitSphere(2), CenteredBall(3, rho), LinearMapSample(F))
+            assert mesh_chi_quadratic(F, rho, max_depth=8) == morse == 0
+        finally:
+            # depth 8 holds about 110 MB; later tests need only depth 7
+            icosphere.cache_clear()
+            _vertex_monomials.cache_clear()
+
     def test_refuses_non_finite_input(self):
         F = np.ones((2, 3))
         F[1, 2] = np.nan
@@ -654,7 +709,7 @@ class TestEstimateLhs:
         n = len(spread)
         var = float(spread.var(ddof=1))
         total = sum(float(c.sum()) for c in chunks)
-        rep = _make_report([_chunk_moments(c) for c in chunks], 1e9, RngStream(43))
+        rep = _make_report([_chunk_moments(c) for c in chunks], 1e9, 1e9, RngStream(43))
         assert rep.n_samples == n
         assert rep.estimate == total / n
         assert rep.stderr == pytest.approx(math.sqrt(var / n), rel=1e-6)
