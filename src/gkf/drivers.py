@@ -7,13 +7,16 @@ at any worker count: chunks can be farmed out to worker processes without
 changing the reduction.
 
 The z-score divides the gap between estimate and prediction by the
-standard error, floored at n eps u: n samples, eps the float64 machine
-epsilon, and u the functional's unit, 1 for the integer-valued chi and
-t^top(A) for the top-degree functional (t^top times a fraction in
-[0, 1]).  A mean of n values of magnitude up to about u carries a
-rounding error up to that much, so a smaller spread is float noise, and a
-run whose every sample is equal is gated on a finite z.  At n = 10^6 the
-floor is 2.2e-10 u, far below the spread of any run whose samples differ.
+standard error, floored at a bound on the rounding of the mean, so a run
+of equal samples gets a finite z.  To first order a float sum in which no
+value passes through more than h additions is off by at most
+h (eps / 2) sum |x_i| (Higham, *Accuracy and Stability of Numerical
+Algorithms*, 2nd ed., sec. 4.2).  numpy's pairwise sum of a chunk has
+h = 24 at CHUNK_SIZE = 8192 (`_pairwise_roundings`); C chunk sums merged
+in order add C - 1 roundings and the division one.  Counting one eps per
+rounding (a margin for the rounding of the values and of the prediction)
+and with values bounded by the functional's unit u (1 for chi, t^top(A)
+for the top degree), the floor is (h + C) eps u: 3.3e-14 u at n = 10^6.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -77,6 +81,21 @@ def _chunk_moments(values: np.ndarray) -> tuple[int, float, float]:
     return len(values), total, float((deviations * deviations).sum())
 
 
+@lru_cache(maxsize=None)
+def _pairwise_roundings(n: int) -> int:
+    """Additions on the longest chain of numpy's pairwise sum of n values
+    (`pairwise_sum` in numpy/_core/src/umath/loops_utils.h.src): one running
+    sum below 8 values; up to 128, eight running sums, three additions
+    joining them and the n % 8 left over; else two parts, the first n / 2
+    rounded down to a multiple of 8."""
+    if n < 8:
+        return max(n - 1, 0)
+    if n <= 128:
+        return n // 8 + 2 + n % 8
+    half = n // 2 - n // 2 % 8
+    return 1 + max(_pairwise_roundings(half), _pairwise_roundings(n - half))
+
+
 def _make_report(parts, prediction: float, unit: float, rng: RngStream) -> McReport:
     """The report of a sequence of chunk moments (count, sum, M2), merged
     in order by the pairwise update of Chan, Golub & LeVeque ("Algorithms
@@ -85,7 +104,8 @@ def _make_report(parts, prediction: float, unit: float, rng: RngStream) -> McRep
     two means.  No sum of squares is formed, so a large common mean costs
     no digits of the spread, and the chunk plan fixes the order, hence the
     result, at any worker count.  z divides by the standard error floored
-    at the float resolution n eps unit of the mean (module docstring)."""
+    at (h + C) eps unit, h the longest chain of additions in one chunk's
+    sum and C the number of chunks (module docstring)."""
     n, total, m2 = 0, 0.0, 0.0
     for n_i, total_i, m2_i in parts:
         delta = total_i / n_i - (total / n if n else 0.0)
@@ -94,7 +114,8 @@ def _make_report(parts, prediction: float, unit: float, rng: RngStream) -> McRep
         total += total_i
     mean = total / n
     stderr = math.sqrt(m2 / max(n - 1, 1) / n)
-    z = (mean - prediction) / max(stderr, n * _EPS * unit)
+    chain = max(_pairwise_roundings(n_i) for n_i, _, _ in parts)
+    z = (mean - prediction) / max(stderr, (chain + len(parts)) * _EPS * unit)
     return McReport(
         estimate=mean,
         stderr=stderr,

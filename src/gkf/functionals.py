@@ -26,11 +26,10 @@ sorted.  Subdivision only appends vertices, so each level's vertices are a
 prefix of the next level's and one quadric evaluation serves two levels;
 every edge lies in two faces, so chi = V_in - e / 2 + f, where e sums the
 inside sides (both ends inside) over the faces and f counts the faces with
-three inside vertices.  The first two levels come from one gather: the
-inside bits of the corners and side midpoints of each coarse face form a
-6-bit code, and one histogram of the codes, times a table of each code's
-(e, f) share at both levels, gives both counts.  Deeper levels count their
-own faces.
+three inside vertices.  Each pair of successive levels comes from one
+gather: the inside bits of the corners and side midpoints of each coarse
+face form a 6-bit code, and one histogram of the codes, times a table of
+each code's (e, f) share at both levels, gives both counts.
 """
 
 from __future__ import annotations
@@ -324,20 +323,6 @@ def _vertex_monomials(depth: int) -> np.ndarray:
     return np.stack([x * x, y * y, z * z, 2 * x * y, 2 * x * z, 2 * y * z])
 
 
-def mesh_chi_sublevel(inside: np.ndarray, depth: int) -> int:
-    """V - E + F of the full subcomplex of icosphere(depth) spanned by the
-    vertices marked inside.  The mask may belong to a finer level: its
-    prefix is this level's.  Every edge lies in exactly two faces, so with
-    n_s the number of faces holding s inside vertices the count is
-    V_in - (n_2 + 3 n_3) / 2 + n_3, read off the faces alone."""
-    V, _, F = icosphere(depth)
-    inside = inside[: len(V)].astype(np.int8)
-    per_face = inside[F[:, 0]] + inside[F[:, 1]] + inside[F[:, 2]]
-    n2 = np.count_nonzero(per_face == 2)
-    n3 = np.count_nonzero(per_face == 3)
-    return int(np.count_nonzero(inside) - (n2 + 3 * n3) // 2 + n3)
-
-
 # the corners a, b, c and side midpoints ab, bc, ca of a face, as bits 0-5
 # of its code, make the face itself and its four children (a, ab, ca),
 # (b, bc, ab), (c, ca, bc), (ab, bc, ca)
@@ -370,11 +355,11 @@ def _corners_and_midpoints(depth: int) -> np.ndarray:
 
 
 def _two_level_chi(inside: np.ndarray, depth: int) -> tuple[int, int]:
-    """mesh_chi_sublevel of a boolean vertex mask of icosphere(depth + 1)
-    at depth and depth + 1, from one gather over the faces of depth: the
-    six inside bits of each face form its code, and the histogram of the
-    codes times _TWO_LEVEL_TABLE gives both levels' inside sides and full
-    faces."""
+    """V - E + F of the full subcomplexes of icosphere(depth) and
+    icosphere(depth + 1) spanned by the inside vertices of a boolean mask
+    of depth + 1, from one gather over the faces of depth: the six inside
+    bits of each face form its code, and the histogram of the codes times
+    _TWO_LEVEL_TABLE gives both levels' inside sides and full faces."""
     index = _corners_and_midpoints(depth)
     bits = inside.view(np.uint8)
     code = np.take(bits, index[0])
@@ -397,11 +382,12 @@ _MESH_START_DEPTH = 6
 
 def mesh_chi_quadratic(F_map: np.ndarray, rho: float, max_depth: int = 9) -> int:
     """Triangulation oracle for the quadratic excursion chi on the 2-sphere:
-    refine from `_MESH_START_DEPTH` until two successive subdivision levels
-    agree (the value is an integer, so stability is a sharp stopping rule)
-    and refuse if none do by max_depth.  One quadric evaluation a level
-    deeper serves the first two levels, whose vertices it holds as a prefix,
-    and one gather over the coarser level's faces counts both."""
+    the first count two successive levels d, d + 1 agree on, for d from
+    `_MESH_START_DEPTH` up, refused if none do by max_depth.  One quadric
+    evaluation on level d + 1 masks both levels (its vertices hold level
+    d's as a prefix) and one gather over the faces of d counts both.  The
+    rule is a heuristic: a neck thinner than the mesh edges can read the
+    same wrong count on two levels."""
     if not isinstance(max_depth, int) or max_depth < _MESH_START_DEPTH + 1:
         raise ValueError(
             f"max_depth must be an integer of at least {_MESH_START_DEPTH + 1}: "
@@ -415,16 +401,12 @@ def mesh_chi_quadratic(F_map: np.ndarray, rho: float, max_depth: int = 9) -> int
     Q = F_map.T @ F_map
     weights = Q[[0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]]
     level = rho * rho
-    inside = weights @ _vertex_monomials(_MESH_START_DEPTH + 1) <= level
-    previous, current = _two_level_chi(inside, _MESH_START_DEPTH)
-    depth = _MESH_START_DEPTH + 1
-    while current != previous:
-        if depth == max_depth:
-            raise ValueError(f"mesh count did not settle by depth {max_depth}")
-        depth += 1
-        inside = weights @ _vertex_monomials(depth) <= level
-        previous, current = current, mesh_chi_sublevel(inside, depth)
-    return current
+    for depth in range(_MESH_START_DEPTH, max_depth):
+        inside = weights @ _vertex_monomials(depth + 1) <= level
+        coarse, fine = _two_level_chi(inside, depth)
+        if coarse == fine:
+            return fine
+    raise ValueError(f"mesh count did not settle by depth {max_depth}")
 
 
 # -- volume functionals -----------------------------------------------------------

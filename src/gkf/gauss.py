@@ -222,11 +222,11 @@ def _fd_weights(nodes: tuple[float, ...], m: int) -> list[float]:
 _FD_STEP = {0: 0.0, 1: 0.02, 2: 0.03, 3: 0.05, 4: 0.06, 5: 0.08, 6: 0.1, 7: 0.12, 8: 0.14}
 
 
-def gamma_fd_oracle(D: GaussSet, k: int, one_sided: bool = False) -> float:
-    """k-th derivative of the tube measure at 0 estimated from a high-order
-    stencil with a fixed step per order; independent of the exact
-    differentiation route.  Central stencils on the analytic extension by
-    default; one-sided on request.  Reliable for k <= 8."""
+def gamma_fd_oracle(D: GaussSet, k: int) -> float:
+    """k-th derivative of the tube measure at 0 estimated from a central
+    high-order stencil on the analytic extension, with a fixed step per
+    order; independent of the exact differentiation route.  Reliable for
+    k <= 8."""
     if k < 0 or k > 8:
         raise ValueError("oracle supports derivative orders up to 8")
     if k == 0:
@@ -234,12 +234,8 @@ def gamma_fd_oracle(D: GaussSet, k: int, one_sided: bool = False) -> float:
     h = _FD_STEP[k]
     if isinstance(D, CenteredBall):
         h = min(h, D.rho / 8)
-    if one_sided:
-        offsets = range(0, k + 6)
-    else:
-        half = (k + 1) // 2 + 3
-        offsets = range(-half, half + 1)
-    nodes = tuple(i * h for i in offsets)
+    half = (k + 1) // 2 + 3
+    nodes = tuple(i * h for i in range(-half, half + 1))
     weights = _fd_weights(nodes, k)
     return sum(
         w * _tube_measure_extended(D, x) for w, x in zip(weights, nodes) if w

@@ -17,7 +17,9 @@ from gkf.evaluate import sigma_evaluate, t_power_unit, tau_evaluate, u_power_on_
 from gkf.functionals import (
     _ICOSAHEDRON_FACES,
     _ICOSAHEDRON_VERTICES,
+    _vertex_monomials,
     gauss_set_membership,
+    icosphere,
     sample_uniform_on,
 )
 from gkf.gauss import CenteredBall, FullSpace, GaussSet, HalfSpace, gauss_measure_tube
@@ -421,6 +423,43 @@ def gkf_predict_float_route(A: ModelSet, D: GaussSet, m: int) -> float:
     return total
 
 
+# -- Monte Carlo reduction ------------------------------------------------------------
+
+
+def pairwise_sum_chain(values: list[float]) -> tuple[float, int]:
+    """numpy's pairwise sum of float64 values replayed one Python float
+    addition at a time, counting the additions on its longest chain:
+    below 8 values one running sum from 0; up to 128, eight running sums
+    combined in a balanced tree and the n % 8 values left over added in
+    turn; above 128, two parts (the first n / 2 rounded down to a multiple
+    of 8) summed alone and added."""
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for v in values:
+            total += v
+        return total, max(n - 1, 0)
+    if n <= 128:
+        lanes, chain = list(values[:8]), 3
+        end = n - n % 8
+        for i in range(8, end, 8):
+            chain += 1
+            for j in range(8):
+                lanes[j] += values[i + j]
+        total = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + (
+            (lanes[4] + lanes[5]) + (lanes[6] + lanes[7])
+        )
+        for v in values[end:]:
+            chain += 1
+            total += v
+        return total, chain
+    half = n // 2 - n // 2 % 8
+    (left, left_chain), (right, right_chain) = (
+        pairwise_sum_chain(values[:half]), pairwise_sum_chain(values[half:])
+    )
+    return left + right, 1 + max(left_chain, right_chain)
+
+
 # -- excursion counts and volumes, batch by batch ----------------------------------
 
 
@@ -473,6 +512,48 @@ def icosphere_unique(depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     n = len(V)
     codes = np.sort(side_codes(F, n))[::2]
     return V, np.stack(np.divmod(codes, n), axis=1), F
+
+
+def mesh_chi_sublevel(inside: np.ndarray, depth: int) -> int:
+    """V - E + F of the full subcomplex of icosphere(depth) spanned by the
+    vertices marked inside.  The mask may belong to a finer level: its
+    prefix is this level's.  Every edge lies in exactly two faces, so with
+    n_s the number of faces holding s inside vertices the count is
+    V_in - (n_2 + 3 n_3) / 2 + n_3, read off the faces alone."""
+    V, _, F = icosphere(depth)
+    inside = inside[: len(V)].astype(np.int8)
+    per_face = inside[F[:, 0]] + inside[F[:, 1]] + inside[F[:, 2]]
+    n2 = np.count_nonzero(per_face == 2)
+    n3 = np.count_nonzero(per_face == 3)
+    return int(np.count_nonzero(inside) - (n2 + 3 * n3) // 2 + n3)
+
+
+def mesh_chi_quadratic_by_level(
+    F_map: np.ndarray, rho: float, max_depth: int, start_depth: int
+) -> int:
+    """The mesh oracle counted one level at a time: mesh_chi_sublevel of
+    levels start_depth and start_depth + 1 from the finer level's mask,
+    then of each deeper level from its own mask, until two successive
+    levels agree; refused if none do by max_depth."""
+    if not isinstance(max_depth, int) or max_depth < start_depth + 1:
+        raise ValueError(
+            f"max_depth must be an integer of at least {start_depth + 1}: "
+            f"the count compares levels {start_depth} and {start_depth + 1} first"
+        )
+    F_map = np.asarray(F_map, dtype=float)
+    Q = F_map.T @ F_map
+    weights = Q[[0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]]
+    level = rho * rho
+    depth = start_depth + 1
+    inside = weights @ _vertex_monomials(depth) <= level
+    previous, current = mesh_chi_sublevel(inside, start_depth), mesh_chi_sublevel(inside, depth)
+    while current != previous:
+        if depth == max_depth:
+            raise ValueError(f"mesh count did not settle by depth {max_depth}")
+        depth += 1
+        inside = weights @ _vertex_monomials(depth) <= level
+        previous, current = current, mesh_chi_sublevel(inside, depth)
+    return current
 
 
 def hit_fractions_einsum(

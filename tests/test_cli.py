@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from gkf import drivers
 from gkf.cli import GAUSS_SETS, UNIT_SETS, build_parser, main, parse_set, render
 from gkf.gauss import CenteredBall, FullSpace, HalfSpace, Origin
 from gkf.model_sets import UnitCap, UnitGreatSubsphere, UnitSphere
@@ -282,6 +283,24 @@ class TestSimulate:
         assert code == 0
         assert doc["provenance"]["seed"] == 99
         assert doc["results"][0]["seed"] == 99
+
+    def test_invalid_env_seed_is_refused(self, capsys, monkeypatch):
+        monkeypatch.setenv("GKF_SEED", "abc")
+        argv = ["simulate", "--A", "sphere:2", "--D", "halfspace:1:1.0", "--samples", "100"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "invalid GKF_SEED 'abc'" in captured.err
+        assert captured.out == ""
+
+    def test_failed_gate_exits_one(self, capsys, monkeypatch):
+        # a prediction far from every estimate: |z| is past the FAIL band
+        monkeypatch.setattr(drivers, "gkf_predict", lambda *args: 10.0)
+        argv = ["simulate", "--A", "sphere:2", "--D", "halfspace:1:1.0", "--samples", "2000"]
+        code, doc = run_json(argv, capsys)
+        assert code == 1
+        row = doc["results"][0]
+        assert (row["prediction"], row["gate"]) == (10.0, "FAIL")
+        assert row["z_score"] < -4
 
     def test_euler_characteristic_of_a_cap_is_exact(self, capsys):
         # every sample is chi = 1 and so is the prediction: no spread, z = 0

@@ -138,13 +138,6 @@ class TestGammaFamily:
         D = CenteredBall(2, 1.0)
         assert gamma_fd_oracle(D, 0) == gauss_measure_tube(D, 0.0)
 
-    def test_one_sided_mode(self):
-        D = HalfSpace(1, 1.0)
-        for k in [1, 2]:
-            assert gamma_fd_oracle(D, k, one_sided=True) == pytest.approx(
-                gamma(D, k)[k], abs=1e-5
-            )
-
     @pytest.mark.parametrize("D", ALL_SETS, ids=str)
     def test_taylor_reconstruction(self, D):
         # partial Taylor sums approximate the tube measure with superlinear

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from gkf import drivers
+from gkf import drivers, functionals
 from gkf.bases import nu_in_sigma_column
 from gkf.drivers import (
     CHUNK_SIZE,
@@ -21,6 +21,7 @@ from gkf.drivers import (
     _chunk_plan,
     _chunk_values,
     _make_report,
+    _pairwise_roundings,
     estimate_lhs,
     kinematic_inequality_check,
     nu_convergence,
@@ -39,7 +40,6 @@ from gkf.functionals import (
     chi_quadratic_batch,
     icosphere,
     mesh_chi_quadratic,
-    mesh_chi_sublevel,
 )
 from gkf.gauss import (
     CenteredBall,
@@ -75,7 +75,10 @@ from oracles import (
     chi_quadratic_eigvalsh,
     hit_fractions_einsum,
     icosphere_unique,
+    mesh_chi_quadratic_by_level,
+    mesh_chi_sublevel,
     pair_tensor,
+    pairwise_sum_chain,
     pi_n_batch_lapack,
     pi_n_prediction_nu_route,
     poincare_out_of_place,
@@ -578,7 +581,7 @@ class TestIcosphereMesh:
         # rho^2 is the middle Gram eigenvalue times 1 + 1e-4: the sublevel
         # set is a band joined through two thin necks at the saddles, which
         # depth 6 misses (two disks, chi 2) and depths 7 and 8 see (chi 0),
-        # so mesh_chi_sublevel counts depth 8
+        # so the count settles on the second gather, over the depth-7 faces
         F = np.array([[-2.83, 1.02, -0.96], [-1.67, 0.28, 0.7], [-0.44, -1.08, 0.03]])
         rho = 1.2817275829873807
         try:
@@ -587,9 +590,37 @@ class TestIcosphereMesh:
             morse = chi_intersection(UnitSphere(2), CenteredBall(3, rho), LinearMapSample(F))
             assert mesh_chi_quadratic(F, rho, max_depth=8) == morse == 0
         finally:
-            # depth 8 holds about 110 MB; later tests need only depth 7
+            # depth 8 and the depth-7 gather index hold about 125 MB; later
+            # tests need only depth 7
             icosphere.cache_clear()
             _vertex_monomials.cache_clear()
+            _corners_and_midpoints.cache_clear()
+
+    @pytest.mark.parametrize("start_depth", [1, 2])
+    def test_one_gather_per_level_pair_matches_the_level_loop(self, start_depth, monkeypatch):
+        # rho^2 within 1 % or 10 % of a Gram eigenvalue, so some counts
+        # settle only a few levels down and some never do by depth 5
+        monkeypatch.setattr(functionals, "_MESH_START_DEPTH", start_depth)
+        gen = RngStream(23).generator()
+        settled = set()
+        for _ in range(12):
+            F = gen.standard_normal((3, 3))
+            for lam in np.linalg.eigvalsh(F.T @ F):
+                for eps in (-0.1, -0.01, 0.01, 0.1):
+                    rho = math.sqrt(lam * (1 + eps))
+                    first = None
+                    for max_depth in range(start_depth, 6):
+                        try:
+                            expected = mesh_chi_quadratic_by_level(F, rho, max_depth, start_depth)
+                        except ValueError as exc:
+                            with pytest.raises(ValueError) as refusal:
+                                mesh_chi_quadratic(F, rho, max_depth)
+                            assert str(refusal.value) == str(exc)
+                        else:
+                            assert mesh_chi_quadratic(F, rho, max_depth) == expected
+                            first = first or max_depth
+                    settled.add(first)
+        assert settled == {*range(start_depth + 1, 6), None}
 
     def test_refuses_non_finite_input(self):
         F = np.ones((2, 3))
@@ -713,10 +744,31 @@ class TestEstimateLhs:
         assert rep.n_samples == n
         assert rep.estimate == total / n
         assert rep.stderr == pytest.approx(math.sqrt(var / n), rel=1e-6)
+        # the rounding floor of z stays within twice the true stderr
+        assert (rep.estimate - 1e9) / rep.z_score <= 2 * math.sqrt(var / n)
         # the sum / sum-of-squares formula loses the spread entirely
         total_sq = sum(float((c * c).sum()) for c in chunks)
         naive = max(total_sq - n * (total / n) ** 2, 0.0) / (n - 1)
         assert abs(naive - var) > 0.5 * var
+
+    @pytest.mark.parametrize(
+        "n", [*range(1, 18), 100, 127, 128, 129, 255, 576, 4097, 8191, CHUNK_SIZE]
+    )
+    def test_rounding_chain_is_numpys_pairwise_sum(self, n):
+        # values over 17 decades, so a sum in another order differs
+        gen = RngStream(44, n).generator()
+        values = gen.standard_normal(n) * np.exp(gen.uniform(-20, 20, n))
+        total, chain = pairwise_sum_chain(values.tolist())
+        assert total == float(values.sum())
+        assert chain == _pairwise_roundings(n)
+
+    @pytest.mark.parametrize(
+        "z, gate",
+        [(2.9, "PASS"), (-2.9, "PASS"), (3.5, "WARN"), (-3.5, "WARN"), (4.5, "FAIL"), (-4.5, "FAIL")],
+    )
+    def test_gate_bands(self, z, gate):
+        rep = McReport(1.0, 0.1, 100, 1.0 - 0.1 * z, z, 0, 0)
+        assert rep.gate == gate
 
     def test_degree_guard(self):
         with pytest.raises(ValueError):
