@@ -30,7 +30,7 @@ from .evaluate import (
     tau_evaluate,
     u_power_on_ball,
 )
-from .functionals import chi_intersection, mesh_chi_quadratic
+from .functionals import chi_values, mesh_chi_quadratic
 from .gauss import (
     CenteredBall,
     FullSpace,
@@ -65,11 +65,7 @@ from .model_sets import (
     euler_characteristic,
 )
 from .rng import RngStream
-from .sampling import (
-    LinearMapSample,
-    PoincareReport,
-    poincare_sweep,
-)
+from .sampling import PoincareReport, poincare_sweep
 from .scalars import (
     PiScalar,
     alpha,
@@ -88,7 +84,6 @@ __all__ = [
     "GreatSubsphere",
     "HalfSpace",
     "KinematicTensor",
-    "LinearMapSample",
     "McReport",
     "ModelSet",
     "Origin",
@@ -105,7 +100,7 @@ __all__ = [
     "alpha",
     "basis_element",
     "change_basis",
-    "chi_intersection",
+    "chi_values",
     "chi_vector",
     "curvature_profile",
     "estimate_lhs",

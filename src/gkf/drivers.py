@@ -1,10 +1,11 @@
 """Seeded Monte Carlo drivers and their closed-form predictions.
 
 Each driver draws i.i.d. random maps in fixed-size chunks with one child
-stream per chunk and merges the chunk moments in chunk order, so results
-are bit-reproducible for a fixed (seed, stream_id, n_samples) and the same
-at any worker count: chunks can be farmed out to worker processes without
-changing the reduction.
+stream per chunk and merges the chunk moments in chunk order.  A chunk
+returns its moments alone, and the map over the chunk plan returns them in
+plan order, so results are bit-reproducible for a fixed (seed, stream_id,
+n_samples) and the same at any worker count: chunks can be farmed out to
+worker processes without changing the reduction.
 
 The z-score divides the gap between estimate and prediction by the
 standard error, floored at a bound on the rounding of the mean, so a run
@@ -24,12 +25,12 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .evaluate import _section_u_power, abs_sigma, sigma_evaluate, t_power_unit
-from .functionals import _chi_values, _hit_fractions
+from .functionals import _hit_fractions, chi_values
 from .gauss import CenteredBall, FullSpace, GaussSet, HalfSpace, gamma, gkf_predict
 from .kinematics import gkf_coefficient, nu_values_on_set
 from .model_sets import (
@@ -176,36 +177,28 @@ def _resolve_degree(A: ModelSet, m) -> int:
     raise ValueError("degree must be 0 or 'top'")
 
 
-def _draw_maps(A, D, law_n, size, gen):
-    n = A.n
-    d = D.d
-    if law_n is None:
-        return pi_infinity_batch(n, d, size, gen)
-    return pi_n_batch(n, d, law_n, size, gen)
-
-
-def _chunk_plan(n_samples: int):
-    """(index, size) of each fixed-size chunk; chunk i draws from
-    rng.child(i)."""
+def _chunk_plan(n_samples: int) -> list[int]:
+    """The size of each fixed-size chunk; chunk i draws from rng.child(i)."""
     if n_samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
-    for index, offset in enumerate(range(0, n_samples, CHUNK_SIZE)):
-        yield index, min(CHUNK_SIZE, n_samples - offset)
+    offsets = range(0, n_samples, CHUNK_SIZE)
+    return [min(CHUNK_SIZE, n_samples - offset) for offset in offsets]
 
 
-def _chunk_values(A, D, t_top, law_n, n_points, rng, chunk_index, size) -> np.ndarray:
-    """The functional on the maps of one chunk: chi of the excursion when
-    t_top is None, else t_top times the hit-or-miss volume fraction."""
-    gen = rng.child(chunk_index).generator()
-    F_batch = _draw_maps(A, D, law_n, size, gen)
+def _chunk_task(A, D, t_top, law_n, n_points, rng, index, size):
+    """The moments of chunk index: its maps, drawn from rng.child(index),
+    scored by chi of the excursion when t_top is None, else by t_top times
+    the hit-or-miss volume fraction."""
+    gen = rng.child(index).generator()
+    if law_n is None:
+        F_batch = pi_infinity_batch(A.n, D.d, size, gen)
+    else:
+        F_batch = pi_n_batch(A.n, D.d, law_n, size, gen)
     if t_top is None:
-        return _chi_values(A, D, F_batch).astype(float)
-    return t_top * _hit_fractions(A, D, F_batch, n_points, gen)
-
-
-def _chunk_task(args):
-    *_, chunk_index, _size = args
-    return chunk_index, _chunk_moments(_chunk_values(*args))
+        values = chi_values(A, D, F_batch).astype(float)
+    else:
+        values = t_top * _hit_fractions(A, D, F_batch, n_points, gen)
+    return _chunk_moments(values)
 
 
 def estimate_lhs(
@@ -234,18 +227,15 @@ def estimate_lhs(
         prediction = pi_n_prediction(A, D, law_n, degree)
     # t^top(A) is exact algebra, so it is evaluated once, not per chunk
     t_top = None if degree == 0 else float_of(t_power_unit(A, degree))
-    chunks = [
-        (A, D, t_top, law_n, n_points, rng, index, size)
-        for index, size in _chunk_plan(n_samples)
-    ]
-
+    sizes = _chunk_plan(n_samples)
+    task = partial(_chunk_task, A, D, t_top, law_n, n_points, rng)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = sorted(pool.map(_chunk_task, chunks))
+            parts = list(pool.map(task, range(len(sizes)), sizes))
     else:
-        results = [_chunk_task(c) for c in chunks]
+        parts = list(map(task, range(len(sizes)), sizes))
     unit = 1.0 if t_top is None else abs(t_top)
-    return _make_report([moments for _, moments in results], prediction, unit, rng)
+    return _make_report(parts, prediction, unit, rng)
 
 
 # -- convergence tables ----------------------------------------------------------

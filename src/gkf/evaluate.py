@@ -227,13 +227,12 @@ def u_power_on_ball(k: int, N: int, r: float) -> float:
     return _section_u_power(k, N, GeodesicBall(N, r))
 
 
-def mu_on_euclidean_ball(k: int, N: int, radius: float = 1.0) -> float:
-    """Intrinsic volume of the euclidean N-ball: (omega_N/omega_{N-k}) binom(N,k),
-    scaled by radius^k."""
+def mu_on_euclidean_ball(k: int, N: int) -> float:
+    """Intrinsic volume of the euclidean unit N-ball:
+    (omega_N/omega_{N-k}) binom(N,k); the ball of radius r has r^k times it."""
     if not 0 <= k <= N:
         raise ValueError("index out of range")
-    log = log_omega(N) - log_omega(N - k) + _log_binom(N, k)
-    return math.exp(log + k * math.log(radius)) if radius > 0 else (1.0 if k == 0 else 0.0)
+    return math.exp(log_omega(N) - log_omega(N - k) + _log_binom(N, k))
 
 
 # -- unit-sphere side -------------------------------------------------------

@@ -53,10 +53,11 @@ from .sampling import LinearMapSample, uniform_cap_batch, uniform_sphere_batch
 # -- excursion Euler characteristics ------------------------------------------
 
 
-def _chi_values(A: ModelSet, D: GaussSet, F_batch: np.ndarray) -> np.ndarray:
+def chi_values(A: ModelSet, D: GaussSet, F_batch: np.ndarray) -> np.ndarray:
     """chi of A intersect F^(-1) D for each map of a batch (size, d, n+1),
     for the supported pairs: sphere-or-cap base with a 1-D half-space, or
-    sphere base with a centered ball in any dimension."""
+    sphere base with a centered ball in any dimension.  Each map's count
+    depends on that map alone, so one map is the batch F[None]."""
     if not isinstance(A, (UnitSphere, UnitCap, UnitGreatSubsphere)):
         raise ValueError("excursion base must be a unit-side set")
     _check_maps(A, D, F_batch)
@@ -86,10 +87,11 @@ def _check_maps(A: ModelSet, D: GaussSet, F_batch: np.ndarray) -> None:
 
 
 def chi_intersection(A: ModelSet, D: GaussSet, F: LinearMapSample) -> int:
-    """Euler characteristic of A intersect F^(-1) D: the batch rule applied
-    to a batch of one map."""
+    """chi_values of the batch of one map F.  Kept only for the benchmark
+    harness, whose mesh_map_* jobs and tracer probe call it; the benchmark
+    change that moves them to chi_values deletes it (ROADMAP item 13)."""
     entries = np.asarray(F.entries, dtype=float)
-    return int(_chi_values(A, D, entries[None])[0])
+    return int(chi_values(A, D, entries[None])[0])
 
 
 def chi_halfspace_batch(
@@ -376,23 +378,19 @@ def _two_level_chi(inside: np.ndarray, depth: int) -> tuple[int, int]:
     )
 
 
-# the first subdivision level the mesh oracle compares
+# the first subdivision level the mesh oracle compares, and the deepest
 _MESH_START_DEPTH = 6
+_MESH_MAX_DEPTH = 9
 
 
-def mesh_chi_quadratic(F_map: np.ndarray, rho: float, max_depth: int = 9) -> int:
+def mesh_chi_quadratic(F_map: np.ndarray, rho: float) -> int:
     """Triangulation oracle for the quadratic excursion chi on the 2-sphere:
     the first count two successive levels d, d + 1 agree on, for d from
-    `_MESH_START_DEPTH` up, refused if none do by max_depth.  One quadric
-    evaluation on level d + 1 masks both levels (its vertices hold level
-    d's as a prefix) and one gather over the faces of d counts both.  The
-    rule is a heuristic: a neck thinner than the mesh edges can read the
-    same wrong count on two levels."""
-    if not isinstance(max_depth, int) or max_depth < _MESH_START_DEPTH + 1:
-        raise ValueError(
-            f"max_depth must be an integer of at least {_MESH_START_DEPTH + 1}: "
-            f"the count compares levels {_MESH_START_DEPTH} and {_MESH_START_DEPTH + 1} first"
-        )
+    `_MESH_START_DEPTH` up, refused if none do by `_MESH_MAX_DEPTH`.  One
+    quadric evaluation on level d + 1 masks both levels (its vertices hold
+    level d's as a prefix) and one gather over the faces of d counts both.
+    The rule is a heuristic: a neck thinner than the mesh edges can read
+    the same wrong count on two levels."""
     F_map = np.asarray(F_map, dtype=float)
     if F_map.ndim != 2 or F_map.shape[1] != 3:
         raise ValueError("map shape mismatch")
@@ -401,12 +399,12 @@ def mesh_chi_quadratic(F_map: np.ndarray, rho: float, max_depth: int = 9) -> int
     Q = F_map.T @ F_map
     weights = Q[[0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]]
     level = rho * rho
-    for depth in range(_MESH_START_DEPTH, max_depth):
+    for depth in range(_MESH_START_DEPTH, _MESH_MAX_DEPTH):
         inside = weights @ _vertex_monomials(depth + 1) <= level
         coarse, fine = _two_level_chi(inside, depth)
         if coarse == fine:
             return fine
-    raise ValueError(f"mesh count did not settle by depth {max_depth}")
+    raise ValueError(f"mesh count did not settle by depth {_MESH_MAX_DEPTH}")
 
 
 # -- volume functionals -----------------------------------------------------------

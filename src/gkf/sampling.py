@@ -39,8 +39,9 @@ from .rng import RngStream
 
 @dataclass(frozen=True, eq=False)
 class LinearMapSample:
-    """One d x (n+1) linear map: the single-map input that the benchmark
-    harness's mesh_map_* jobs still pass to chi_intersection."""
+    """One d x (n+1) linear map, the input of chi_intersection.  Kept only
+    for the benchmark harness's mesh_map_* jobs; the benchmark change that
+    moves them to chi_values deletes both (ROADMAP item 13)."""
 
     entries: np.ndarray
 

@@ -535,11 +535,6 @@ def mesh_chi_quadratic_by_level(
     levels start_depth and start_depth + 1 from the finer level's mask,
     then of each deeper level from its own mask, until two successive
     levels agree; refused if none do by max_depth."""
-    if not isinstance(max_depth, int) or max_depth < start_depth + 1:
-        raise ValueError(
-            f"max_depth must be an integer of at least {start_depth + 1}: "
-            f"the count compares levels {start_depth} and {start_depth + 1} first"
-        )
     F_map = np.asarray(F_map, dtype=float)
     Q = F_map.T @ F_map
     weights = Q[[0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]]

@@ -22,7 +22,7 @@ from gkf.drivers import (
     nu_convergence,
     pi_n_prediction,
 )
-from gkf.functionals import chi_intersection, mesh_chi_quadratic
+from gkf.functionals import chi_values, mesh_chi_quadratic
 from gkf.gauss import (
     CenteredBall,
     FullSpace,
@@ -41,7 +41,7 @@ from gkf.kinematics import (
 )
 from gkf.model_sets import AmbientSphere, GeodesicBall, UnitSphere
 from gkf.rng import RngStream
-from gkf.sampling import LinearMapSample, poincare_sweep
+from gkf.sampling import poincare_sweep
 from gkf.scalars import PiScalar, omega
 from gkf.series import sqrt_pow
 
@@ -318,9 +318,7 @@ class TestAcceptance:
             d = int(gen.integers(2, 4))
             F = gen.standard_normal((d, 3))
             rho = float(gen.uniform(0.3, 2.5))
-            formula = chi_intersection(
-                UnitSphere(2), CenteredBall(d, rho), LinearMapSample(F)
-            )
+            formula = chi_values(UnitSphere(2), CenteredBall(d, rho), F[None])[0]
             if formula != mesh_chi_quadratic(F, rho):
                 mismatches += 1
         report(

@@ -260,7 +260,7 @@ class TestTauAndSigma:
                 * math.pi**k
                 / (math.factorial(k) * omega_float(k))
             )
-            flat = mu_on_euclidean_ball(k, N, r)
+            flat = mu_on_euclidean_ball(k, N) * r**k
             assert mu_val == pytest.approx(flat, rel=0.01)
 
     def test_sigma_zero_is_twice_volume_fraction(self):
@@ -569,10 +569,9 @@ class TestGrowthLaws:
                         * math.pi**k
                         / (math.factorial(k) * omega_float(k))
                     )
-                    lo = mu_on_euclidean_ball(k, N, disk_radius)
-                    hi = lo + (2 * r**2 / R) * mu_on_euclidean_ball(
-                        k - 1, N, disk_radius
-                    )
+                    lo = mu_on_euclidean_ball(k, N) * disk_radius**k
+                    below = mu_on_euclidean_ball(k - 1, N) * disk_radius ** (k - 1)
+                    hi = lo + (2 * r**2 / R) * below
                     assert lo <= mu_ball * (1 + 1e-9)
                     assert mu_ball <= hi * (1 + 1e-9)
 

@@ -19,7 +19,6 @@ from gkf.drivers import (
     McReport,
     _chunk_moments,
     _chunk_plan,
-    _chunk_values,
     _make_report,
     _pairwise_roundings,
     estimate_lhs,
@@ -38,6 +37,7 @@ from gkf.functionals import (
     _vertex_monomials,
     chi_intersection,
     chi_quadratic_batch,
+    chi_values,
     icosphere,
     mesh_chi_quadratic,
 )
@@ -239,31 +239,22 @@ class TestCapSampler:
 class TestChiIntersection:
     def test_disjoint_caps(self):
         xi = np.array([[-3.0, 0.0, 0.0]])  # excursion cap centered at -e0
-        value = chi_intersection(
-            UnitCap(2, 0.3), HalfSpace(1, 2.9), LinearMapSample(xi)
-        )
-        assert value == 0
+        assert chi_values(UnitCap(2, 0.3), HalfSpace(1, 2.9), xi[None])[0] == 0
 
     def test_single_cap_on_sphere(self):
         xi = np.array([[1.0, 2.0, -0.5]])
-        value = chi_intersection(UnitSphere(2), HalfSpace(1, 1.0), LinearMapSample(xi))
-        assert value == 1
+        assert chi_values(UnitSphere(2), HalfSpace(1, 1.0), xi[None])[0] == 1
 
     def test_empty_when_threshold_unreachable(self):
         xi = np.array([[0.3, 0.4, 0.0]])
-        assert (
-            chi_intersection(UnitSphere(2), HalfSpace(1, 2.0), LinearMapSample(xi)) == 0
-        )
+        assert chi_values(UnitSphere(2), HalfSpace(1, 2.0), xi[None])[0] == 0
 
     def test_full_sphere_when_threshold_below(self):
         xi = np.array([[0.3, 0.4, 0.0]])
         for n, expected in [(2, 2), (3, 0)]:
             pad = np.zeros((1, n + 1))
             pad[0, :3] = xi
-            assert (
-                chi_intersection(UnitSphere(n), HalfSpace(1, -2.0), LinearMapSample(pad))
-                == expected
-            )
+            assert chi_values(UnitSphere(n), HalfSpace(1, -2.0), pad[None])[0] == expected
 
     def test_band_case_on_two_sphere(self):
         # a cap and an excursion cap whose union covers the sphere intersect
@@ -271,8 +262,7 @@ class TestChiIntersection:
         for n, expected in [(2, 0), (3, 2)]:
             xi = np.zeros((1, n + 1))
             xi[0, 0] = -1.0
-            value = chi_intersection(UnitCap(n, 1.5), HalfSpace(1, -0.9), LinearMapSample(xi))
-            assert value == expected
+            assert chi_values(UnitCap(n, 1.5), HalfSpace(1, -0.9), xi[None])[0] == expected
 
     def test_degenerate_halfspace_maps(self):
         # xi = 0 or u = -|xi|: the excursion is empty or the whole sphere
@@ -282,30 +272,28 @@ class TestChiIntersection:
             ([0.0, 0.0, 0.0], -0.5, 2, 1),
             ([0.6, 0.0, 0.8], -1.0, 2, 1),
         ]:
-            F = LinearMapSample(np.array([xi]))
-            assert chi_intersection(UnitSphere(2), HalfSpace(1, u), F) == on_sphere
-            assert chi_intersection(UnitCap(2, 0.7), HalfSpace(1, u), F) == on_cap
+            F = np.array([[xi]])
+            assert chi_values(UnitSphere(2), HalfSpace(1, u), F)[0] == on_sphere
+            assert chi_values(UnitCap(2, 0.7), HalfSpace(1, u), F)[0] == on_cap
 
     def test_map_shape_checked_in_every_branch(self):
-        wide = LinearMapSample(np.ones((1, 7)))
+        wide = np.ones((1, 1, 7))
         for A in (UnitSphere(2), UnitCap(2, 1.0), UnitGreatSubsphere(2, 1)):
             for D in (HalfSpace(1, 0.5), FullSpace(1)):
                 with pytest.raises(ValueError, match="map shape mismatch"):
-                    chi_intersection(A, D, wide)
+                    chi_values(A, D, wide)
         for rows, cols in [(2, 7), (3, 3)]:
-            F = LinearMapSample(np.ones((rows, cols)))
+            F = np.ones((1, rows, cols))
             with pytest.raises(ValueError, match="map shape mismatch"):
-                chi_intersection(UnitSphere(2), CenteredBall(2, 1.0), F)
+                chi_values(UnitSphere(2), CenteredBall(2, 1.0), F)
         with pytest.raises(ValueError, match="unit-side"):
-            chi_intersection(AmbientSphere(3), FullSpace(1), LinearMapSample(np.ones((1, 4))))
+            chi_values(AmbientSphere(3), FullSpace(1), np.ones((1, 1, 4)))
 
     def test_quadratic_full_count_is_sphere_chi(self):
         gen = RngStream(14).generator()
         for n, d in [(2, 2), (3, 2), (2, 4), (4, 3)]:
             F = gen.standard_normal((d, n + 1))
-            big = chi_intersection(
-                UnitSphere(n), CenteredBall(d, 1e9), LinearMapSample(F)
-            )
+            big = chi_values(UnitSphere(n), CenteredBall(d, 1e9), F[None])[0]
             assert big == 1 + (-1) ** n
 
     def test_quadratic_empty_below_spectrum(self):
@@ -313,17 +301,14 @@ class TestChiIntersection:
         F = gen.standard_normal((3, 3)) + 3 * np.eye(3)
         lam = np.linalg.eigvalsh(F.T @ F)
         rho = math.sqrt(lam[0]) * 0.5
-        assert (
-            chi_intersection(UnitSphere(2), CenteredBall(3, rho), LinearMapSample(F))
-            == 0
-        )
+        assert chi_values(UnitSphere(2), CenteredBall(3, rho), F[None])[0] == 0
 
     def test_kernel_sphere_bottom_stratum(self):
         # level below every positive eigenvalue (4 and 9) leaves the kernel
         # 2-sphere of the map on S^4
         F = np.zeros((2, 5))
         F[0, 0], F[1, 1] = 2.0, 3.0
-        value = chi_intersection(UnitSphere(4), CenteredBall(2, 1.0), LinearMapSample(F))
+        value = chi_values(UnitSphere(4), CenteredBall(2, 1.0), F[None])[0]
         assert value == 1 + (-1) ** 2
 
     def test_mesh_oracle_agreement_sample(self):
@@ -332,9 +317,7 @@ class TestChiIntersection:
             d = int(gen.integers(2, 4))
             F = gen.standard_normal((d, 3))
             rho = float(gen.uniform(0.3, 2.5))
-            formula = chi_intersection(
-                UnitSphere(2), CenteredBall(d, rho), LinearMapSample(F)
-            )
+            formula = chi_values(UnitSphere(2), CenteredBall(d, rho), F[None])[0]
             assert formula == mesh_chi_quadratic(F, rho)
 
     def test_mesh_complex_counts(self):
@@ -352,6 +335,14 @@ def _gram_shapes() -> list[tuple[int, int]]:
         if m >= 2:
             shapes += [(m - 1, m), (m - 1, m + 2)]
     return shapes
+
+
+def counts_per_map(A, D, F) -> set:
+    """The counts chi_values gives a batch, asserted equal to those of its
+    maps as batches of one: no map's count depends on its batch."""
+    batch = chi_values(A, D, F)
+    assert np.array_equal(batch, [chi_values(A, D, f[None])[0] for f in F])
+    return set(batch.tolist())
 
 
 class TestDescartesCount:
@@ -405,6 +396,12 @@ class TestDescartesCount:
         assert chi_quadratic_batch(F, n, rho)[0] == expected
         if eigvalsh_exact:
             assert chi_quadratic_eigvalsh(F, n, rho)[0] == expected
+        # the same count among other maps of its shape
+        others = RngStream(46).generator().standard_normal((8, *F.shape[1:]))
+        batch = np.concatenate([F, others, F])
+        A, D = UnitSphere(n), CenteredBall(F.shape[1], rho)
+        counts_per_map(A, D, batch)
+        assert chi_values(A, D, batch)[[0, -1]].tolist() == [expected, expected]
 
     @pytest.mark.parametrize(
         "A, D",
@@ -423,14 +420,14 @@ class TestDescartesCount:
         assert np.array_equal(got, want)
 
     def test_gram_overflow_is_refused(self):
-        F = LinearMapSample(np.array([[1e200, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+        F = np.array([[[1e200, 0.0, 0.0], [0.0, 1.0, 0.0]]])
         with pytest.raises(ValueError, match="too large"), pytest.warns(RuntimeWarning):
-            chi_intersection(UnitSphere(2), CenteredBall(2, 1.0), F)
+            chi_values(UnitSphere(2), CenteredBall(2, 1.0), F)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_maps_are_refused(self, bad):
-        ball_map = LinearMapSample(np.array([[bad, 0.0, 0.0], [0.0, 1.0, 0.0]]))
-        row = LinearMapSample(np.array([[bad, 0.0, 0.0]]))
+        ball_map = np.array([[[bad, 0.0, 0.0], [0.0, 1.0, 0.0]]])
+        row = np.array([[[bad, 0.0, 0.0]]])
         cases = [
             (UnitSphere(2), CenteredBall(2, 1.0), ball_map),
             (UnitSphere(2), FullSpace(2), ball_map),
@@ -439,9 +436,62 @@ class TestDescartesCount:
         ]
         for A, D, F in cases:
             with pytest.raises(ValueError, match="map entries must be finite"):
-                chi_intersection(A, D, F)
+                chi_values(A, D, F)
             with pytest.raises(ValueError, match="map entries must be finite"):
-                _hit_fractions(A, D, F.entries[None], 10, RngStream(44).generator())
+                _hit_fractions(A, D, F, 10, RngStream(44).generator())
+
+
+class TestChiValuesPerMap:
+    @pytest.mark.parametrize("n, d", _gram_shapes())
+    def test_quadratic_maps(self, n, d):
+        gen = RngStream(45, 16 * n + d).generator()
+        F = gen.standard_normal((48, d, n + 1))
+        F *= 10.0 ** gen.uniform(-1.5, 1.0, (48, 1, 1))
+        F[::7, 0, :] = 0.0  # a zero row
+        seen = set()
+        for rho in (0.3, 1.0, 2.5):
+            seen |= counts_per_map(UnitSphere(n), CenteredBall(d, rho), F)
+        assert len(seen) == 2  # both parities of the count occur
+
+    @pytest.mark.parametrize(
+        "A", [UnitSphere(2), UnitSphere(3), UnitCap(2, 0.7), UnitCap(3, 1.5)]
+    )
+    def test_halfspace_maps(self, A):
+        F = RngStream(47, A.n).generator().standard_normal((64, 1, A.n + 1))
+        F[::8] = 0.0  # xi = 0: the excursion is empty or everything
+        seen = set()
+        for u in (-2.0, -0.5, 0.0, 0.5, 2.0):
+            seen |= counts_per_map(A, HalfSpace(1, u), F)
+        assert len(seen) >= 2
+
+    @pytest.mark.parametrize("A", [UnitSphere(2), UnitCap(3, 1.0), UnitGreatSubsphere(3, 1)])
+    def test_full_space(self, A):
+        F = RngStream(48).generator().standard_normal((5, 2, A.n + 1))
+        counts_per_map(A, FullSpace(2), F)
+
+    @pytest.mark.parametrize(
+        "A, D",
+        [
+            (UnitSphere(2), CenteredBall(2, 1.0)),
+            (UnitSphere(9), CenteredBall(10, 1.0)),  # the eigvalsh route
+            (UnitCap(2, 0.7), HalfSpace(1, 0.5)),
+            (UnitSphere(3), HalfSpace(1, 0.5)),
+            (UnitSphere(2), FullSpace(1)),
+        ],
+    )
+    def test_empty_batch(self, A, D):
+        chi = chi_values(A, D, np.empty((0, D.d, A.n + 1)))
+        assert chi.shape == (0,) and chi.dtype.kind == "i"
+
+    def test_harness_shim_is_a_batch_of_one(self):
+        # chi_intersection and LinearMapSample stay only for the benchmark's
+        # mesh_map_* jobs, which pass (d, 3) maps with d in {2, 3}
+        gen = RngStream(49).generator()
+        for _ in range(40):
+            d = int(gen.integers(2, 4))
+            F = gen.standard_normal((d, 3))
+            A, D = UnitSphere(2), CenteredBall(d, float(gen.uniform(0.3, 2.5)))
+            assert chi_intersection(A, D, LinearMapSample(F)) == chi_values(A, D, F[None])[0]
 
 
 def dict_icosphere(depth: int):
@@ -577,7 +627,7 @@ class TestIcosphereMesh:
         assert _two_level_chi(np.ones(n, dtype=bool), depth) == (2, 2)
         assert _two_level_chi(np.zeros(n, dtype=bool), depth) == (0, 0)
 
-    def test_count_settling_at_depth_eight(self):
+    def test_count_settling_at_depth_eight(self, monkeypatch):
         # rho^2 is the middle Gram eigenvalue times 1 + 1e-4: the sublevel
         # set is a band joined through two thin necks at the saddles, which
         # depth 6 misses (two disks, chi 2) and depths 7 and 8 see (chi 0),
@@ -585,10 +635,12 @@ class TestIcosphereMesh:
         F = np.array([[-2.83, 1.02, -0.96], [-1.67, 0.28, 0.7], [-0.44, -1.08, 0.03]])
         rho = 1.2817275829873807
         try:
+            monkeypatch.setattr(functionals, "_MESH_MAX_DEPTH", 7)
             with pytest.raises(ValueError, match="did not settle by depth 7"):
-                mesh_chi_quadratic(F, rho, max_depth=7)
-            morse = chi_intersection(UnitSphere(2), CenteredBall(3, rho), LinearMapSample(F))
-            assert mesh_chi_quadratic(F, rho, max_depth=8) == morse == 0
+                mesh_chi_quadratic(F, rho)
+            monkeypatch.setattr(functionals, "_MESH_MAX_DEPTH", 8)
+            morse = chi_values(UnitSphere(2), CenteredBall(3, rho), F[None])[0]
+            assert mesh_chi_quadratic(F, rho) == morse == 0
         finally:
             # depth 8 and the depth-7 gather index hold about 125 MB; later
             # tests need only depth 7
@@ -609,15 +661,16 @@ class TestIcosphereMesh:
                 for eps in (-0.1, -0.01, 0.01, 0.1):
                     rho = math.sqrt(lam * (1 + eps))
                     first = None
-                    for max_depth in range(start_depth, 6):
+                    for max_depth in range(start_depth + 1, 6):
+                        monkeypatch.setattr(functionals, "_MESH_MAX_DEPTH", max_depth)
                         try:
                             expected = mesh_chi_quadratic_by_level(F, rho, max_depth, start_depth)
                         except ValueError as exc:
                             with pytest.raises(ValueError) as refusal:
-                                mesh_chi_quadratic(F, rho, max_depth)
+                                mesh_chi_quadratic(F, rho)
                             assert str(refusal.value) == str(exc)
                         else:
-                            assert mesh_chi_quadratic(F, rho, max_depth) == expected
+                            assert mesh_chi_quadratic(F, rho) == expected
                             first = first or max_depth
                     settled.add(first)
         assert settled == {*range(start_depth + 1, 6), None}
@@ -634,16 +687,12 @@ class TestIcosphereMesh:
         with pytest.raises(ValueError, match="map shape mismatch"):
             mesh_chi_quadratic(np.ones((2, 4)), 1.0)
 
-    def test_refuses_unsettled_count(self):
+    def test_refuses_unsettled_count(self, monkeypatch):
         # the level set of |x|^2 at 1 is the whole sphere up to rounding, so
         # the inside vertices scatter and no two levels agree
-        with pytest.raises(ValueError, match="did not settle"):
-            mesh_chi_quadratic(np.eye(3), 1.0, max_depth=7)
-
-    @pytest.mark.parametrize("max_depth", [6, 8.0])
-    def test_refuses_bad_max_depth(self, max_depth):
-        with pytest.raises(ValueError, match="an integer of at least 7"):
-            mesh_chi_quadratic(np.diag([1.0, 2.0, 3.0]), 1.5, max_depth=max_depth)
+        monkeypatch.setattr(functionals, "_MESH_MAX_DEPTH", 7)
+        with pytest.raises(ValueError, match="did not settle by depth 7"):
+            mesh_chi_quadratic(np.eye(3), 1.0)
 
 
 class TestVolumeFraction:
@@ -1097,8 +1146,8 @@ class TestUniformIntegrabilityProxy:
         for N in (50, 200, 1000):
             chi = np.concatenate(
                 [
-                    _chunk_values(A, D, None, N, 1, rng, index, size)
-                    for index, size in _chunk_plan(10000)
+                    chi_values(A, D, pi_n_batch(2, 2, N, size, rng.child(index).generator()))
+                    for index, size in enumerate(_chunk_plan(10000))
                 ]
             )
             assert np.abs(chi).mean() < 2.0
