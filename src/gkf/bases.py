@@ -62,8 +62,18 @@ ONE = PiScalar.one()
 # bases (warm bridges) 0.7-0.9 / 1.1-1.5 / 1.9-2.7 s, and bridge entry
 # denominators reach 307 / 489 / 689 bits.  Large-dimension work goes
 # through the log-space float paths `evaluate.u_power_on_ball`,
-# `evaluate.sigma_evaluate` and `kinematics.nu_values_on_set`.
+# `evaluate.sigma_evaluate` and `kinematics.nu_values_on_set`.  The one
+# guard, `_check_exact_cap`, serves vector conversions and exact tensors.
 EXACT_N_CAP = 64
+
+
+def _check_exact_cap(N: int) -> None:
+    if N > EXACT_N_CAP:
+        raise ValueError(
+            f"exact vectors and tensors are capped at N = {EXACT_N_CAP}; at "
+            "larger N use the float paths u_power_on_ball, sigma_evaluate and "
+            "nu_values_on_set"
+        )
 
 
 class Basis(Enum):
@@ -282,12 +292,7 @@ def _apply(
     is one Fraction, divided by w_dst(i)."""
     if N < 1:
         raise ValueError("dimension must be positive")
-    if N > EXACT_N_CAP:
-        raise ValueError(
-            f"exact basis conversion capped at N = {EXACT_N_CAP}; at larger N "
-            "use the float paths u_power_on_ball, sigma_evaluate and "
-            "nu_values_on_set"
-        )
+    _check_exact_cap(N)
     bridge = _integer_bridge(N, _FRAME[src], _FRAME[dst])
     w_in, w_out = _weights(N, src)[0], _weights(N, dst)[1]
     # SIGMA element k sits at TAU index N-k; every other basis keeps k

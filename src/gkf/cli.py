@@ -210,9 +210,7 @@ def cmd_converge(args) -> tuple[list[dict], int]:
     n_list = tuple(int(x) for x in args.N_list.split(","))
     if args.mode == "nu":
         D = parse_set(args.D, GAUSS_SETS) if args.D else CenteredBall(2, 1.0)
-        if not isinstance(D, CenteredBall):
-            raise ValueError("nu convergence expects a ball descriptor")
-        return nu_convergence(D.d, D.rho, args.k_max, n_list), 0
+        return nu_convergence(D, args.k_max, n_list), 0
     if args.mode == "poincare":
         reports = poincare_sweep(
             n_list, args.d, args.samples, RngStream(args.seed, args.stream)

@@ -170,7 +170,7 @@ def pi_n_prediction(A: ModelSet, D: GaussSet, N: int, m: int) -> float:
 def _resolve_degree(A: ModelSet, m) -> int:
     if m == "top":
         return top_degree(A)
-    if m in (0, "0"):
+    if m == 0:
         return 0
     if isinstance(m, int) and m == top_degree(A):
         return m
@@ -220,11 +220,14 @@ def estimate_lhs(
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     degree = _resolve_degree(A, m)
-    # the prediction rejects unsupported pairs, so it runs before any draw
+    # the prediction rejects the pairs it has no formula for, and scoring an
+    # empty batch the pairs chi_values has no count for, before any draw
     if law_n is None:
         prediction = gkf_predict(A, D, degree)
     else:
         prediction = pi_n_prediction(A, D, law_n, degree)
+    if degree == 0:
+        chi_values(A, D, np.empty((0, D.d, A.n + 1)))
     # t^top(A) is exact algebra, so it is evaluated once, not per chunk
     t_top = None if degree == 0 else float_of(t_power_unit(A, degree))
     sizes = _chunk_plan(n_samples)
@@ -246,11 +249,10 @@ def nu_limit_constant(k: int) -> float:
     return 2.0**k * float_of(gkf_coefficient(k))
 
 
-def nu_convergence(
-    d: int, rho: float, k_max: int, N_list: tuple[int, ...]
-) -> list[dict]:
-    """Tabulate nu_k of the pulled-back ball against the limit values."""
-    D = CenteredBall(d, rho)
+def nu_convergence(D: GaussSet, k_max: int, N_list: tuple[int, ...]) -> list[dict]:
+    """Tabulate nu_k of the sphere-side trace of D (`pull_back_set`: a
+    centered ball, a 1-D half-space or the full space) against the limit
+    values."""
     gammas = gamma(D, k_max)
     rows = []
     for N in N_list:
@@ -281,20 +283,21 @@ def kinematic_inequality_check(
     C: ModelSet,
     D: ModelSet,
     k: int,
-    N: int,
     n_rotations: int,
     rng: RngStream,
 ) -> dict:
     """Check that the rotation average of |sigma_k| of an intersection stays
     below the diagonal product bound.
 
-    Both sets are sphere-side sets of dimension N.  Supported configurations
-    (the ones whose intersection functional has an exact route): the whole
-    sphere as one factor (the intersection is the other factor, by
-    invariance), and the volume case k = 0 for cap pairs, where the left
-    side is the expected normalized intersection volume, by hit-or-miss.
+    Both sets are sphere-side sets of one dimension N, which the report
+    carries.  Supported configurations (the ones whose intersection
+    functional has an exact route): the whole sphere as one factor (the
+    intersection is the other factor, by invariance), and the volume case
+    k = 0 for cap pairs, where the left side is the expected normalized
+    intersection volume, by hit-or-miss.
     """
-    if any(getattr(S, "N", None) != N for S in (C, D)):  # unit-side sets have no N
+    N = getattr(C, "N", None)  # unit-side sets have no N
+    if N is None or getattr(D, "N", None) != N:
         raise ValueError("dimension mismatch")
     if isinstance(C, AmbientSphere) or isinstance(D, AmbientSphere):
         fixed = D if isinstance(C, AmbientSphere) else C

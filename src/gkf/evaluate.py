@@ -98,14 +98,12 @@ def profile_sym_slog(
 # it through the SIGMA -> TAU and U -> SIGMA bridges of `bases`/`series`.
 
 
-def _volume_fraction(model_set) -> float:
+def _volume_fraction(model_set: GeodesicBall | SubsphereTube) -> float:
+    """The volume fraction of a set with a hypersurface boundary; every other
+    set has an exact sigma (`_exact_sigma`) and never gets here."""
     if isinstance(model_set, GeodesicBall):
         return ball_volume_fraction(model_set.N, model_set.r)
-    if isinstance(model_set, SubsphereTube):
-        return tube_volume_fraction(model_set.N, model_set.d, model_set.s)
-    if isinstance(model_set, AmbientSphere):
-        return 1.0
-    raise ValueError(f"no volume for {type(model_set).__name__}")
+    return tube_volume_fraction(model_set.N, model_set.d, model_set.s)
 
 
 def _sphere_dim(model_set: ModelSet) -> int:

@@ -68,8 +68,7 @@ def chi_values(A: ModelSet, D: GaussSet, F_batch: np.ndarray) -> np.ndarray:
             raise ValueError("half-space intersections require a 1-D map")
         if not isinstance(A, (UnitSphere, UnitCap)):
             raise ValueError("half-space base must be the sphere or a cap")
-        cap_theta = A.theta if isinstance(A, UnitCap) else None
-        return chi_halfspace_batch(A.n, cap_theta, F_batch[:, 0, :], D.u)
+        return chi_halfspace_batch(A, F_batch[:, 0, :], D.u)
     if isinstance(D, CenteredBall):
         if not isinstance(A, UnitSphere):
             raise ValueError("quadratic sublevel base must be the sphere")
@@ -95,19 +94,18 @@ def chi_intersection(A: ModelSet, D: GaussSet, F: LinearMapSample) -> int:
 
 
 def chi_halfspace_batch(
-    n: int, cap_theta: float | None, xi_batch: np.ndarray, u: float
+    A: UnitSphere | UnitCap, xi_batch: np.ndarray, u: float
 ) -> np.ndarray:
     """Vectorized half-space excursion count over a batch of coefficient rows,
-    on the whole sphere (cap_theta None) or the cap of radius cap_theta about
-    the first axis.  The excursion is everything when u <= -|xi| (xi = 0
+    on the whole sphere A or the cap A of radius A.theta about the first
+    axis.  The excursion is all of A, with chi(A), when u <= -|xi| (xi = 0
     included)."""
     norms = np.linalg.norm(xi_batch, axis=1)
-    chi_full = 1 + (-1) ** n if cap_theta is None else 1
     out = np.zeros(len(xi_batch), dtype=np.int64)
     below = u <= -norms
-    out[below] = chi_full
+    out[below] = euler_characteristic(A)
     proper = (~below) & (u <= norms)
-    if cap_theta is None:
+    if isinstance(A, UnitSphere):
         out[proper] = 1
     else:
         idx = np.nonzero(proper)[0]
@@ -116,10 +114,10 @@ def chi_halfspace_batch(
             sub_norms = norms[idx]
             psi = np.arccos(np.clip(u / sub_norms, -1.0, 1.0))
             delta = np.arccos(np.clip(sub[:, 0] / sub_norms, -1.0, 1.0))
-            meets = delta <= cap_theta + psi
-            covers = delta + cap_theta + psi > 2 * math.pi
+            meets = delta <= A.theta + psi
+            covers = delta + A.theta + psi > 2 * math.pi
             vals = np.where(meets, 1, 0)
-            vals = np.where(meets & covers, 1 + (-1) ** (n - 1), vals)
+            vals = np.where(meets & covers, 1 + (-1) ** (A.n - 1), vals)
             out[idx] = vals
     return out
 
@@ -444,8 +442,8 @@ def _hit_fractions(
 ) -> np.ndarray:
     """Hit-or-miss estimate of vol(A intersect F^(-1)D) / vol(A) for each
     map of a batch (size, d, n+1), from n_points uniform points per map."""
-    points = sample_uniform_on(A, len(F_batch) * n_points, gen)
     _check_maps(A, D, F_batch)
+    points = sample_uniform_on(A, len(F_batch) * n_points, gen)
     points = points.reshape(len(F_batch), n_points, -1)
     images = points @ F_batch.transpose(0, 2, 1)
     hits = gauss_set_membership(D, images.reshape(-1, D.d))

@@ -20,14 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .bases import (
-    EXACT_N_CAP,
-    ZERO,
-    Basis,
-    _apply,
-    _dense,
-    nu_in_sigma_column,
-)
+from .bases import Basis, _apply, _check_exact_cap, _dense, nu_in_sigma_column
 from .evaluate import sigma_evaluate
 from .model_sets import GeodesicBall, ModelSet, SubsphereTube, tube_volume_fraction
 from .scalars import PiScalar, omega
@@ -84,10 +77,6 @@ class KinematicTensor:
         return tuple(
             _dense(self.N, self.entries.get(i, empty)) for i in range(self.N + 1)
         )
-
-    def entry(self, i: int, j: int) -> PiScalar:
-        row = self.entries.get(i)
-        return ZERO if row is None else row.get(j, ZERO)
 
     def is_symmetric(self) -> bool:
         return all(
@@ -151,16 +140,8 @@ def _convert_rows(N: int, src: Basis, dst: Basis, entries: SparseRows) -> Sparse
     return dict(zip(entries, images))
 
 
-def _check_tensor_dim(N: int):
-    if N > EXACT_N_CAP:
-        raise ValueError(
-            f"exact tensors are capped at N = {EXACT_N_CAP}; the "
-            "per-row helpers (nu_values_on_set, sigma_evaluate) work at any N"
-        )
-
-
 def _diagonal_sum_tensor(N: int, total: int, coeff: PiScalar, basis: Basis):
-    _check_tensor_dim(N)
+    _check_exact_cap(N)
     lo, hi = max(0, total - N), min(N, total)
     entries = {i: {total - i: coeff} for i in range(lo, hi + 1)}
     return KinematicTensor._sparse(N, basis, basis, entries)
@@ -182,24 +163,16 @@ def p_tau(k: int, N: int) -> KinematicTensor:
     return _diagonal_sum_tensor(N, N + k, coeff, Basis.TAU)
 
 
-def p_chi(N: int, sigma_sigma: bool = False) -> KinematicTensor:
-    """Kinematic image of the Euler characteristic.
-
-    Default form: left leg in generator powers (U), right leg in SIGMA,
-    rows[k][i] = 1/2 [u^k] (u/sqrt(1+u^2))^i, read from the nu column
-    `bases.nu_in_sigma_column(k)`, which is the source.  With
-    sigma_sigma=True the telescoped form is returned as the independent
-    check: (u/sqrt(1+u^2))^i = sum_j sigma_(N-i-2j), so the entry at (s, i)
-    is 1/2 exactly when s + i <= N with s + i = N (mod 2).
+def p_chi(N: int) -> KinematicTensor:
+    """Kinematic image of the Euler characteristic, left leg in generator
+    powers (U), right leg in SIGMA: rows[k][i] = 1/2 [u^k] (u/sqrt(1+u^2))^i,
+    read from the nu column `bases.nu_in_sigma_column(k)`, which is the
+    source.  `convert_left(Basis.SIGMA)` gives the telescoped SIGMA (x) SIGMA
+    form, which `nu_defining_identity_holds` checks.
     """
     if N < 1:
         raise ValueError("dimension must be positive")
-    _check_tensor_dim(N)
-    if sigma_sigma:
-        entries = {
-            s: {i: HALF for i in range((N - s) % 2, N - s + 1, 2)} for s in range(N + 1)
-        }
-        return KinematicTensor._sparse(N, Basis.SIGMA, Basis.SIGMA, entries)
+    _check_exact_cap(N)
     entries = {
         k: {i: PiScalar.from_rational(q) for i, q in nu_in_sigma_column(k)}
         for k in range(N + 1)
@@ -210,8 +183,14 @@ def p_chi(N: int, sigma_sigma: bool = False) -> KinematicTensor:
 def nu_defining_identity_holds(N: int) -> bool:
     """Exact check that sum_k u^k (x) nu_k, re-expanded over SIGMA (x) SIGMA
     via the binomial expansion of u^k, reproduces the independent telescoped
-    form of the kinematic image of chi."""
-    return p_chi(N).convert_left(Basis.SIGMA) == p_chi(N, sigma_sigma=True)
+    form of the kinematic image of chi: (u/sqrt(1+u^2))^i =
+    sum_j sigma_(N-i-2j), so the entry at (s, i) is 1/2 exactly when
+    s + i <= N with s + i = N (mod 2)."""
+    converted = p_chi(N).convert_left(Basis.SIGMA)
+    telescoped = {
+        s: {i: HALF for i in range((N - s) % 2, N - s + 1, 2)} for s in range(N + 1)
+    }
+    return converted == KinematicTensor._sparse(N, Basis.SIGMA, Basis.SIGMA, telescoped)
 
 
 def p_u_power(m: int, N: int) -> KinematicTensor:
@@ -259,7 +238,8 @@ def tube_volume_identity(N: int, d: int, s: float, r: float) -> tuple[float, flo
     Left: the volume fraction of the grown tube of radius s + r, the
     incomplete beta form of its meridian integral.
     Right: sum_k u^k(ball of radius r) nu_k(tube of radius s) in the
-    telescoped SIGMA (x) SIGMA form of `p_chi(N, sigma_sigma=True)`,
+    telescoped SIGMA (x) SIGMA form of p(chi) (`p_chi(N).convert_left(
+    Basis.SIGMA)`, see `nu_defining_identity_holds`),
     1/2 sum_a sigma_a(ball) P_(N-a)(tube) with P_j = sigma_j + P_(j-2).
     The identity needs s + r below the focal distance.
     """

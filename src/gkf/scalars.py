@@ -331,11 +331,7 @@ def omega(n: int) -> PiScalar:
     """Volume of the unit ball in dimension n: pi^(n/2) / Gamma(n/2 + 1)."""
     if n < 0:
         raise ValueError("dimension must be nonnegative")
-    if n % 2 == 0:
-        k = n // 2
-        return PiScalar({(n, 1): Fraction(1, math.factorial(k))})
-    k = (n - 1) // 2
-    return PiScalar({(n - 1, 1): Fraction(2 ** (k + 1), _double_factorial(n))})
+    return PiScalar.pi_power(n) * gamma_half(n + 2).reciprocal()
 
 
 @lru_cache(maxsize=None)

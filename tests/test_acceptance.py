@@ -253,7 +253,7 @@ class TestAcceptance:
         )
 
     def test_a11_nu_convergence(self):
-        rows = nu_convergence(2, 1.0, 2, (100, 400, 1600, 2000))
+        rows = nu_convergence(CenteredBall(2, 1.0), 2, (100, 400, 1600, 2000))
         by_k = {}
         for row in rows:
             by_k.setdefault(row["k"], []).append(row)
@@ -292,7 +292,6 @@ class TestAcceptance:
                     GeodesicBall(N, r1),
                     GeodesicBall(N, r2),
                     0,
-                    N,
                     10**5,
                     RngStream(ACCEPT_SEED, 120 + i),
                 )
@@ -300,7 +299,7 @@ class TestAcceptance:
         for k in (0, 1, 2, 5):
             configs.append(
                 kinematic_inequality_check(
-                    GeodesicBall(N, 4.0), AmbientSphere(N), k, N, 0, RngStream(0)
+                    GeodesicBall(N, 4.0), AmbientSphere(N), k, 0, RngStream(0)
                 )
             )
         ok = all(c["passed"] for c in configs)

@@ -103,6 +103,71 @@ def test_every_definition_is_referenced():
     assert dead == []
 
 
+def _defaulted_parameters(tree: ast.Module):
+    """(qualified name, called name, parameter, positional index or None)
+    of every parameter with a default of every function and method; a
+    method's index leaves out self or cls, and `__init__` is called by its
+    class name."""
+    scopes = [(tree, None)]
+    while scopes:
+        scope, owner = scopes.pop()
+        for node in ast.iter_child_nodes(scope):
+            if isinstance(node, ast.ClassDef):
+                scopes.append((node, node.name))
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scopes.append((node, None))
+                args = node.args
+                bound = owner is not None and not any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in node.decorator_list
+                )
+                called = owner if node.name == "__init__" else node.name
+                qualified = f"{owner}.{node.name}" if owner else node.name
+                positional = args.posonlyargs + args.args
+                for index in range(len(positional) - len(args.defaults), len(positional)):
+                    yield qualified, called, positional[index].arg, index - bound
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        yield qualified, called, arg.arg, None
+
+
+def _calls(files) -> dict:
+    """called name -> [(number of positional arguments, keyword names)] of
+    every call in the files; a call that unpacks *args or **kwargs may pass
+    any parameter."""
+    calls = {}
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            unpacks = any(isinstance(a, ast.Starred) for a in node.args) or any(
+                k.arg is None for k in node.keywords
+            )
+            keywords = {k.arg for k in node.keywords}
+            calls.setdefault(name, []).append((len(node.args), keywords, unpacks))
+    return calls
+
+
+def test_every_default_is_overridden_outside_tests():
+    """A parameter with a default that only tests set is an option no
+    caller uses: some call in `src/gkf` or `perfbench` passes each one, by
+    keyword or positionally past its index."""
+    calls = _calls(sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")))
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for qualified, called, parameter, index in _defaulted_parameters(
+            ast.parse(path.read_text())
+        ):
+            if not any(
+                parameter in keywords or unpacks or (index is not None and positional > index)
+                for positional, keywords, unpacks in calls.get(called, [])
+            ):
+                unused.append(f"{path.stem}.{qualified}({parameter})")
+    assert unused == []
+
+
 def _unread_imports(path: Path) -> list[str]:
     """Names an import statement in the file binds and no code there reads;
     a name listed in the module's `__all__` counts as read."""

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from gkf import drivers
+from gkf import cli, drivers
 from gkf.cli import GAUSS_SETS, UNIT_SETS, build_parser, main, parse_set, render
 from gkf.gauss import CenteredBall, FullSpace, HalfSpace, Origin
 from gkf.model_sets import UnitCap, UnitGreatSubsphere, UnitSphere
@@ -207,6 +207,8 @@ class TestNu:
             (["--N", "10", "--k-max", "-2"], "--k-max must be nonnegative"),
             (["--N", "2", "--D", "ball:3:1.0"], "codimension"),
             (["--N", "0", "--D", "ball:2:1.0"], "ball must fit"),
+            (["--N", "10", "--D", "halfspace:1:5.0"], "|u| < sqrt(N)"),
+            (["--N", "10", "--D", "origin:2"], "no sphere-side trace for Origin"),
         ],
     )
     def test_bad_input_exit_two(self, capsys, argv, message):
@@ -364,6 +366,39 @@ class TestSimulate:
         code, _ = run_cli(argv, capsys)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "A, D, message",
+        [
+            ("sphere:2", "halfspace:2:0.5", "half-space intersections require a 1-D map"),
+            ("sphere:2", "origin:2", "unsupported pair (UnitSphere, Origin)"),
+            ("cap:2:1.0", "ball:2:1.0", "quadratic sublevel base must be the sphere"),
+            ("subsphere:3:2", "halfspace:1:0.5", "half-space base must be the sphere or a cap"),
+            ("subsphere:3:2", "ball:2:1.0", "quadratic sublevel base must be the sphere"),
+        ],
+    )
+    def test_unsupported_euler_pair_exits_before_drawing(
+        self, capsys, monkeypatch, A, D, message
+    ):
+        # gkf_predict has a formula for each pair, chi_values no count
+        def no_draws(*args):
+            raise AssertionError("pi_infinity_batch called")
+
+        monkeypatch.setattr("gkf.drivers.pi_infinity_batch", no_draws)
+        code = main(["simulate", "--A", A, "--D", D, "--samples", "16384"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert message in captured.err
+
+    def test_top_degree_by_number(self, capsys):
+        argv = ["simulate", "--A", "sphere:2", "--D", "ball:2:1.0", "--samples", "4096"]
+        _, by_name = run_json([*argv, "--m", "top"], capsys)
+        _, by_number = run_json([*argv, "--m", "2"], capsys)
+        keys = ("estimate", "prediction", "z_score")
+        assert [by_number["results"][0][k] for k in keys] == [
+            by_name["results"][0][k] for k in keys
+        ]
+
     def test_no_points_exit_two(self, capsys):
         argv = [
             "simulate", "--A", "sphere:2", "--D", "ball:2:1.0", "--m", "top",
@@ -402,6 +437,24 @@ class TestConverge:
         )
         assert code == 0
         assert len(doc["results"]) == 4
+
+    def test_nu_mode_on_a_halfspace(self, capsys):
+        # any set with a sphere-side trace converges, here at O(1/N)
+        code, doc = run_json(["converge", "--mode", "nu", "--D", "halfspace:1:0.5"], capsys)
+        assert code == 0
+        by_k = {}
+        for row in doc["results"]:
+            by_k.setdefault(row["k"], []).append(row["abs_err"])
+        assert sorted(by_k) == [0, 1, 2]
+        for errs in by_k.values():
+            assert len(errs) == 3 and errs[0] > errs[1] > errs[2]
+
+    def test_nu_mode_without_a_trace_exit_two(self, capsys):
+        code = main(["converge", "--mode", "nu", "--D", "origin:2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "no sphere-side trace for Origin" in captured.err
 
     def test_nu_mode_k_max_zero(self, capsys):
         code, doc = run_json(
@@ -494,6 +547,32 @@ class TestCheckCommand:
         code, doc = run_json(["check"], capsys)
         assert code == 0
         assert all(row["status"] == "ok" for row in doc["results"])
+
+    @pytest.mark.parametrize(
+        "name, row",
+        [
+            ("change_basis", "basis-round-trips"),
+            ("nu_defining_identity_holds", "nu-defining-identity"),
+            ("p_sigma", "operator-normalization"),
+            ("tube_volume_identity", "tube-identity"),
+            ("gamma_fd_oracle", "gamma-derivative-oracle"),
+        ],
+    )
+    def test_each_failed_check_exit_one(self, capsys, monkeypatch, name, row):
+        # a broken input to one check fails that row alone
+        real = getattr(cli, name)
+        broken = {
+            "change_basis": lambda v, target: real(v, target).scale(2),
+            "nu_defining_identity_holds": lambda N: False,
+            "p_sigma": lambda k, N: real(k, N).scale(2),
+            "tube_volume_identity": lambda *args: (1.0, 2.0),
+            "gamma_fd_oracle": lambda D, k: real(D, k) + 1.0,
+        }[name]
+        monkeypatch.setattr(cli, name, broken)
+        code, doc = run_json(["check"], capsys)
+        assert code == 1
+        failed = [r["check"] for r in doc["results"] if r["status"] == "FAIL"]
+        assert failed == [row]
 
 
 class TestDocumentContract:

@@ -48,10 +48,10 @@ class TestDiagonalOperators:
     def test_p_sigma_bottom_cases(self):
         N = 8
         t0 = p_sigma(0, N)
-        assert t0.entry(0, 0) == HALF
+        assert t0.rows[0][0] == HALF
         assert sum(1 for row in t0.rows for x in row if x) == 1
         t1 = p_sigma(1, N)
-        assert t1.entry(0, 1) == HALF and t1.entry(1, 0) == HALF
+        assert t1.rows[0][1] == HALF and t1.rows[1][0] == HALF
         assert sum(1 for row in t1.rows for x in row if x) == 2
 
     def test_support_condition(self):
@@ -60,18 +60,18 @@ class TestDiagonalOperators:
         for i in range(N + 1):
             for j in range(N + 1):
                 if i + j != N + k:
-                    assert tensor.entry(i, j).is_zero()
+                    assert tensor.rows[i][j].is_zero()
 
     def test_p_tau_top_coefficient(self):
         for N in [4, 7, 12]:
             tensor = p_tau(N, N)
             expected = Fraction(1, 2 ** (N + 1)) * sqrt_pow(N, -N)
-            assert tensor.entry(N, N) == expected
+            assert tensor.rows[N][N] == expected
 
     def test_scale_rejects_inexact_factors(self):
         with pytest.raises(ValueError, match="int, Fraction or PiScalar"):
             p_sigma(1, 4).scale(0.5)
-        assert p_sigma(1, 4).scale(2).entry(0, 1) == 1
+        assert p_sigma(1, 4).scale(2).rows[0][1] == 1
 
     def test_sum_keeps_the_shared_zero(self):
         # a zero entry of a sum is bases.ZERO itself, also where the
@@ -96,7 +96,7 @@ class TestDiagonalOperators:
         for i in range(N + 1):
             for j in range(N + 1):
                 expected = coeffs[i + j] * HALF if i + j <= N else Fraction(0)
-                assert combined.entry(i, j) == PiScalar.from_rational(expected)
+                assert combined.rows[i][j] == PiScalar.from_rational(expected)
 
     @pytest.mark.parametrize("N", [3, 8, 15, 25, 40])
     def test_tau_sigma_operator_consistency(self, N):
@@ -117,18 +117,18 @@ class TestDiagonalOperators:
                 base = p_sigma(k, N)
                 for i in range(N + 1):
                     for j in range(N + 1):
-                        c = base.entry(i, j)
+                        c = base.rows[i][j]
                         if not c:
                             continue
                         inner_left = p_sigma(i, N)
                         inner_right = p_sigma(j, N)
                         for a in range(N + 1):
                             for b in range(N + 1):
-                                cl = inner_left.entry(a, b)
+                                cl = inner_left.rows[a][b]
                                 if cl:
                                     key = (a, b, j)
                                     left[key] = left.get(key, PiScalar.zero()) + c * cl
-                                cr = inner_right.entry(a, b)
+                                cr = inner_right.rows[a][b]
                                 if cr:
                                     key = (i, a, b)
                                     right[key] = (
@@ -208,7 +208,7 @@ class TestSparseStore:
     @pytest.mark.parametrize("N", [1, 8, 64])
     def test_chi_stores_its_nu_columns(self, N):
         assert stored(p_chi(N)) == sum(len(nu_in_sigma_column(k)) for k in range(N + 1))
-        telescoped = p_chi(N, sigma_sigma=True)
+        telescoped = p_chi(N).convert_left(Basis.SIGMA)
         # one 1/2 per (s, i) with s + i <= N and s + i = N (mod 2)
         assert stored(telescoped) == sum((N - s) // 2 + 1 for s in range(N + 1))
         assert all(x for row in telescoped.entries.values() for x in row.values())
@@ -232,7 +232,6 @@ class TestSparseStore:
             assert_dense_view(converted, scaled)
             assert_dense_view(p_u_power(k, N), u_power_rows(k, N))
         assert_dense_view(p_chi(N), chi_rows(N))
-        assert_dense_view(p_chi(N, sigma_sigma=True), chi_rows(N, sigma_sigma=True))
         assert_dense_view(p_chi(N).convert_left(Basis.SIGMA), chi_rows(N, sigma_sigma=True))
 
     def test_explicit_zeros_are_not_stored(self):
@@ -280,18 +279,17 @@ class TestChiExpansion:
     def test_bottom_term(self):
         tensor = p_chi(6)
         assert tensor.basis_left == Basis.U
-        assert tensor.entry(0, 0) == HALF
-        assert all(tensor.entry(0, i).is_zero() for i in range(1, 7))
+        assert tensor.rows[0][0] == HALF
+        assert all(tensor.rows[0][i].is_zero() for i in range(1, 7))
 
     @pytest.mark.parametrize("N", [4, 9, 18])
     def test_sigma_sigma_form_matches_left_conversion(self, N):
         converted = p_chi(N).convert_left(Basis.SIGMA)
-        telescoped = p_chi(N, sigma_sigma=True)
-        assert converted.rows == telescoped.rows
+        assert converted.rows == chi_rows(N, sigma_sigma=True)
 
     @pytest.mark.parametrize("N", [5, 12, 30])
     def test_sigma_sigma_form_is_symmetric(self, N):
-        assert p_chi(N, sigma_sigma=True).is_symmetric()
+        assert p_chi(N).convert_left(Basis.SIGMA).is_symmetric()
 
     @pytest.mark.parametrize("N", [4, 11, 21])
     def test_reconstruction_from_sigma_operator(self, N):
@@ -305,7 +303,7 @@ class TestChiExpansion:
                 continue
             term = p_sigma(k, N).scale(c)
             combined = term if combined is None else combined + term
-        assert combined.rows == p_chi(N, sigma_sigma=True).rows
+        assert combined.rows == chi_rows(N, sigma_sigma=True)
 
 
 class TestNuFamily:
@@ -392,7 +390,7 @@ class TestPairings:
 
     def test_pair_symmetry(self):
         N = 7
-        tensor = p_chi(N, sigma_sigma=True)
+        tensor = p_chi(N).convert_left(Basis.SIGMA)
         a, b = GeodesicBall(N, 1.1), SubsphereTube(N, 2, 0.8)
         assert pair_tensor(tensor, a, b) == pytest.approx(
             pair_tensor(tensor, b, a), rel=1e-12

@@ -1037,7 +1037,7 @@ class TestPoincare:
 
 class TestNuConvergence:
     def test_monotone_and_small(self):
-        rows = nu_convergence(2, 1.0, 2, (100, 400, 1600))
+        rows = nu_convergence(CenteredBall(2, 1.0), 2, (100, 400, 1600))
         by_k = {}
         for row in rows:
             by_k.setdefault(row["k"], []).append(row)
@@ -1048,7 +1048,7 @@ class TestNuConvergence:
         assert by_k[1][-1]["rel_err"] < 0.05
 
     def test_zero_limit_flagged(self):
-        rows = [r for r in nu_convergence(2, 1.0, 2, (400,)) if r["k"] == 2]
+        rows = [r for r in nu_convergence(CenteredBall(2, 1.0), 2, (400,)) if r["k"] == 2]
         assert rows[0]["limit_is_zero"]
         assert rows[0]["limit"] == 0.0
 
@@ -1068,7 +1068,7 @@ class TestNuConvergence:
 class TestKinematicInequality:
     def test_volume_case_passes(self):
         report = kinematic_inequality_check(
-            GeodesicBall(20, 5.5), GeodesicBall(20, 6.5), 0, 20, 40000, RngStream(40)
+            GeodesicBall(20, 5.5), GeodesicBall(20, 6.5), 0, 40000, RngStream(40)
         )
         assert report["passed"]
         assert report["mode"] == "volume-mc"
@@ -1077,14 +1077,14 @@ class TestKinematicInequality:
 
     def test_tiny_caps(self):
         report = kinematic_inequality_check(
-            GeodesicBall(20, 0.5), GeodesicBall(20, 0.4), 0, 20, 20000, RngStream(41)
+            GeodesicBall(20, 0.5), GeodesicBall(20, 0.4), 0, 20000, RngStream(41)
         )
         assert report["passed"]
 
     def test_ambient_factor_exact(self):
         for k in [0, 1, 2, 5]:
             report = kinematic_inequality_check(
-                GeodesicBall(20, 4.0), AmbientSphere(20), k, 20, 0, RngStream(42)
+                GeodesicBall(20, 4.0), AmbientSphere(20), k, 0, RngStream(42)
             )
             assert report["passed"]
             assert report["stderr"] == 0.0
@@ -1092,7 +1092,7 @@ class TestKinematicInequality:
     def test_unsupported_configuration(self):
         with pytest.raises(ValueError):
             kinematic_inequality_check(
-                GeodesicBall(20, 1.0), GeodesicBall(20, 1.0), 3, 20, 10, RngStream(43)
+                GeodesicBall(20, 1.0), GeodesicBall(20, 1.0), 3, 10, RngStream(43)
             )
 
     @pytest.mark.parametrize(
@@ -1102,17 +1102,18 @@ class TestKinematicInequality:
             (GeodesicBall(20, 4.0), AmbientSphere(19), 1),
             (AmbientSphere(20), UnitCap(20, 1.0), 0),
             (GeodesicBall(20, 1.0), GeodesicBall(19, 1.0), 0),
+            (UnitCap(20, 1.0), UnitCap(20, 1.0), 0),
         ],
     )
     def test_dimension_mismatch_is_refused(self, C, D, k):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            kinematic_inequality_check(C, D, k, 20, 10, RngStream(0))
+            kinematic_inequality_check(C, D, k, 10, RngStream(0))
 
     @pytest.mark.parametrize("n_rotations", [0, 1])
     def test_volume_case_needs_two_rotations(self, n_rotations):
         with pytest.raises(ValueError, match="at least 2"):
             kinematic_inequality_check(
-                GeodesicBall(20, 1.0), GeodesicBall(20, 1.0), 0, 20, n_rotations,
+                GeodesicBall(20, 1.0), GeodesicBall(20, 1.0), 0, n_rotations,
                 RngStream(44),
             )
 
