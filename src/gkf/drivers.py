@@ -5,7 +5,10 @@ stream per chunk and merges the chunk moments in chunk order.  A chunk
 returns its moments alone, and the map over the chunk plan returns them in
 plan order, so results are bit-reproducible for a fixed (seed, stream_id,
 n_samples) and the same at any worker count: chunks can be farmed out to
-worker processes without changing the reduction.
+worker processes without changing the reduction.  The process pool is
+imported only by a run with workers > 1: `concurrent.futures` loads its
+`.process` submodule, and with it `multiprocessing`, on first access to
+`ProcessPoolExecutor`.
 
 The z-score divides the gap between estimate and prediction by the
 standard error, floored at a bound on the rounding of the mean, so a run
@@ -22,8 +25,8 @@ for the top degree), the floor is (h + C) eps u: 3.3e-14 u at n = 10^6.
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -41,6 +44,7 @@ from .model_sets import (
     UnitGreatSubsphere,
     UnitSphere,
     ball_volume_fraction,
+    check_degree,
     top_degree,
 )
 from .rng import RngStream
@@ -159,8 +163,7 @@ def pi_n_prediction(A: ModelSet, D: GaussSet, N: int, m: int) -> float:
     n_embed = top_degree(A)
     if n_embed > N:
         raise ValueError(f"a {n_embed}-sphere does not embed in S^{N}")
-    if m > n_embed:
-        return 0.0
+    check_degree(A, m)
     return 2.0**m * _section_u_power(m, n_embed, pull_back_set(D, N))
 
 
@@ -233,7 +236,7 @@ def estimate_lhs(
     sizes = _chunk_plan(n_samples)
     task = partial(_chunk_task, A, D, t_top, law_n, n_points, rng)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(task, range(len(sizes)), sizes))
     else:
         parts = list(map(task, range(len(sizes)), sizes))

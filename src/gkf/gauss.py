@@ -25,11 +25,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from scipy.special import gammainc, ndtr
+import scipy
 
 from .evaluate import t_power_unit
 from .kinematics import gkf_coefficient
-from .model_sets import UNIT_SIDE, ModelSet, UnitCap, top_degree
+from .model_sets import UNIT_SIDE, ModelSet, UnitCap, check_degree, top_degree
 from .scalars import PiScalar, float_of, float_times_exp, gamma_half
 from .series import sqrt_pow
 
@@ -84,12 +84,12 @@ GaussSet = Union[HalfSpace, CenteredBall, Origin, FullSpace]
 def _chi_cdf(t: float, d: int) -> float:
     if t <= 0:
         return 0.0
-    return float(gammainc(d / 2.0, t * t / 2.0))
+    return float(scipy.special.gammainc(d / 2.0, t * t / 2.0))
 
 
 def gauss_measure_tube(D: GaussSet, r: float) -> float:
     """Standard Gaussian measure of the set of points within distance r of D."""
-    if r < 0:
+    if not r >= 0:
         raise ValueError("tube radius must be nonnegative")
     return _tube_measure_extended(D, r)
 
@@ -100,7 +100,7 @@ def _tube_measure_extended(D: GaussSet, r: float) -> float:
     if isinstance(D, FullSpace):
         return 1.0
     if isinstance(D, HalfSpace):
-        return float(ndtr(r - D.u))
+        return float(scipy.special.ndtr(r - D.u))
     if isinstance(D, CenteredBall):
         if D.rho + r < 0:
             raise ValueError("erosion beyond the ball center")
@@ -281,8 +281,7 @@ def gkf_predict(A: ModelSet, D: GaussSet, m: int) -> float:
     when its condition number exceeds _MAX_CONDITION."""
     if not isinstance(A, UNIT_SIDE):
         raise ValueError("prediction takes a unit-side set")
-    if not 0 <= m <= A.n:
-        raise ValueError("degree must lie between 0 and the dimension of the set")
+    check_degree(A, m)
     if isinstance(A, UnitCap):
         return _cap_prediction(A, D, m)
     s = top_degree(A)

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
-from scipy.special import betainc, betaln
+import scipy
 
 from .scalars import log_alpha
 
@@ -124,6 +124,13 @@ def top_degree(A: ModelSet) -> int:
     return A.m if isinstance(A, UnitGreatSubsphere) else A.n
 
 
+def check_degree(A: ModelSet, m) -> None:
+    """Refuse a degree m that is not an int (a bool is not one) between 0
+    and the top degree of the unit-side set A."""
+    if isinstance(m, bool) or not isinstance(m, int) or not 0 <= m <= top_degree(A):
+        raise ValueError("degree must lie between 0 and the dimension of the set")
+
+
 @dataclass(frozen=True)
 class PrincipalCurvatureProfile:
     """Boundary data of an isoparametric domain: total boundary measure (kept
@@ -179,8 +186,8 @@ def ball_volume_fraction(N: int, r: float) -> float:
     if theta >= math.pi:
         return 1.0
     if theta <= 0.5 * math.pi:
-        return 0.5 * betainc(N / 2.0, 0.5, math.sin(theta) ** 2)
-    return 1.0 - 0.5 * betainc(N / 2.0, 0.5, math.sin(math.pi - theta) ** 2)
+        return 0.5 * scipy.special.betainc(N / 2.0, 0.5, math.sin(theta) ** 2)
+    return 1.0 - 0.5 * scipy.special.betainc(N / 2.0, 0.5, math.sin(math.pi - theta) ** 2)
 
 
 def tube_volume_fraction(N: int, d: int, s: float) -> float:
@@ -190,9 +197,9 @@ def tube_volume_fraction(N: int, d: int, s: float) -> float:
         return 0.0
     a, b = d / 2.0, (N - d + 1) / 2.0
     prefactor = math.exp(
-        log_alpha(d - 1) + log_alpha(N - d) - log_alpha(N) + betaln(a, b)
+        log_alpha(d - 1) + log_alpha(N - d) - log_alpha(N) + scipy.special.betaln(a, b)
     )
-    return 0.5 * prefactor * betainc(a, b, math.sin(theta) ** 2)
+    return 0.5 * prefactor * scipy.special.betainc(a, b, math.sin(theta) ** 2)
 
 
 def euler_characteristic(model_set: ModelSet) -> int:

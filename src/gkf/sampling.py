@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, betaincinv, gammainc, ndtr
+import scipy
 
 from .rng import RngStream
 
@@ -114,9 +114,9 @@ def uniform_cap_batch(
     coordinate axis, via the exact colatitude law (truncated beta in
     sin^2 of the colatitude) and a uniform direction."""
     s_max = math.sin(theta) ** 2
-    total = betainc(n / 2.0, 0.5, s_max)
+    total = scipy.special.betainc(n / 2.0, 0.5, s_max)
     u = gen.random(size)
-    s = betaincinv(n / 2.0, 0.5, u * total)
+    s = scipy.special.betaincinv(n / 2.0, 0.5, u * total)
     phi = np.arcsin(np.sqrt(s))
     direction = uniform_sphere_batch(n - 1, size, gen)
     out = np.empty((size, n + 1))
@@ -252,10 +252,10 @@ def _score(samples: np.ndarray, scratch: np.ndarray, d: int) -> tuple[float, flo
     second_moment = float(np.mean(np.square(samples, out=scratch))) / d
     samples.sort()
     if d == 1:
-        F = ndtr(samples, out=scratch)
+        F = scipy.special.ndtr(samples, out=scratch)
     else:
         np.square(samples, out=scratch)
         scratch /= 2.0
-        F = gammainc(d / 2.0, scratch, out=scratch)
+        F = scipy.special.gammainc(d / 2.0, scratch, out=scratch)
     return _ks_statistic(samples, F), second_moment
 

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -184,6 +188,26 @@ class TestConvert:
         assert code == 2
         assert captured.out == ""
         assert "dimension must be positive" in captured.err
+
+
+class TestColdStart:
+    def test_exact_algebra_commands_load_no_special_functions(self):
+        # tables and convert are exact algebra: in a fresh interpreter they
+        # answer without ever loading scipy.special
+        probe = (
+            "import sys; from gkf.cli import main; "
+            "codes = [main(['tables', '--what', what, '--max', '3', '--N', '10', "
+            "'--out', sys.argv[1]]) for what in ('omega', 'alpha', 'gkf', 'mu_ball')]; "
+            "codes.append(main(['convert', '--N', '4', '--source', 't', '--target', 'mu', "
+            "'--coeffs', '1,0,0,0,0', '--out', sys.argv[1]])); "
+            "print(codes, 'scipy.special' in sys.modules)"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe, os.devnull], capture_output=True, text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        )
+        assert result.stdout.strip() == "[0, 0, 0, 0, 0] False"
 
 
 class TestNu:

@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import chdtrc, gammainc
 
+from gkf.drivers import pi_n_prediction
 from gkf.evaluate import lk_unit_sphere
 from gkf.gauss import (
     CenteredBall,
@@ -79,6 +80,14 @@ class TestTubeMeasure:
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
             gauss_measure_tube(Origin(2), -0.1)
+
+    @pytest.mark.parametrize(
+        "D", [HalfSpace(1, 0.5), CenteredBall(2, 1.0), Origin(2), FullSpace(2)], ids=str
+    )
+    def test_nan_radius_rejected(self, D):
+        # NaN fails every comparison, so a guard written as r < 0 let it through
+        with pytest.raises(ValueError, match="tube radius must be nonnegative"):
+            gauss_measure_tube(D, math.nan)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_parameters_rejected(self, value):
@@ -203,6 +212,28 @@ class TestPrediction:
             gkf_predict(UnitSphere(2), FullSpace(1), 3)
         with pytest.raises(ValueError):
             gkf_predict(UnitSphere(4), Origin(2), -1)
+
+    @pytest.mark.parametrize("m", [5, -1, 1.5, True], ids=repr)
+    def test_degree_rule_shared_with_finite_n(self, m):
+        # a degree is an int, not a bool, between 0 and the top degree; both
+        # predictions refuse anything else with the same message
+        A, D = UnitSphere(2), HalfSpace(1, 0.5)
+        message = "degree must lie between 0 and the dimension of the set"
+        with pytest.raises(ValueError, match=message):
+            gkf_predict(A, D, m)
+        with pytest.raises(ValueError, match=message):
+            pi_n_prediction(A, D, 50, m)
+
+    def test_degree_above_a_subsphere_refused(self):
+        # the top degree of a great subsphere is its own dimension, not the
+        # ambient one
+        A, D = UnitGreatSubsphere(5, 2), HalfSpace(1, 0.5)
+        gkf_predict(A, D, 2)
+        pi_n_prediction(A, D, 50, 2)
+        with pytest.raises(ValueError, match="degree must lie"):
+            gkf_predict(A, D, 3)
+        with pytest.raises(ValueError, match="degree must lie"):
+            pi_n_prediction(A, D, 50, 3)
 
 
 class TestExactFold:
