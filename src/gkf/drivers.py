@@ -48,7 +48,7 @@ from .model_sets import (
     top_degree,
 )
 from .rng import RngStream
-from .sampling import pi_infinity_batch, pi_n_batch, uniform_sphere_batch
+from .sampling import _is_integer, pi_infinity_batch, pi_n_batch, uniform_sphere_batch
 from .scalars import float_of
 
 CHUNK_SIZE = 8192
@@ -217,7 +217,11 @@ def estimate_lhs(
     """Monte Carlo estimate of the expected degree-m functional of the
     excursion A intersect F^(-1) D, with the matching closed-form prediction:
     the limit-theorem formula for the Gaussian ensemble, the exact kinematic
-    pairing for the finite-N ensemble (where supported)."""
+    pairing for the finite-N ensemble (where supported).  The counts
+    n_samples, n_points, workers and law_n (when given) must be integers."""
+    counts = (n_samples, n_points, workers) + (() if law_n is None else (law_n,))
+    if not all(_is_integer(v) for v in counts):
+        raise ValueError("n_samples, n_points, workers and law_n must be integers")
     if n_points < 1:
         raise ValueError(f"n_points must be at least 1, got {n_points}")
     if workers < 1:

@@ -12,10 +12,13 @@ below the level.  Only the number c of those eigenvalues matters, and it
 is the inertia of G - rho^2 I (Sylvester's law of inertia, 1852): the
 characteristic polynomial of a symmetric matrix has only real roots, so
 Descartes' rule of signs (La Geometrie, 1637) on its coefficients counts c
-exactly.  Up to m = 8 Gram rows the coefficients come from the
-Faddeev-LeVerrier recurrence (Le Verrier 1840; Faddeev & Sominsky 1949),
-elementwise over the batch axis with no per-matrix LAPACK call; above that
-cap the recurrence loses the sign pattern and eigvalsh counts instead.
+exactly.  The count is read only mod 2, and from the leading 1 the number
+of sign changes is odd exactly when the last nonzero coefficient is
+negative, so c mod 2 is read off that one sign.  Up to m = 8 Gram rows
+the coefficients come from the Faddeev-LeVerrier recurrence (Le Verrier
+1840; Faddeev & Sominsky 1949), elementwise over the batch axis with no
+per-matrix LAPACK call; above that cap the recurrence loses the sign
+pattern and eigvalsh counts instead.
 Both batch kernels refuse maps with non-finite entries.
 A triangulated Euler count on the 2-sphere serves as the independent oracle
 for the quadratic branch.  Each level is built from the level below and
@@ -47,7 +50,12 @@ from .model_sets import (
     UnitSphere,
     euler_characteristic,
 )
-from .sampling import LinearMapSample, uniform_cap_batch, uniform_sphere_batch
+from .sampling import (
+    LinearMapSample,
+    _square_norms,
+    uniform_cap_batch,
+    uniform_sphere_batch,
+)
 
 
 # -- excursion Euler characteristics ------------------------------------------
@@ -100,7 +108,7 @@ def chi_halfspace_batch(
     on the whole sphere A or the cap A of radius A.theta about the first
     axis.  The excursion is all of A, with chi(A), when u <= -|xi| (xi = 0
     included)."""
-    norms = np.linalg.norm(xi_batch, axis=1)
+    norms = np.sqrt(_square_norms(xi_batch))
     out = np.zeros(len(xi_batch), dtype=np.int64)
     below = u <= -norms
     out[below] = euler_characteristic(A)
@@ -110,10 +118,9 @@ def chi_halfspace_batch(
     else:
         idx = np.nonzero(proper)[0]
         if idx.size:
-            sub = xi_batch[idx]
             sub_norms = norms[idx]
             psi = np.arccos(np.clip(u / sub_norms, -1.0, 1.0))
-            delta = np.arccos(np.clip(sub[:, 0] / sub_norms, -1.0, 1.0))
+            delta = np.arccos(np.clip(xi_batch[idx, 0] / sub_norms, -1.0, 1.0))
             meets = delta <= A.theta + psi
             covers = delta + A.theta + psi > 2 * math.pi
             vals = np.where(meets, 1, 0)
@@ -129,45 +136,50 @@ def chi_quadratic_batch(F_batch: np.ndarray, n: int, rho: float) -> np.ndarray:
     rho^2 adds two critical points whose index is the number of smaller
     eigendirections (ties count as inside).  With c the number of such
     eigenvalues, chi is the kernel sphere's chi plus 2 (-1)^kernel_dim
-    (c mod 2).  c is the Sylvester inertia of G - rho^2 I: read off by
-    Descartes' rule up to m = _DESCARTES_MAX_DIM (_count_at_most), and from
-    eigvalsh above it."""
+    (c mod 2).  c is the Sylvester inertia of G - rho^2 I: its parity is
+    read off by Descartes' rule up to m = _DESCARTES_MAX_DIM
+    (_count_parity), and c itself from eigvalsh above it."""
     d = F_batch.shape[1]
     kernel_dim = max(n + 1 - d, 0)
     rows = np.moveaxis(F_batch, 0, -1)  # (d, n+1, size) views of the rows
     if d > n:
         rows = rows.transpose(1, 0, 2)
     if len(rows) <= _DESCARTES_MAX_DIM:
-        count = _count_at_most(rows, rho * rho)
+        odd = _count_parity(rows, rho * rho)
     else:
         gram = np.einsum("isb,jsb->bij", rows, rows)
-        count = (np.linalg.eigvalsh(gram) <= rho * rho).sum(axis=1)
+        odd = (np.linalg.eigvalsh(gram) <= rho * rho).sum(axis=1) % 2
     base = 1 + (-1) ** (kernel_dim - 1) if kernel_dim >= 1 else 0
-    return base + 2 * (-1) ** kernel_dim * (count % 2)
+    return base + 2 * (-1) ** kernel_dim * odd
 
 
 # Faddeev-LeVerrier keeps the sign pattern of the characteristic
 # coefficients on small Gram matrices only.  Against eigvalsh on 16384
 # standard normal maps (d = m, n = m + 1) at rho = 0.3, 1 and 2.5 times
 # sqrt(n + 1), its count agreed on every map up to m = 12 and missed 1 at
-# m = 13, 166 at m = 16 and 7572 at m = 20.  It is also the faster route
-# only up to about m = 8: per 8192 maps, 0.7 ms against 3.6 ms at m = 2,
-# 36 against 43 ms at m = 8, 46 against 48 ms at m = 9 and 61 against
-# 57 ms at m = 10 (best of 7, one core).  Above this cap eigvalsh is the
-# only route.
+# m = 13, 166 at m = 16 and 7572 at m = 20.  Per 8192 maps the parity
+# count takes 0.3 ms against 3.3 ms for eigvalsh at m = 2, 33 against
+# 36 ms at m = 8, 45 against 46 ms at m = 9 and 58 against 53 ms at
+# m = 10 (best of 7, one core of a 2-core VM, numpy 2.4.6).  The cap
+# stays at 8 although m = 9 is about even: the two routes can count a tie
+# differently, so moving the cap would change answers.  Above it eigvalsh
+# is the only route.
 _DESCARTES_MAX_DIM = 8
 
 
-def _count_at_most(rows: np.ndarray, level: float) -> np.ndarray:
-    """Number of eigenvalues at or below level of each Gram matrix
-    G_ab = sum_j rows[a, j] rows[b, j] of a batch (rows: (m, k, size)),
-    elementwise over the batch axis.
+def _count_parity(rows: np.ndarray, level: float) -> np.ndarray:
+    """Parity (True when odd) of the number of eigenvalues at or below
+    level of each Gram matrix G_ab = sum_j rows[a, j] rows[b, j] of a batch
+    (rows: (m, k, size)), elementwise over the batch axis.
 
     H = G - level I is symmetric, so its characteristic polynomial has only
     real roots, and Descartes' rule of signs counts its positive roots
     exactly: the count is m minus the sign changes of the coefficients.
     Zero roots leave trailing zero coefficients, so ties count as inside.
-    The coefficients come from the Faddeev-LeVerrier recurrence M_1 = I,
+    From the leading 1, the number of sign changes is odd exactly when the
+    last nonzero coefficient is negative, so that sign alone gives the
+    parity, on the computed coefficients as on exact ones.  The
+    coefficients come from the Faddeev-LeVerrier recurrence M_1 = I,
     c_k = -tr(H M_k) / k, M_(k+1) = H M_k + c_k I, on H scaled by 2^-e with
     2^e > max(level, tr G): its eigenvalues lie in (-1, 1), so |c_k| <=
     binom(m, k) cannot overflow, and the power-of-two scale keeps
@@ -175,10 +187,10 @@ def _count_at_most(rows: np.ndarray, level: float) -> np.ndarray:
     inside."""
     m, size = len(rows), rows.shape[-1]
     if level == math.inf:
-        return np.full(size, m)
+        return np.full(size, m % 2 == 1)
     upper = [(a, b) for a in range(m) for b in range(a, m)]
     gram = {(a, b): _dot(rows[a], rows[b]) for a, b in upper}
-    trace = sum(gram[a, a] for a in range(m))
+    trace = _trace(gram, m)
     if not np.isfinite(trace).all():
         raise ValueError("map too large for a float Gram matrix")
     scale = np.ldexp(1.0, -np.frexp(np.maximum(trace, level))[1])
@@ -197,16 +209,29 @@ def _count_at_most(rows: np.ndarray, level: float) -> np.ndarray:
             for a, b in pairs:
                 row, column = [H[a, j] for j in range(m)], [M[j, b] for j in range(m)]
                 HM[a, b] = HM[b, a] = _dot(row, column)
-        coeffs.append(sum(HM[a, a] for a in range(m)) / -step)
-    # sign of the last nonzero coefficient, from the leading 1: a zero
-    # coefficient neither changes it nor counts
-    sign = np.ones(size)
-    changes = np.zeros(size, dtype=np.int64)
-    for c in coeffs:
-        flip = c * sign < 0
-        changes += flip
-        np.negative(sign, out=sign, where=flip)
-    return np.where(trace <= level, m, m - changes)
+        c = _trace(HM, m)
+        c /= -step
+        coeffs.append(c)
+    # the last nonzero coefficient: a zero one neither changes the sign nor
+    # counts, and the leading 1 stands in where all vanish
+    last = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        zero = last == 0
+        if not zero.any():
+            break
+        last = np.where(zero, c, last)
+    odd = (last < 0) != (m % 2 == 1)
+    odd[trace <= level] = m % 2 == 1
+    return odd
+
+
+def _trace(X: dict, m: int) -> np.ndarray:
+    """X[0, 0] + ... + X[m-1, m-1] over a dict of arrays, accumulated in
+    order in one new buffer."""
+    acc = X[0, 0].copy() if m == 1 else X[0, 0] + X[1, 1]
+    for a in range(2, m):
+        acc += X[a, a]
+    return acc
 
 
 def _dot(xs, ys) -> np.ndarray:
@@ -445,7 +470,7 @@ def _hit_fractions(
     _check_maps(A, D, F_batch)
     points = sample_uniform_on(A, len(F_batch) * n_points, gen)
     points = points.reshape(len(F_batch), n_points, -1)
-    images = points @ F_batch.transpose(0, 2, 1)
+    images = points @ np.ascontiguousarray(F_batch.transpose(0, 2, 1))
     hits = gauss_set_membership(D, images.reshape(-1, D.d))
     return hits.reshape(len(F_batch), n_points).mean(axis=1)
 

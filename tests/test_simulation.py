@@ -32,9 +32,11 @@ from gkf.evaluate import sigma_evaluate
 from gkf.functionals import (
     _DESCARTES_MAX_DIM,
     _corners_and_midpoints,
+    _count_parity,
     _hit_fractions,
     _two_level_chi,
     _vertex_monomials,
+    chi_halfspace_batch,
     chi_intersection,
     chi_quadratic_batch,
     chi_values,
@@ -63,6 +65,7 @@ from gkf.rng import RngStream
 from gkf.sampling import (
     _BLOCK,
     LinearMapSample,
+    _square_norms,
     pi_infinity_batch,
     pi_n_batch,
     poincare_sweep,
@@ -72,7 +75,9 @@ from gkf.sampling import (
 from gkf.series import u_power_in_sigma
 
 from oracles import (
+    chi_halfspace_norm_route,
     chi_quadratic_eigvalsh,
+    count_at_most_sign_changes,
     hit_fractions_einsum,
     icosphere_unique,
     mesh_chi_quadratic_by_level,
@@ -84,6 +89,7 @@ from oracles import (
     poincare_out_of_place,
     projected_coordinate_cdf,
     u_power_on_great_subsphere,
+    uniform_sphere_norm_route,
 )
 
 
@@ -213,6 +219,31 @@ class TestRotationBlockEnsemble:
 
         with pytest.raises(ValueError, match="not positive definite"):
             pi_n_batch(2, 2, 50, 16, ZeroGenerator())
+
+
+class TestSphereSampler:
+    @pytest.mark.parametrize("rows", [1, 7, 8192])
+    @pytest.mark.parametrize("width", range(1, 21))
+    def test_square_norms_root_is_linalg_norm(self, rows, width):
+        # entries over 16 decades, whole zero rows, entries near 1e154
+        # whose squares overflow, and subnormals whose squares vanish
+        gen = RngStream(50, width).generator()
+        shape = (rows, width)
+        normal = gen.standard_normal(shape)
+        spread = normal * 10.0 ** gen.uniform(-8, 8, shape)
+        huge = np.sign(normal) * gen.uniform(0.5, 1.5, shape) * 1e154
+        tiny = gen.integers(-8, 9, shape) * 5e-324
+        mixed = np.choose(gen.integers(0, 4, shape), [spread, huge, tiny, np.zeros(shape)])
+        with np.errstate(over="ignore", under="ignore"):
+            for x in (spread, np.zeros(shape), huge, tiny, mixed):
+                assert np.array_equal(np.sqrt(_square_norms(x)), np.linalg.norm(x, axis=1))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 6, 7, 12])
+    def test_uniform_sphere_matches_norm_route(self, n):
+        gen, ref_gen = RngStream(51, n).generator(), RngStream(51, n).generator()
+        got = uniform_sphere_batch(n, 4099, gen)
+        assert np.array_equal(got, uniform_sphere_norm_route(n, 4099, ref_gen))
+        assert gen.standard_normal() == ref_gen.standard_normal()
 
 
 class TestCapSampler:
@@ -345,6 +376,42 @@ def counts_per_map(A, D, F) -> set:
     return set(batch.tolist())
 
 
+# (rows, rho, chi, whether eigvalsh counts the tie right): maps with an
+# eigenvalue of the Gram matrix exactly at rho^2
+_TIE_MAPS = [
+    # the kernel-sphere map of S^4: Gram diag(4, 9)
+    ([[2, 0, 0, 0, 0], [0, 3, 0, 0, 0]], 2.0, 0, True),
+    ([[2, 0, 0, 0, 0], [0, 3, 0, 0, 0]], 3.0, 2, True),
+    # Gram [[5, 4], [4, 5]], eigenvalues 1 and 9
+    ([[2, 1, 0], [1, 2, 0]], 1.0, 0, True),
+    ([[2, 1, 0], [1, 2, 0]], 3.0, 2, True),
+    # d > n: Gram diag(4, 1) of the columns
+    ([[2, 0], [0, 1], [0, 0]], 1.0, 2, True),
+    ([[2, 0], [0, 1], [0, 0]], 2.0, 0, True),
+    # rank one with tr G = rho^2
+    ([[3, 4, 0]], 5.0, 2, True),
+    # Gram [[2, 1, 1], [1, 2, 1], [1, 1, 2]], eigenvalues 1, 1, 4
+    ([[1, 1, 0, 0], [1, 0, 1, 0], [0, 1, 1, 0]], 1.0, 2, True),
+    ([[1, 1, 0, 0], [1, 0, 1, 0], [0, 1, 1, 0]], 2.0, 0, True),
+    # eigvalsh rounds these ties outward; the integer characteristic
+    # polynomial keeps them: eigenvalues 4 and 14, then 4, 9 and 15
+    ([[2, 0, -2, 1], [-2, -2, 0, -1]], 2.0, 2, False),
+    ([[1, 0, -1, -2], [1, 2, 2, -1], [-2, -2, 2, 0]], 2.0, 0, False),
+    ([[1, 0, -1, -2], [1, 2, 2, -1], [-2, -2, 2, 0]], 3.0, 2, False),
+]
+
+
+def assert_parity_is_sign_change_parity(F, rho):
+    """The parity read off the last nonzero Faddeev-LeVerrier coefficient
+    equals that of the whole sign-change count, on the same floats, at any
+    Gram size."""
+    rows = np.moveaxis(F, 0, -1)
+    if F.shape[1] > F.shape[2] - 1:
+        rows = rows.transpose(1, 0, 2)
+    want = count_at_most_sign_changes(rows, rho * rho) % 2 == 1
+    assert np.array_equal(_count_parity(rows, rho * rho), want)
+
+
 class TestDescartesCount:
     @pytest.mark.parametrize("n, d", _gram_shapes())
     def test_matches_eigvalsh_count(self, n, d):
@@ -364,36 +431,15 @@ class TestDescartesCount:
             chi = chi_quadratic_batch(F, n, rho)
             assert np.array_equal(chi, chi_quadratic_eigvalsh(F, n, rho))
             seen.update(chi.tolist())
+            assert_parity_is_sign_change_parity(F, rho)
         assert len(seen) == 2  # both parities of the count occur
 
-    @pytest.mark.parametrize(
-        "rows, rho, expected, eigvalsh_exact",
-        [
-            # the kernel-sphere map of S^4: Gram diag(4, 9)
-            ([[2, 0, 0, 0, 0], [0, 3, 0, 0, 0]], 2.0, 0, True),
-            ([[2, 0, 0, 0, 0], [0, 3, 0, 0, 0]], 3.0, 2, True),
-            # Gram [[5, 4], [4, 5]], eigenvalues 1 and 9
-            ([[2, 1, 0], [1, 2, 0]], 1.0, 0, True),
-            ([[2, 1, 0], [1, 2, 0]], 3.0, 2, True),
-            # d > n: Gram diag(4, 1) of the columns
-            ([[2, 0], [0, 1], [0, 0]], 1.0, 2, True),
-            ([[2, 0], [0, 1], [0, 0]], 2.0, 0, True),
-            # rank one with tr G = rho^2
-            ([[3, 4, 0]], 5.0, 2, True),
-            # Gram [[2, 1, 1], [1, 2, 1], [1, 1, 2]], eigenvalues 1, 1, 4
-            ([[1, 1, 0, 0], [1, 0, 1, 0], [0, 1, 1, 0]], 1.0, 2, True),
-            ([[1, 1, 0, 0], [1, 0, 1, 0], [0, 1, 1, 0]], 2.0, 0, True),
-            # eigvalsh rounds these ties outward; the integer characteristic
-            # polynomial keeps them: eigenvalues 4 and 14, then 4, 9 and 15
-            ([[2, 0, -2, 1], [-2, -2, 0, -1]], 2.0, 2, False),
-            ([[1, 0, -1, -2], [1, 2, 2, -1], [-2, -2, 2, 0]], 2.0, 0, False),
-            ([[1, 0, -1, -2], [1, 2, 2, -1], [-2, -2, 2, 0]], 3.0, 2, False),
-        ],
-    )
+    @pytest.mark.parametrize("rows, rho, expected, eigvalsh_exact", _TIE_MAPS)
     def test_exact_ties_count_as_inside(self, rows, rho, expected, eigvalsh_exact):
         F = np.array([rows], dtype=float)
         n = F.shape[2] - 1
         assert chi_quadratic_batch(F, n, rho)[0] == expected
+        assert_parity_is_sign_change_parity(F, rho)
         if eigvalsh_exact:
             assert chi_quadratic_eigvalsh(F, n, rho)[0] == expected
         # the same count among other maps of its shape
@@ -463,6 +509,16 @@ class TestChiValuesPerMap:
         for u in (-2.0, -0.5, 0.0, 0.5, 2.0):
             seen |= counts_per_map(A, HalfSpace(1, u), F)
         assert len(seen) >= 2
+
+    @pytest.mark.parametrize(
+        "A", [UnitSphere(2), UnitSphere(9), UnitCap(2, 1.0), UnitCap(3, 0.4), UnitCap(9, 1.5)]
+    )
+    def test_halfspace_matches_norm_route(self, A):
+        xi = RngStream(52, A.n).generator().standard_normal((8192, A.n + 1))
+        xi[::9] = 0.0
+        for u in (-2.0, -0.5, 0.0, 0.5, 2.0):
+            got = chi_halfspace_batch(A, xi, u)
+            assert np.array_equal(got, chi_halfspace_norm_route(A, xi, u))
 
     @pytest.mark.parametrize("A", [UnitSphere(2), UnitCap(3, 1.0), UnitGreatSubsphere(3, 1)])
     def test_full_space(self, A):
@@ -822,6 +878,51 @@ class TestEstimateLhs:
     def test_degree_guard(self):
         with pytest.raises(ValueError):
             estimate_lhs(UnitSphere(2), FullSpace(1), 1, 10, RngStream(0))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"n_samples": 2.5},
+            {"workers": 1.5},
+            {"law_n": 2.5},
+            {"n_points": 1.5},
+            {"n_points": True},
+            {"law_n": True},
+        ],
+    )
+    def test_non_integer_counts_are_refused(self, bad, monkeypatch):
+        # refused before the prediction, hence before any draw
+        def predict(*args):
+            raise AssertionError("predicted before the counts were checked")
+
+        monkeypatch.setattr(drivers, "gkf_predict", predict)
+        monkeypatch.setattr(drivers, "pi_n_prediction", predict)
+        counts = {"n_samples": 64, **bad}
+        with pytest.raises(ValueError, match="must be integers"):
+            estimate_lhs(UnitSphere(2), CenteredBall(2, 1.0), "top", rng=RngStream(53), **counts)
+
+    @pytest.mark.parametrize(
+        "A, D, m, stream, pinned",
+        [
+            (UnitSphere(2), CenteredBall(2, 1.0), 0, 0,
+             "McReport(estimate=0.7874348958333334, stderr=0.006233229223363394, "
+             "n_samples=24576, prediction=0.786938680574733, "
+             "z_score=0.07960805560309182, seed=29, stream_id=0)"),
+            (UnitCap(2, 1.0), HalfSpace(1, 0.5), 0, 1,
+             "McReport(estimate=0.7615559895833334, stderr=0.0027182998719453744, "
+             "n_samples=24576, prediction=0.7607571170285402, "
+             "z_score=0.2938868382543247, seed=29, stream_id=1)"),
+            (UnitSphere(2), CenteredBall(2, 1.0), "top", 2,
+             "McReport(estimate=3.15069580078125, stderr=0.012436166600689677, "
+             "n_samples=24576, prediction=3.147754722298932, "
+             "z_score=0.23649397573644065, seed=29, stream_id=2)"),
+        ],
+    )
+    def test_law_infinity_reports_are_pinned(self, A, D, m, stream, pinned):
+        # three chunks of the `gkf simulate` ball, cap and top-degree runs;
+        # a faster kernel must leave every draw and every count as it is
+        rep = estimate_lhs(A, D, m, 3 * CHUNK_SIZE, RngStream(29, stream), n_points=16)
+        assert repr(rep) == pinned
 
     @pytest.mark.parametrize("n_samples", [0, 1])
     def test_too_few_samples(self, n_samples):
