@@ -49,7 +49,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .scalars import PiScalar, ScalarLike, _square_split, omega
+from .scalars import PiScalar, ScalarLike, _integer, _square_split, omega
 from .series import binomial_x2_series
 
 ZERO = PiScalar.zero()
@@ -67,13 +67,16 @@ ONE = PiScalar.one()
 EXACT_N_CAP = 64
 
 
-def _check_exact_cap(N: int) -> None:
+def _check_exact_cap(N) -> int:
+    """N as an int, refused unless it is a positive integer within the cap."""
+    N = _integer(N, "dimension must be positive", 1)
     if N > EXACT_N_CAP:
         raise ValueError(
             f"exact vectors and tensors are capped at N = {EXACT_N_CAP}; at "
             "larger N use the float paths u_power_on_ball, sigma_evaluate and "
             "nu_values_on_set"
         )
+    return N
 
 
 class Basis(Enum):
@@ -95,8 +98,7 @@ class ValuationVector:
     coeffs: tuple[PiScalar, ...]
 
     def __post_init__(self):
-        if self.N < 1:
-            raise ValueError("dimension must be positive")
+        self.__dict__.update(N=_integer(self.N, "dimension must be positive", 1))
         if len(self.coeffs) != self.N + 1:
             raise ValueError(
                 f"expected {self.N + 1} coefficients, got {len(self.coeffs)}"
@@ -104,12 +106,13 @@ class ValuationVector:
 
     @classmethod
     def from_coeffs(cls, N: int, basis: Basis, coeffs) -> "ValuationVector":
+        N = _integer(N, "dimension must be positive", 1)
         padded = [PiScalar._exact(c) for c in coeffs]
         padded.extend(ZERO for _ in range(N + 1 - len(padded)))
         return cls(N, basis, tuple(padded))
 
     def coeff(self, k: int) -> PiScalar:
-        return self.coeffs[k]
+        return self.coeffs[_integer(k, "index out of range", 0, self.N)]
 
     def __add__(self, other: "ValuationVector") -> "ValuationVector":
         if self.N != other.N or self.basis != other.basis:
@@ -124,8 +127,8 @@ class ValuationVector:
 
 
 def basis_element(N: int, basis: Basis, k: int) -> ValuationVector:
-    if not 0 <= k <= N:
-        raise ValueError("index out of range")
+    N = _integer(N, "dimension must be positive", 1)
+    k = _integer(k, "index out of range", 0, N)
     coeffs = [ZERO] * (N + 1)
     coeffs[k] = ONE
     return ValuationVector(N, basis, tuple(coeffs))
@@ -213,10 +216,11 @@ def _frame_bridge(N: int, src: Basis, dst: Basis) -> FrameMatrix:
     return tuple(cols)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def conversion_matrix(N: int, src: Basis, dst: Basis) -> FrameMatrix:
     """The bridge between the frames of src and dst, in frame indices: the
     rational part of every bridge from src to dst."""
+    N = _integer(N, "dimension must be positive", 1)
     return _frame_bridge(N, _FRAME[src], _FRAME[dst])
 
 
@@ -290,9 +294,7 @@ def _apply(
     integer monomial w_src(k).  Per vector and component, the integer bridge
     accumulates numerators over one common denominator; each nonzero output
     is one Fraction, divided by w_dst(i)."""
-    if N < 1:
-        raise ValueError("dimension must be positive")
-    _check_exact_cap(N)
+    N = _check_exact_cap(N)
     bridge = _integer_bridge(N, _FRAME[src], _FRAME[dst])
     w_in, w_out = _weights(N, src)[0], _weights(N, dst)[1]
     # SIGMA element k sits at TAU index N-k; every other basis keeps k

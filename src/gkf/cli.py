@@ -61,7 +61,7 @@ from .kinematics import (
 from .model_sets import UnitCap, UnitGreatSubsphere, UnitSphere
 from .rng import RngStream
 from .sampling import poincare_sweep
-from .scalars import PiScalar, alpha, float_of, omega
+from .scalars import PiScalar, _integer, alpha, float_of, omega
 from .series import sqrt_pow
 
 SCHEMA_VERSION = "1"
@@ -105,12 +105,6 @@ def _exact_cell(x: PiScalar) -> dict:
 # -- command handlers -----------------------------------------------------------
 
 
-def _nonnegative(**values) -> None:
-    for flag, value in values.items():
-        if value is not None and value < 0:
-            raise ValueError(f"--{flag.replace('_', '-')} must be nonnegative")
-
-
 # table name -> (index name, exact value at that index)
 EXACT_TABLES = {
     "omega": ("n", omega),
@@ -120,7 +114,9 @@ EXACT_TABLES = {
 
 
 def cmd_tables(args) -> tuple[list[dict], int]:
-    _nonnegative(max=args.max, N=args.N)
+    _integer(args.max, "--max must be nonnegative")
+    if args.N is not None:
+        _integer(args.N, "--N must be nonnegative")
     if args.what in EXACT_TABLES:
         index, value = EXACT_TABLES[args.what]
         return [{index: n, **_exact_cell(value(n))} for n in range(args.max + 1)], 0
@@ -156,7 +152,9 @@ def cmd_convert(args) -> tuple[list[dict], int]:
 
 
 def cmd_nu(args) -> tuple[list[dict], int]:
-    _nonnegative(N=args.N, k_max=args.k_max)
+    _integer(args.N, "--N must be nonnegative")
+    if args.k_max is not None:
+        _integer(args.k_max, "--k-max must be nonnegative")
     k_max = min(args.k_max if args.k_max is not None else args.N, args.N)
     values = None
     if args.D is not None:

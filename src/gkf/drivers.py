@@ -48,8 +48,8 @@ from .model_sets import (
     top_degree,
 )
 from .rng import RngStream
-from .sampling import _is_integer, pi_infinity_batch, pi_n_batch, uniform_sphere_batch
-from .scalars import float_of
+from .sampling import pi_infinity_batch, pi_n_batch, uniform_sphere_batch
+from .scalars import _integer, float_of
 
 CHUNK_SIZE = 8192
 
@@ -163,7 +163,7 @@ def pi_n_prediction(A: ModelSet, D: GaussSet, N: int, m: int) -> float:
     n_embed = top_degree(A)
     if n_embed > N:
         raise ValueError(f"a {n_embed}-sphere does not embed in S^{N}")
-    check_degree(A, m)
+    m = check_degree(A, m)
     return 2.0**m * _section_u_power(m, n_embed, pull_back_set(D, N))
 
 
@@ -171,19 +171,17 @@ def pi_n_prediction(A: ModelSet, D: GaussSet, N: int, m: int) -> float:
 
 
 def _resolve_degree(A: ModelSet, m) -> int:
+    """The degree "top" names, or the integer m when it is 0 or the top."""
     if m == "top":
         return top_degree(A)
-    if m == 0:
-        return 0
-    if isinstance(m, int) and m == top_degree(A):
-        return m
-    raise ValueError("degree must be 0 or 'top'")
+    m = check_degree(A, m)
+    if 0 < m < top_degree(A):
+        raise ValueError("degree must be 0 or 'top'")
+    return m
 
 
 def _chunk_plan(n_samples: int) -> list[int]:
     """The size of each fixed-size chunk; chunk i draws from rng.child(i)."""
-    if n_samples < 2:
-        raise ValueError("need at least 2 samples for a standard error")
     offsets = range(0, n_samples, CHUNK_SIZE)
     return [min(CHUNK_SIZE, n_samples - offset) for offset in offsets]
 
@@ -219,13 +217,11 @@ def estimate_lhs(
     the limit-theorem formula for the Gaussian ensemble, the exact kinematic
     pairing for the finite-N ensemble (where supported).  The counts
     n_samples, n_points, workers and law_n (when given) must be integers."""
-    counts = (n_samples, n_points, workers) + (() if law_n is None else (law_n,))
-    if not all(_is_integer(v) for v in counts):
-        raise ValueError("n_samples, n_points, workers and law_n must be integers")
-    if n_points < 1:
-        raise ValueError(f"n_points must be at least 1, got {n_points}")
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    n_samples = _integer(n_samples, "need at least 2 samples for a standard error", 2)
+    n_points = _integer(n_points, "n_points must be at least 1", 1)
+    workers = _integer(workers, "workers must be at least 1", 1)
+    if law_n is not None:
+        law_n = _integer(law_n, "law_n must be at least 1", 1)
     degree = _resolve_degree(A, m)
     # the prediction rejects the pairs it has no formula for, and scoring an
     # empty batch the pairs chi_values has no count for, before any draw
@@ -262,8 +258,9 @@ def nu_convergence(D: GaussSet, k_max: int, N_list: tuple[int, ...]) -> list[dic
     values."""
     gammas = gamma(D, k_max)
     rows = []
-    for N in N_list:
-        values = nu_values_on_set(pull_back_set(D, N), min(k_max, N))
+    for trace in (pull_back_set(D, N) for N in N_list):
+        N = trace.N
+        values = nu_values_on_set(trace, min(k_max, N))
         for k, value in enumerate(values):
             limit = nu_limit_constant(k) * gammas[k]
             # when the limit vanishes exactly (it does for the unit ball in
@@ -306,6 +303,7 @@ def kinematic_inequality_check(
     N = getattr(C, "N", None)  # unit-side sets have no N
     if N is None or getattr(D, "N", None) != N:
         raise ValueError("dimension mismatch")
+    k = _integer(k, "index out of range", 0, N)
     if isinstance(C, AmbientSphere) or isinstance(D, AmbientSphere):
         fixed = D if isinstance(C, AmbientSphere) else C
         lhs = abs(sigma_evaluate(k, fixed))
@@ -327,8 +325,8 @@ def kinematic_inequality_check(
         R = math.sqrt(N)
         if C.r > 0.5 * math.pi * R or D.r > 0.5 * math.pi * R:
             raise ValueError("caps must be geodesically convex")
-        if n_rotations < 2:
-            raise ValueError("the volume estimate needs at least 2 rotations")
+        message = "the volume estimate needs at least 2 rotations"
+        n_rotations = _integer(n_rotations, message, 2)
         gen = rng.generator()
         theta_c, theta_d = C.r / R, D.r / R
         clamp = lambda a: np.clip(a, -1.0, 1.0)

@@ -36,7 +36,7 @@ from .model_sets import (
     top_degree,
     tube_volume_fraction,
 )
-from .scalars import PiScalar, _double_factorial, float_of, log_alpha, log_omega
+from .scalars import PiScalar, _double_factorial, _integer, float_of, log_alpha, log_omega
 from .series import sqrt_pow, u_power_in_sigma
 
 NEG_INF = float("-inf")
@@ -116,8 +116,7 @@ def _exact_sigma(k: int, model_set: ModelSet) -> int | None:
     """sigma_k where it is an integer (sets without a hypersurface
     boundary), else None."""
     N = _sphere_dim(model_set)
-    if not 0 <= k <= N:
-        raise ValueError("index out of range")
+    _integer(k, "index out of range", 0, N)
     if isinstance(model_set, SubsphereTube) and model_set.s == 0:
         model_set = GreatSubsphere(N, N - model_set.d)
     if isinstance(model_set, GreatSubsphere):
@@ -180,6 +179,7 @@ def tau_evaluate(k: int, model_set: ModelSet):
     sigma is (great subspheres, the whole sphere, the point), float
     otherwise.  Raises ValueError where the float overflows."""
     N = _sphere_dim(model_set)
+    k = _integer(k, "index out of range", 0, N)
     exact = _exact_sigma(N - k, model_set)
     if exact is not None:
         return exact * sqrt_pow(4 * N, k)
@@ -215,8 +215,8 @@ def _section_u_power(k: int, n: int, model_set: ModelSet) -> float:
 def u_power_on_ball(k: int, N: int, r: float) -> float:
     """u^k on the geodesic ball of radius r at any N, as the positive sum
     sum_p binom(k/2 + p, p) sigma_(N-k-2p)(ball); requires r <= hemisphere."""
-    if not 0 <= k <= N:
-        raise ValueError("index out of range")
+    N = _integer(N, "dimension must be positive", 1)
+    k = _integer(k, "index out of range", 0, N)
     if not 0 <= r <= 0.5 * math.pi * math.sqrt(N) + 1e-12:
         raise ValueError("log-scale ball expansion requires 0 <= r <= hemisphere")
     # u^0 is chi, exactly 1 on every ball accepted here; the log-scale sum rounds it
@@ -228,15 +228,15 @@ def u_power_on_ball(k: int, N: int, r: float) -> float:
 def mu_on_euclidean_ball(k: int, N: int) -> float:
     """Intrinsic volume of the euclidean unit N-ball:
     (omega_N/omega_{N-k}) binom(N,k); the ball of radius r has r^k times it."""
-    if not 0 <= k <= N:
-        raise ValueError("index out of range")
+    N = _integer(N, "dimension must be nonnegative")
+    k = _integer(k, "index out of range", 0, N)
     return math.exp(log_omega(N) - log_omega(N - k) + _log_binom(N, k))
 
 
 # -- unit-sphere side -------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def lk_unit_sphere(n: int, k: int) -> PiScalar:
     """t^k of the unit n-sphere: 2^(k+1) n!! / ((n-k)!! k!!) for even n - k,
     and 0 for odd n - k.
@@ -249,8 +249,8 @@ def lk_unit_sphere(n: int, k: int) -> PiScalar:
     for even j, j!! 2^(-j/2) sqrt(pi/2) for odd j, the powers of pi cancel
     and the double factorials telescope to the rational above.
     """
-    if not 0 <= k <= n:
-        raise ValueError("index out of range")
+    n = _integer(n, "dimension must be nonnegative")
+    k = _integer(k, "index out of range", 0, n)
     if (n - k) % 2 == 1:
         return PiScalar.zero()
     return PiScalar.from_rational(
@@ -265,6 +265,7 @@ def t_power_unit(model_set: ModelSet, j: int):
     """t^j of a unit-side model set; exact for spheres and great subspheres,
     float for caps (which go through the geodesic-ball machinery on the
     rescaled sphere and degree-j homogeneity)."""
+    j = _integer(j, "index must be nonnegative")
     if isinstance(model_set, (UnitSphere, UnitGreatSubsphere)):
         s = top_degree(model_set)
         return lk_unit_sphere(s, j) if j <= s else PiScalar.zero()

@@ -56,6 +56,7 @@ from .sampling import (
     uniform_cap_batch,
     uniform_sphere_batch,
 )
+from .scalars import _integer
 
 
 # -- excursion Euler characteristics ------------------------------------------
@@ -275,8 +276,7 @@ def icosphere(depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     not read off the sides of the new faces.  Each temporary is dropped
     once used, so a build peaks at about 1.25 times the arrays it returns.
     Cached per depth."""
-    if not isinstance(depth, int) or depth < 0:
-        raise ValueError(f"icosphere depth must be a non-negative integer, got {depth!r}")
+    depth = _integer(depth, "icosphere depth must be a non-negative integer")
     if depth == 0:
         V = np.array([np.array(v) / np.linalg.norm(v) for v in _ICOSAHEDRON_VERTICES])
         F = np.array(_ICOSAHEDRON_FACES, dtype=np.int64)

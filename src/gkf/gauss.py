@@ -30,7 +30,7 @@ import scipy
 from .evaluate import t_power_unit
 from .kinematics import gkf_coefficient
 from .model_sets import UNIT_SIDE, ModelSet, UnitCap, check_degree, top_degree
-from .scalars import PiScalar, float_of, float_times_exp, gamma_half
+from .scalars import PiScalar, _integer, float_of, float_times_exp, gamma_half
 from .series import sqrt_pow
 
 
@@ -42,8 +42,7 @@ class HalfSpace:
     u: float
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("dimension must be positive")
+        self.__dict__.update(d=_integer(self.d, "dimension must be positive", 1))
         if not math.isfinite(self.u):
             raise ValueError("threshold must be finite")
 
@@ -54,8 +53,7 @@ class CenteredBall:
     rho: float
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("dimension must be positive")
+        self.__dict__.update(d=_integer(self.d, "dimension must be positive", 1))
         if not 0 < self.rho < math.inf:
             raise ValueError("radius must be positive and finite")
 
@@ -65,8 +63,7 @@ class Origin:
     d: int
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("dimension must be positive")
+        self.__dict__.update(d=_integer(self.d, "dimension must be positive", 1))
 
 
 @dataclass(frozen=True)
@@ -74,8 +71,7 @@ class FullSpace:
     d: int
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("dimension must be positive")
+        self.__dict__.update(d=_integer(self.d, "dimension must be positive", 1))
 
 
 GaussSet = Union[HalfSpace, CenteredBall, Origin, FullSpace]
@@ -172,8 +168,7 @@ def gamma(D: GaussSet, k_max: int) -> tuple[float, ...]:
     so these are the coefficients of its power series.  Each gamma_k with
     k >= 1 is its exact part rounded once; a value beyond the float range
     raises ValueError."""
-    if k_max < 0:
-        raise ValueError("k_max must be nonnegative")
+    k_max = _integer(k_max, "k_max must be nonnegative")
     if isinstance(D, FullSpace):
         return (1.0,) + (0.0,) * k_max
     values = [gauss_measure_tube(D, 0.0)]
@@ -227,8 +222,7 @@ def gamma_fd_oracle(D: GaussSet, k: int) -> float:
     high-order stencil on the analytic extension, with a fixed step per
     order; independent of the exact differentiation route.  Reliable for
     k <= 8."""
-    if k < 0 or k > 8:
-        raise ValueError("oracle supports derivative orders up to 8")
+    k = _integer(k, "oracle supports derivative orders up to 8", 0, 8)
     if k == 0:
         return _tube_measure_extended(D, 0.0)
     h = _FD_STEP[k]
@@ -281,7 +275,7 @@ def gkf_predict(A: ModelSet, D: GaussSet, m: int) -> float:
     when its condition number exceeds _MAX_CONDITION."""
     if not isinstance(A, UNIT_SIDE):
         raise ValueError("prediction takes a unit-side set")
-    check_degree(A, m)
+    m = check_degree(A, m)
     if isinstance(A, UnitCap):
         return _cap_prediction(A, D, m)
     s = top_degree(A)

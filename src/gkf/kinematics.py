@@ -23,7 +23,7 @@ from functools import cached_property
 from .bases import Basis, _apply, _check_exact_cap, _dense, nu_in_sigma_column
 from .evaluate import sigma_evaluate
 from .model_sets import GeodesicBall, ModelSet, SubsphereTube, tube_volume_fraction
-from .scalars import PiScalar, omega
+from .scalars import PiScalar, _integer, omega
 from .series import sqrt_pow
 
 HALF = PiScalar.from_rational(Fraction(1, 2))
@@ -49,6 +49,7 @@ class KinematicTensor:
     entries: SparseRows = field(hash=False)
 
     def __init__(self, N: int, basis_left: Basis, basis_right: Basis, rows):
+        N = _integer(N, "dimension must be positive", 1)
         n = N + 1
         if len(rows) != n or any(len(row) != n for row in rows):
             raise ValueError("tensor must be (N+1) x (N+1)")
@@ -141,7 +142,6 @@ def _convert_rows(N: int, src: Basis, dst: Basis, entries: SparseRows) -> Sparse
 
 
 def _diagonal_sum_tensor(N: int, total: int, coeff: PiScalar, basis: Basis):
-    _check_exact_cap(N)
     lo, hi = max(0, total - N), min(N, total)
     entries = {i: {total - i: coeff} for i in range(lo, hi + 1)}
     return KinematicTensor._sparse(N, basis, basis, entries)
@@ -149,16 +149,16 @@ def _diagonal_sum_tensor(N: int, total: int, coeff: PiScalar, basis: Basis):
 
 def p_sigma(k: int, N: int) -> KinematicTensor:
     """Kinematic image of sigma_k: half the diagonal sum at degree k."""
-    if not 0 <= k <= N:
-        raise ValueError("index out of range")
+    N = _check_exact_cap(N)
+    k = _integer(k, "index out of range", 0, N)
     return _diagonal_sum_tensor(N, k, HALF, Basis.SIGMA)
 
 
 def p_tau(k: int, N: int) -> KinematicTensor:
     """Kinematic image of tau_k: the diagonal sum at N+k with the explicit
     normalization 2^(-N-1) N^(-N/2)."""
-    if not 0 <= k <= N:
-        raise ValueError("index out of range")
+    N = _check_exact_cap(N)
+    k = _integer(k, "index out of range", 0, N)
     coeff = Fraction(1, 2 ** (N + 1)) * sqrt_pow(N, -N)
     return _diagonal_sum_tensor(N, N + k, coeff, Basis.TAU)
 
@@ -170,9 +170,7 @@ def p_chi(N: int) -> KinematicTensor:
     source.  `convert_left(Basis.SIGMA)` gives the telescoped SIGMA (x) SIGMA
     form, which `nu_defining_identity_holds` checks.
     """
-    if N < 1:
-        raise ValueError("dimension must be positive")
-    _check_exact_cap(N)
+    N = _check_exact_cap(N)
     entries = {
         k: {i: PiScalar.from_rational(q) for i, q in nu_in_sigma_column(k)}
         for k in range(N + 1)
@@ -196,8 +194,8 @@ def nu_defining_identity_holds(N: int) -> bool:
 def p_u_power(m: int, N: int) -> KinematicTensor:
     """Kinematic image of u^m: shift the chi expansion by multiplicativity,
     so the left degrees all sit at m + k."""
-    if not 0 <= m <= N:
-        raise ValueError("index out of range")
+    N = _check_exact_cap(N)
+    m = _integer(m, "index out of range", 0, N)
     chi = p_chi(N).entries
     entries = {m + k: chi[k] for k in range(N + 1 - m)}
     return KinematicTensor._sparse(N, Basis.U, Basis.SIGMA, entries)
@@ -205,8 +203,7 @@ def p_u_power(m: int, N: int) -> KinematicTensor:
 
 def gkf_coefficient(k: int) -> PiScalar:
     """The limit-theorem coefficient (pi/2)^(k/2) / (k! omega_k), exact."""
-    if k < 0:
-        raise ValueError("index must be nonnegative")
+    k = _integer(k, "index must be nonnegative")
     return (
         PiScalar.pi_power(k)
         * sqrt_pow(2, -k)
@@ -220,6 +217,7 @@ def gkf_coefficient(k: int) -> PiScalar:
 def nu_values_on_set(model_set: ModelSet, k_max: int) -> list[float]:
     """nu_0 ... nu_k_max of a sphere-side set through its sigma values, each
     evaluated once."""
+    k_max = _integer(k_max, "k_max must be nonnegative")
     sigma_vals = [sigma_evaluate(i, model_set) for i in range(k_max + 1)]
     out = []
     for k in range(k_max + 1):

@@ -15,7 +15,7 @@ from typing import Union
 
 import scipy
 
-from .scalars import log_alpha
+from .scalars import _integer, log_alpha
 
 
 @dataclass(frozen=True)
@@ -23,8 +23,7 @@ class AmbientSphere:
     N: int
 
     def __post_init__(self):
-        if self.N < 1:
-            raise ValueError("dimension must be positive")
+        self.__dict__.update(N=_integer(self.N, "dimension must be positive", 1))
 
 
 @dataclass(frozen=True)
@@ -35,8 +34,7 @@ class GeodesicBall:
     r: float
 
     def __post_init__(self):
-        if self.N < 1:
-            raise ValueError("dimension must be positive")
+        self.__dict__.update(N=_integer(self.N, "dimension must be positive", 1))
         if not 0 <= self.r < math.pi * math.sqrt(self.N):
             raise ValueError("radius must lie in [0, pi sqrt(N))")
 
@@ -49,8 +47,9 @@ class GreatSubsphere:
     j: int
 
     def __post_init__(self):
-        if not 0 <= self.j <= self.N:
-            raise ValueError("subsphere dimension out of range")
+        N = _integer(self.N, "dimension must be positive", 1)
+        j = _integer(self.j, "subsphere dimension out of range", 0, N)
+        self.__dict__.update(N=N, j=j)
 
 
 @dataclass(frozen=True)
@@ -66,8 +65,9 @@ class SubsphereTube:
     s: float
 
     def __post_init__(self):
-        if not 1 <= self.d <= self.N:
-            raise ValueError("codimension out of range")
+        N = _integer(self.N, "dimension must be positive", 1)
+        d = _integer(self.d, "codimension out of range", 1, N)
+        self.__dict__.update(N=N, d=d)
         if not 0 <= self.s < 0.5 * math.pi * math.sqrt(self.N):
             raise ValueError("tube radius must lie in [0, (pi/2) sqrt(N))")
 
@@ -77,8 +77,7 @@ class UnitSphere:
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("dimension must be positive")
+        self.__dict__.update(n=_integer(self.n, "dimension must be positive", 1))
 
 
 @dataclass(frozen=True)
@@ -87,8 +86,9 @@ class UnitGreatSubsphere:
     m: int
 
     def __post_init__(self):
-        if not 0 <= self.m <= self.n:
-            raise ValueError("subsphere dimension out of range")
+        n = _integer(self.n, "dimension must be positive", 1)
+        m = _integer(self.m, "subsphere dimension out of range", 0, n)
+        self.__dict__.update(n=n, m=m)
 
 
 @dataclass(frozen=True)
@@ -99,8 +99,7 @@ class UnitCap:
     theta: float
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("dimension must be positive")
+        self.__dict__.update(n=_integer(self.n, "dimension must be positive", 1))
         if not 0 < self.theta <= 0.5 * math.pi + 1e-15:
             raise ValueError("cap angle must lie in (0, pi/2]")
 
@@ -124,11 +123,11 @@ def top_degree(A: ModelSet) -> int:
     return A.m if isinstance(A, UnitGreatSubsphere) else A.n
 
 
-def check_degree(A: ModelSet, m) -> None:
-    """Refuse a degree m that is not an int (a bool is not one) between 0
-    and the top degree of the unit-side set A."""
-    if isinstance(m, bool) or not isinstance(m, int) or not 0 <= m <= top_degree(A):
-        raise ValueError("degree must lie between 0 and the dimension of the set")
+def check_degree(A: ModelSet, m) -> int:
+    """The degree m as an int, refused unless it is an integer between 0 and
+    the top degree of the unit-side set A."""
+    message = "degree must lie between 0 and the dimension of the set"
+    return _integer(m, message, 0, top_degree(A))
 
 
 @dataclass(frozen=True)
@@ -207,10 +206,7 @@ def euler_characteristic(model_set: ModelSet) -> int:
     if isinstance(model_set, AmbientSphere):
         return 1 + (-1) ** model_set.N
     if isinstance(model_set, GeodesicBall):
-        if model_set.r == 0:
-            return 1
-        theta = model_set.r / math.sqrt(model_set.N)
-        return 1 + (-1) ** model_set.N if theta >= math.pi else 1
+        return 1  # every accepted ball, r < pi sqrt(N), is a point or a disk
     if isinstance(model_set, GreatSubsphere):
         return 1 + (-1) ** model_set.j
     if isinstance(model_set, SubsphereTube):

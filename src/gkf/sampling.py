@@ -35,6 +35,7 @@ import numpy as np
 import scipy
 
 from .rng import RngStream
+from .scalars import _integer
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,10 +180,6 @@ class PoincareReport:
     stream_id: int
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def poincare_sweep(
     N_list: tuple[int, ...], d: int, n_samples: int, rng: RngStream
 ) -> list[PoincareReport]:
@@ -201,14 +198,11 @@ def poincare_sweep(
     the draw.  The sweep holds d + 2 arrays of n_samples doubles (g, the
     samples and one scratch array) and a few arrays of one block at any N.
     """
-    if not all(_is_integer(v) for v in (d, n_samples, *N_list)):
-        raise ValueError("N, d and n_samples must be integers")
-    if d < 1 or n_samples < 1:
-        raise ValueError("d and n_samples must be at least 1")
+    d = _integer(d, "d must be at least 1", 1)
+    n_samples = _integer(n_samples, "n_samples must be at least 1", 1)
+    N_list = [_integer(N, "projection requires N > d", d + 1) for N in N_list]
     if not N_list:
         raise ValueError("N_list must not be empty")
-    if any(N <= d for N in N_list):
-        raise ValueError("projection requires N > d")
     gen = rng.generator()
     g = gen.standard_normal((n_samples, d))
     after_g = gen.bit_generator.state

@@ -17,6 +17,7 @@ used by the large-dimension evaluation paths.
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 from functools import lru_cache
 from typing import Union
@@ -27,6 +28,20 @@ _SCALE = 10**50
 _SQRT_PI = Fraction(177245385090551602729816748334114518279754945612238, _SCALE)
 
 ScalarLike = Union["PiScalar", Fraction, int]
+
+
+def _integer(value, message: str, lo: int = 0, hi: float = math.inf) -> int:
+    """value as an int, when it is an integer in [lo, hi]: an int or a NumPy
+    integer (any numbers.Integral), never a bool.  Anything else raises
+    ValueError(message), so bad input never surfaces as a TypeError.  Every
+    dimension, index, degree, depth and count of the package passes here."""
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{message}: {value!r} is not an integer")
+        value = int(value)
+    if not lo <= value <= hi:
+        raise ValueError(f"{message}, got {value!r}")
+    return value
 
 
 @lru_cache(maxsize=None)
@@ -317,8 +332,7 @@ def gamma_half(two_x: int) -> PiScalar:
 
     Gamma(k) = (k-1)!; Gamma(k + 1/2) = (2k)!/(4^k k!) * sqrt(pi).
     """
-    if two_x < 1:
-        raise ValueError("argument must be a positive half-integer")
+    two_x = _integer(two_x, "argument must be a positive half-integer", 1)
     if two_x % 2 == 0:
         return PiScalar.from_rational(math.factorial(two_x // 2 - 1))
     k = (two_x - 1) // 2
@@ -329,14 +343,14 @@ def gamma_half(two_x: int) -> PiScalar:
 @lru_cache(maxsize=None)
 def omega(n: int) -> PiScalar:
     """Volume of the unit ball in dimension n: pi^(n/2) / Gamma(n/2 + 1)."""
-    if n < 0:
-        raise ValueError("dimension must be nonnegative")
+    n = _integer(n, "dimension must be nonnegative")
     return PiScalar.pi_power(n) * gamma_half(n + 2).reciprocal()
 
 
 @lru_cache(maxsize=None)
 def alpha(n: int) -> PiScalar:
     """Surface measure of the unit n-sphere: (n+1) * omega(n+1)."""
+    n = _integer(n, "dimension must be nonnegative")
     return omega(n + 1) * (n + 1)
 
 

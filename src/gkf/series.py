@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .scalars import PiScalar
+from .scalars import PiScalar, _integer
 
 # -- generator expansions -------------------------------------------------
 #
@@ -57,11 +57,11 @@ def sqrt_pow(n: int, k: int) -> PiScalar:
     return sqrt_pow(n, -k).reciprocal()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def u_power_in_sigma(k: int, N: int) -> tuple[tuple[int, Fraction], ...]:
     """u^k = sum_j binom(j + k/2, j) sigma_(N - k - 2j); pairs (index, coeff)."""
-    if not 0 <= k <= N:
-        raise ValueError("index out of range")
+    N = _integer(N, "dimension must be nonnegative")
+    k = _integer(k, "index out of range", 0, N)
     # x^k (1 - x^2)^(-(k+2)/2), read at index N - i
     series = binomial_x2_series(N, k, Fraction(-k - 2, 2), Fraction(-1))
     return tuple((N - i, q) for i, q in series)

@@ -224,3 +224,32 @@ def test_no_import_inside_a_function():
                     if isinstance(inner, (ast.Import, ast.ImportFrom))
                 )
     assert sorted(nested) == []
+
+
+def test_one_integer_rule():
+    """`scalars._integer` alone decides what counts as an integer: no other
+    isinstance call in the package names bool, np.integer or
+    numbers.Integral.  (The exact-scalar dispatch on (int, Fraction) in
+    `PiScalar` is a different question and stays.)"""
+    banned = {"bool", "np.integer", "numpy.integer", "numbers.Integral", "Integral"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = {
+            id(node)
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and (path.stem, fn.name) == ("scalars", "_integer")
+            for node in ast.walk(fn)
+        }
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "isinstance"
+                and len(node.args) == 2
+                and id(node) not in allowed
+            ):
+                types = node.args[1]
+                named = types.elts if isinstance(types, ast.Tuple) else [types]
+                if banned & {ast.unparse(t) for t in named}:
+                    found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert found == []

@@ -470,6 +470,11 @@ class TestUnitSide:
     def test_euler_characteristics(self):
         for n in range(1, 8):
             assert lk_unit_sphere(n, 0) == 1 + (-1) ** n
+        # the largest radius the constructor accepts at N = 86, where r / sqrt(N)
+        # rounds to pi: still a disk
+        edge = GeodesicBall(86, math.nextafter(math.pi * math.sqrt(86), 0))
+        assert edge.r / math.sqrt(edge.N) == math.pi
+        assert euler_characteristic(edge) == 1
 
     def test_parity_vanishing(self):
         for n in range(1, 9):

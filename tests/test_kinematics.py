@@ -162,14 +162,17 @@ class TestTensorConversion:
 
     def test_conversion_guards(self):
         # the cap and the dimension check sit in the conversion kernel, so
-        # tensors built directly get them too
+        # tensors built directly get them too; the constructor refuses N = 0
+        # itself, so the empty tensor is built from its entries
         zero = PiScalar.zero()
         big = KinematicTensor(70, Basis.T, Basis.T, ((zero,) * 71,) * 71)
         with pytest.raises(ValueError, match="capped at N = 64"):
             big.convert_left(Basis.U)
         with pytest.raises(ValueError, match="capped at N = 64"):
             big.convert_right(Basis.SIGMA)
-        empty = KinematicTensor(0, Basis.T, Basis.T, ((PiScalar.one(),),))
+        with pytest.raises(ValueError, match="dimension must be positive"):
+            KinematicTensor(0, Basis.T, Basis.T, ((PiScalar.one(),),))
+        empty = KinematicTensor._sparse(0, Basis.T, Basis.T, {0: {0: PiScalar.one()}})
         with pytest.raises(ValueError, match="dimension must be positive"):
             empty.convert_left(Basis.PHI)
         with pytest.raises(ValueError, match="dimension must be positive"):
