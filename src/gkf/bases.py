@@ -203,16 +203,15 @@ def _frame_bridge(N: int, src: Basis, dst: Basis) -> FrameMatrix:
             scale, m, e = 1, k, {Basis.PHI: 0, Basis.T: Fraction(-k, 2), Basis.TAU: 1}[src]
         if dst in (Basis.PHI, Basis.TAU):
             # sum_i b_i phi^i (1 - c phi^2)^a, a = 1 for TAU
-            col = binomial_x2_series(N, m, e - (dst == Basis.TAU), -c)
+            col = binomial_x2_series(N, m, e - (dst == Basis.TAU), -c, scale)
+        elif dst == Basis.T:
+            # phi = t (1 + c t^2)^(-1/2) and 1 - c phi^2 = (1 + c t^2)^(-1)
+            col = binomial_x2_series(N, m, -Fraction(m, 2) - e, c, scale)
         else:
-            # phi = t (1 + c t^2)^(-1/2) and 1 - c phi^2 = (1 + c t^2)^(-1);
-            # NU element N-s is t^s (1 + c t^2)^(-N/2) / 2
-            alpha = Fraction(N, 2) if dst == Basis.NU else 0
-            col = binomial_x2_series(N, m, alpha - Fraction(m, 2) - e, c)
-        if dst == Basis.NU:
-            scale *= 2
+            # the substitution of T; NU element N-s is t^s (1 + c t^2)^(-N/2) / 2
+            col = binomial_x2_series(N, m, Fraction(N - m, 2) - e, c, 2 * scale)
             col = tuple((N - s, q) for s, q in reversed(col))
-        cols.append(col if scale == 1 else tuple((i, scale * q) for i, q in col))
+        cols.append(col)
     return tuple(cols)
 
 
@@ -247,12 +246,10 @@ def nu_in_sigma_column(k: int) -> FrameColumn:
     as (i, binom(-i/2, (k-i)/2) / 2) in ascending i.  The column does not
     depend on the sphere dimension."""
     # binom(-i/2, j) = (-1)^j binom(k/2 - 1, j) at i = k - 2j: the column is
-    # (1 - x^2)^((k-2)/2) read at k - s, and it stops short of sigma_0
-    # unless k = 0; halved by hand, since q / 2 takes about twice as long
-    series = binomial_x2_series(k, 0, Fraction(k - 2, 2), -1)
-    return tuple(
-        (k - s, Fraction(q.numerator, 2 * q.denominator)) for s, q in reversed(series)
-    )
+    # (1 - x^2)^((k-2)/2) / 2 read at k - s, and it stops short of sigma_0
+    # unless k = 0
+    series = binomial_x2_series(k, 0, Fraction(k - 2, 2), -1, Fraction(1, 2))
+    return tuple((k - s, q) for s, q in reversed(series))
 
 
 def _accumulate(

@@ -224,7 +224,7 @@ def nu_values_on_set(model_set: ModelSet, k_max: int) -> list[float]:
         total = 0.0
         for i, q in nu_in_sigma_column(k):
             if sigma_vals[i]:
-                total += float(q) * sigma_vals[i]
+                total += q.numerator / q.denominator * sigma_vals[i]
         out.append(total)
     return out
 

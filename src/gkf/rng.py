@@ -12,12 +12,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .scalars import _integer
+
 
 @dataclass(frozen=True)
 class RngStream:
+    """The stream (seed, stream_id, lane): the seed, the stream id and each
+    lane index are non-negative integers, stored as ints."""
+
     seed: int
     stream_id: int = 0
     lane: tuple[int, ...] = field(default=())
+
+    def __post_init__(self):
+        lane = tuple(_integer(i, "lane index must be a non-negative integer") for i in self.lane)
+        self.__dict__.update(
+            seed=_integer(self.seed, "seed must be a non-negative integer"),
+            stream_id=_integer(self.stream_id, "stream_id must be a non-negative integer"),
+            lane=lane,
+        )
 
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(

@@ -24,6 +24,17 @@ at a time, so it holds d + 2 arrays of n doubles (the Gaussian block, the
 samples and one scratch array) at any N; the chi-square tail is drawn block
 by block in stream order, so the draws are those of one whole-length call.
 A single N is a sweep over a one-entry list.
+
+The KS distance of each N is certified, not formed term by term.  The
+sorted samples split into blocks of 32 consecutive ranks.  The limit CDF F
+is monotone, so in the block of ranks a..b every KS term is at most
+(b + 1) / n - F_a or F_b - a / n.  F is evaluated at the two ends of every
+block, and in full only in the blocks whose bound reaches the largest end
+term less an absolute slack of 1e-9.  Every term evaluated is the float the
+full grid forms, so the distance is the same bit for bit.  At n = 1e6 on a
+2-core VM, F is evaluated at about 6.5% of the ranks (6.25% are block
+ends), and the distance of one N takes 1.2 ms instead of 9.8 ms for d = 1
+and 3.7 ms instead of 50 ms for d = 2.
 """
 
 from __future__ import annotations
@@ -47,7 +58,18 @@ class LinearMapSample:
     entries: np.ndarray
 
 
+def _map_sizes(n, d, size) -> tuple[int, int, int]:
+    """n, d and size of a batch of d x (n+1) maps, as ints: n >= 0, d >= 1
+    and size >= 0."""
+    return (
+        _integer(n, "n must be non-negative"),
+        _integer(d, "d must be at least 1", 1),
+        _integer(size, "size must be non-negative"),
+    )
+
+
 def pi_infinity_batch(n: int, d: int, size: int, gen: np.random.Generator) -> np.ndarray:
+    n, d, size = _map_sizes(n, d, size)
     return gen.standard_normal((size, d, n + 1))
 
 
@@ -66,6 +88,8 @@ def pi_n_batch(
     (row, column, map) arrays, and the Cholesky factor L and the forward
     substitution for X run column by column on rows over the batch axis.
     A pivot that is not finite and positive raises ValueError."""
+    n, d, size = _map_sizes(n, d, size)
+    N = _integer(N, "N must be non-negative")
     if N < max(n, d):
         raise ValueError("block does not fit in the rotation group")
     k = n + 1
@@ -121,6 +145,8 @@ def _square_norms(x: np.ndarray) -> np.ndarray:
 def uniform_sphere_batch(n: int, size: int, gen: np.random.Generator) -> np.ndarray:
     """size uniform points on the unit n-sphere: standard normal rows of
     length n + 1, each divided by its euclidean norm."""
+    n = _integer(n, "n must be non-negative")
+    size = _integer(size, "size must be non-negative")
     x = gen.standard_normal((size, n + 1))
     x /= np.sqrt(_square_norms(x))[:, None]
     return x
@@ -132,6 +158,8 @@ def uniform_cap_batch(
     """Uniform points on the cap of angular radius theta about the first
     coordinate axis, via the exact colatitude law (truncated beta in
     sin^2 of the colatitude) and a uniform direction."""
+    n = _integer(n, "n must be at least 1", 1)
+    size = _integer(size, "size must be non-negative")
     s_max = math.sin(theta) ** 2
     total = scipy.special.betainc(n / 2.0, 0.5, s_max)
     u = gen.random(size)
@@ -147,25 +175,99 @@ def uniform_cap_batch(
 # -- the projection limit ------------------------------------------------------
 
 # rows formed at once by the projection (its chi-square tail and its (block, d)
-# quotient) and by the KS grid, 256 KiB per column.  At n = 1e6 and d = 1 on a
-# 2-core Xeon VM these steps took 48 ms per N with 2^13 rows and 40 ms with
-# 2^15 or 2^16; the sort and the CDF do not depend on the block
+# quotient), 256 KiB per column.  At n = 1e6 and d = 1 on a 2-core Xeon VM
+# these steps took 48 ms per N with 2^13 rows and 40 ms with 2^15 or 2^16
 _BLOCK = 1 << 15
+# consecutive ranks bounded together by the KS certificate, and the ranks of
+# the candidate blocks evaluated at once
+_RANKS = 32
+_CANDIDATE_RANKS = 1 << 13
+# absolute slack of the certificate: far above the rounding of KS terms in
+# [-1, 1] and any ulp-size non-monotonicity of ndtr or gammainc
+_SLACK = 1e-9
 
 
-def _ks_statistic(xs: np.ndarray, F: np.ndarray) -> float:
+def _cdf(x: np.ndarray, d: int) -> np.ndarray:
+    """The limit CDF at x, in place: the standard normal CDF for d = 1, the
+    chi(d) CDF (x squared, halved, then gammainc(d / 2, .)) for d > 1."""
+    if d == 1:
+        return scipy.special.ndtr(x, out=x)
+    np.square(x, out=x)
+    x /= 2.0
+    return scipy.special.gammainc(d / 2.0, x, out=x)
+
+
+def _ks_statistic(xs: np.ndarray, d: int, scratch: np.ndarray) -> float:
     """Two-sided KS distance between the empirical law of the sorted samples
-    xs and the CDF values F = cdf(xs), with the grid i/n formed one block
-    at a time."""
+    xs and the limit CDF F of _cdf: the largest of the terms
+    (i + 1.0) / n - F_i and F_i - ((i + 1.0) / n - 1 / n) over the ranks i,
+    evaluated only in the blocks of ranks that _candidate_blocks keeps.
+    scratch is an array of len(xs) doubles whose contents are overwritten."""
     n = len(xs)
-    above = below = -math.inf
-    for lo in range(0, n, _BLOCK):
-        hi = min(lo + _BLOCK, n)
-        grid = np.arange(lo + 1.0, hi + 1.0)
-        grid /= n
-        above = max(above, np.max(grid - F[lo:hi]))
-        grid -= 1 / n
-        below = max(below, np.max(F[lo:hi] - grid))
+    w = min(_RANKS, n)
+    top, starts = _candidate_blocks(xs, d, scratch, w)
+    per_chunk = max(1, _CANDIDATE_RANKS // w)
+    for lo in range(0, len(starts), per_chunk):
+        top = max(top, _block_terms_max(xs, d, starts[lo : lo + per_chunk], w))
+    return float(top)
+
+
+def _candidate_blocks(
+    xs: np.ndarray, d: int, scratch: np.ndarray, w: int
+) -> tuple[float, np.ndarray]:
+    """The largest KS term at the block ends, and the first ranks of the
+    blocks of w ranks whose bound reaches it less _SLACK (the certificate
+    of the module docstring): every term of the other blocks lies below a
+    term already evaluated.  The blocks start at ranks 0, w, 2w, ..., and
+    the last one ends at rank n - 1, so it may overlap the one before it.
+    The end values, the grid at the ends and the bounds live in scratch."""
+    n = len(xs)
+    nb = -(-n // w)
+    if nb == 1:
+        return -math.inf, np.zeros(1, dtype=np.intp)
+    # 6 nb <= n, since nb >= 2 and w = _RANKS >= 12
+    F_a, F_b, grid_a, grid_b, bound, spare = scratch[: 6 * nb].reshape(6, nb)
+    F_a[:-1] = xs[: (nb - 1) * w : w]
+    F_a[-1] = xs[n - w]
+    F_b[:-1] = xs[w - 1 : (nb - 1) * w : w]
+    F_b[-1] = xs[n - 1]
+    _cdf(scratch[: 2 * nb], d)
+    grid_a[:] = np.arange(1.0, nb * w, w)
+    grid_a[-1] = n - w + 1
+    np.add(grid_a, w - 1, out=grid_b)
+    grid_a /= n
+    grid_b /= n
+    np.subtract(grid_b, F_a, out=bound)
+    top = max(
+        np.max(np.subtract(grid_a, F_a, out=spare)),
+        np.max(np.subtract(grid_b, F_b, out=spare)),
+    )
+    grid_a -= 1 / n
+    grid_b -= 1 / n
+    np.maximum(bound, np.subtract(F_b, grid_a, out=spare), out=bound)
+    top = max(
+        top,
+        np.max(np.subtract(F_a, grid_a, out=spare)),
+        np.max(np.subtract(F_b, grid_b, out=spare)),
+    )
+    starts = np.flatnonzero(bound >= top - _SLACK)
+    starts *= w
+    np.minimum(starts, n - w, out=starts)
+    return top, starts
+
+
+def _block_terms_max(xs: np.ndarray, d: int, starts: np.ndarray, w: int) -> float:
+    """The largest KS term over the blocks of w ranks that begin at starts,
+    each term formed as on the full grid."""
+    n = len(xs)
+    F = np.lib.stride_tricks.sliding_window_view(xs, w)[starts]
+    _cdf(F, d)
+    grid = np.add.outer(starts, np.arange(1.0, w + 1.0))
+    grid /= n
+    terms = grid - F
+    above = np.max(terms)
+    grid -= 1 / n
+    below = np.max(np.subtract(F, grid, out=terms))
     return float(max(above, below))
 
 
@@ -263,11 +365,5 @@ def _score(samples: np.ndarray, scratch: np.ndarray, d: int) -> tuple[float, flo
     for bit."""
     second_moment = float(np.mean(np.square(samples, out=scratch))) / d
     samples.sort()
-    if d == 1:
-        F = scipy.special.ndtr(samples, out=scratch)
-    else:
-        np.square(samples, out=scratch)
-        scratch /= 2.0
-        F = scipy.special.gammainc(d / 2.0, scratch, out=scratch)
-    return _ks_statistic(samples, F), second_moment
+    return _ks_statistic(samples, d, scratch), second_moment
 

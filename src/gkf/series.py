@@ -26,17 +26,17 @@ from .scalars import PiScalar, _integer
 
 
 def binomial_x2_series(
-    N: int, shift: int, exponent: Fraction, inner: Fraction
+    N: int, shift: int, exponent: Fraction, inner: Fraction, first: Fraction
 ) -> tuple[tuple[int, Fraction], ...]:
-    """x^shift (1 + inner x^2)^exponent truncated at degree N, as
+    """first x^shift (1 + inner x^2)^exponent truncated at degree N, as
     (index, coefficient) pairs in ascending index with zero terms left out.
-    exponent and inner are int or Fraction."""
+    exponent, inner and first are int or Fraction; first is nonzero."""
     a, b = exponent.numerator, exponent.denominator
     n, d = inner.numerator, inner.denominator
     out = []
-    q = Fraction(1)
+    q = Fraction(first)
     for j in range((N - shift) // 2 + 1):
-        # q = binom(exponent, j) * inner^j, one reduced Fraction per term
+        # q = first * binom(exponent, j) * inner^j, one reduced Fraction per term
         # (left unreduced, the integers blow up on long series)
         if not q:
             break
@@ -63,5 +63,5 @@ def u_power_in_sigma(k: int, N: int) -> tuple[tuple[int, Fraction], ...]:
     N = _integer(N, "dimension must be nonnegative")
     k = _integer(k, "index out of range", 0, N)
     # x^k (1 - x^2)^(-(k+2)/2), read at index N - i
-    series = binomial_x2_series(N, k, Fraction(-k - 2, 2), Fraction(-1))
+    series = binomial_x2_series(N, k, Fraction(-k - 2, 2), Fraction(-1), 1)
     return tuple((N - i, q) for i, q in series)

@@ -42,7 +42,7 @@ from gkf.scalars import (
     log_omega,
     omega,
 )
-from gkf.series import sqrt_pow
+from gkf.series import binomial_x2_series, sqrt_pow
 
 
 # -- scalars and series --------------------------------------------------------
@@ -85,6 +85,37 @@ def binomial_series(N: int, shift: int, exponent: Fraction, inner: Fraction) -> 
     for j in range((N - shift) // 2 + 1):
         out[shift + 2 * j] = generalized_binomial(exponent, j) * inner**j
     return tuple(out)
+
+
+def nu_column_halved(k: int) -> tuple:
+    """nu_k in sigma coordinates from the unit-led series
+    (1 - x^2)^((k-2)/2), each coefficient halved after the series is built."""
+    series = binomial_x2_series(k, 0, Fraction(k - 2, 2), -1, 1)
+    return tuple(
+        (k - s, Fraction(q.numerator, 2 * q.denominator)) for s, q in reversed(series)
+    )
+
+
+def frame_bridge_scaled_after(N: int, src: Basis, dst: Basis) -> tuple:
+    """The frame bridge of `bases._frame_bridge`, each column built from a
+    unit-led series and then multiplied by the scale of its element."""
+    c = Fraction(1, 4 * N)
+    cols = []
+    for k in range(N + 1):
+        if src == Basis.NU:
+            scale, m, e = Fraction(1, 2), N - k, Fraction(k, 2)
+        else:
+            scale, m, e = 1, k, {Basis.PHI: 0, Basis.T: Fraction(-k, 2), Basis.TAU: 1}[src]
+        if dst in (Basis.PHI, Basis.TAU):
+            col = binomial_x2_series(N, m, e - (dst == Basis.TAU), -c, 1)
+        else:
+            alpha = Fraction(N, 2) if dst == Basis.NU else 0
+            col = binomial_x2_series(N, m, alpha - Fraction(m, 2) - e, c, 1)
+        if dst == Basis.NU:
+            scale *= 2
+            col = tuple((N - s, q) for s, q in reversed(col))
+        cols.append(col if scale == 1 else tuple((i, scale * q) for i, q in col))
+    return tuple(cols)
 
 
 def power_columns(gen: tuple, N: int, factor: tuple | None = None) -> tuple:
@@ -684,3 +715,19 @@ def poincare_out_of_place(
     grid = np.arange(1, n_samples + 1) / n_samples
     ks = float(max(np.max(grid - F), np.max(F - (grid - 1 / n_samples))))
     return ks, second_moment
+
+
+def ks_statistic_full_grid(xs: np.ndarray, F: np.ndarray) -> float:
+    """Two-sided KS distance between the empirical law of the sorted samples
+    xs and the CDF values F = cdf(xs), every term formed: the grid i/n one
+    block of 2^15 rows at a time."""
+    n = len(xs)
+    above = below = -math.inf
+    for lo in range(0, n, 1 << 15):
+        hi = min(lo + (1 << 15), n)
+        grid = np.arange(lo + 1.0, hi + 1.0)
+        grid /= n
+        above = max(above, np.max(grid - F[lo:hi]))
+        grid -= 1 / n
+        below = max(below, np.max(F[lo:hi] - grid))
+    return float(max(above, below))

@@ -10,6 +10,7 @@ import pytest
 from gkf.bases import (
     _FRAME,
     Basis,
+    _frame_bridge,
     ValuationVector,
     basis_element,
     change_basis,
@@ -24,7 +25,9 @@ from gkf.series import binomial_x2_series, sqrt_pow, u_power_in_sigma
 
 from oracles import (
     binomial_series,
+    frame_bridge_scaled_after,
     generalized_binomial,
+    nu_column_halved,
     phi_in_t,
     power_columns,
     route_product,
@@ -387,6 +390,23 @@ class TestNuColumns:
         }
 
 
+class TestScaledSeries:
+    """Columns whose series starts at the element's scale against the route
+    that builds a unit-led series and scales each coefficient afterwards;
+    both give reduced Fractions, so equal columns are equal term by term."""
+
+    def test_nu_columns_match_the_halving_route(self):
+        for k in range(201):
+            assert nu_in_sigma_column(k) == nu_column_halved(k)
+
+    @pytest.mark.parametrize("N", [*range(1, 13), 40, 64])
+    def test_frame_bridges_match_the_scaling_route(self, N):
+        frames = (Basis.PHI, Basis.T, Basis.TAU, Basis.NU)
+        for src in frames:
+            for dst in frames:
+                assert _frame_bridge(N, src, dst) == frame_bridge_scaled_after(N, src, dst)
+
+
 class TestBinomialRecurrences:
     """The running-product families against one generalized_binomial call
     per entry, the loop form they replace; equality is exact."""
@@ -420,7 +440,7 @@ class TestBinomialRecurrences:
         for shift, exponent, inner in cases:
             dense = binomial_series(N, shift, exponent, inner)
             expected = tuple((i, q) for i, q in enumerate(dense) if q)
-            assert binomial_x2_series(N, shift, exponent, inner) == expected
+            assert binomial_x2_series(N, shift, exponent, inner, 1) == expected
 
     @pytest.mark.parametrize("N", [1, 2, 7, 40, 64])
     def test_generator_edges_against_series_powers(self, N):

@@ -60,7 +60,13 @@ from gkf.model_sets import (
     check_degree,
 )
 from gkf.rng import RngStream
-from gkf.sampling import poincare_sweep
+from gkf.sampling import (
+    pi_infinity_batch,
+    pi_n_batch,
+    poincare_sweep,
+    uniform_cap_batch,
+    uniform_sphere_batch,
+)
 from gkf.scalars import PiScalar, alpha, gamma_half, omega
 from gkf.series import u_power_in_sigma
 
@@ -73,6 +79,16 @@ DISK = CenteredBall(2, 1.0)
 
 def _lhs(m):
     return estimate_lhs(SPHERE, DISK, m, 64, RngStream(5))
+
+
+def _draw(sampler, *args):
+    """sampler(*args, gen) from a fresh generator of one fixed stream."""
+    return sampler(*args, np.random.default_rng(3))
+
+
+def _stream(rng):
+    """The stream and its first draw."""
+    return rng, rng.generator().random()
 
 
 def _counts(name):
@@ -149,7 +165,23 @@ SITES = {
     "gamma_half.two_x": (gamma_half, 3, 0),
     # functionals
     "icosphere.depth": (icosphere, 1, -1),
+    # rng
+    "RngStream.seed": (lambda x: _stream(RngStream(x)), 5, -1),
+    "RngStream.stream_id": (lambda x: _stream(RngStream(5, x)), 2, -1),
+    "RngStream.lane": (lambda x: _stream(RngStream(5, 2, (1, x))), 3, -1),
+    "RngStream.child": (lambda x: _stream(RngStream(5).child(x)), 3, -1),
     # sampling
+    "pi_infinity_batch.n": (lambda x: _draw(pi_infinity_batch, x, 2, 3), 2, -1),
+    "pi_infinity_batch.d": (lambda x: _draw(pi_infinity_batch, 2, x, 3), 2, 0),
+    "pi_infinity_batch.size": (lambda x: _draw(pi_infinity_batch, 2, 2, x), 3, -1),
+    "pi_n_batch.n": (lambda x: _draw(pi_n_batch, x, 2, 50, 3), 2, -1),
+    "pi_n_batch.d": (lambda x: _draw(pi_n_batch, 2, x, 50, 3), 2, 0),
+    "pi_n_batch.N": (lambda x: _draw(pi_n_batch, 2, 2, x, 3), 50, 1),
+    "pi_n_batch.size": (lambda x: _draw(pi_n_batch, 2, 2, 50, x), 3, -1),
+    "uniform_sphere_batch.n": (lambda x: _draw(uniform_sphere_batch, x, 3), 2, -1),
+    "uniform_sphere_batch.size": (lambda x: _draw(uniform_sphere_batch, 2, x), 3, -1),
+    "uniform_cap_batch.n": (lambda x: _draw(uniform_cap_batch, x, 1.0, 3), 2, 0),
+    "uniform_cap_batch.size": (lambda x: _draw(uniform_cap_batch, 2, 1.0, x), 3, -1),
     "poincare_sweep.N": (lambda x: poincare_sweep((x,), 1, 10, RngStream(0)), 50, 1),
     "poincare_sweep.d": (lambda x: poincare_sweep((50,), x, 10, RngStream(0)), 1, 0),
     "poincare_sweep.n_samples": (lambda x: poincare_sweep((50,), 1, x, RngStream(0)), 10, 0),
@@ -232,6 +264,9 @@ PROBES = {
     "estimate_lhs m=False": lambda: _lhs(False),
     "estimate_lhs m=0.0": lambda: _lhs(0.0),
     "lk_unit_sphere(3.0, 1)": lambda: lk_unit_sphere(3.0, 1),
+    "estimate_lhs with RngStream(5, 1.0)": lambda: estimate_lhs(
+        SPHERE, DISK, 0, 64, RngStream(5, 1.0)),
+    "pi_n_batch at N = 50.5": lambda: _draw(pi_n_batch, 2, 2, 50.5, 3),
 }
 
 

@@ -10,7 +10,8 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import ndtr
+import scipy.special
+from scipy.special import gammainc, gammaincinv, ndtr, ndtri
 
 from gkf import drivers, functionals
 from gkf.bases import nu_in_sigma_column
@@ -64,7 +65,9 @@ from gkf.model_sets import (
 from gkf.rng import RngStream
 from gkf.sampling import (
     _BLOCK,
+    _RANKS,
     LinearMapSample,
+    _ks_statistic,
     _square_norms,
     pi_infinity_batch,
     pi_n_batch,
@@ -80,6 +83,7 @@ from oracles import (
     count_at_most_sign_changes,
     hit_fractions_einsum,
     icosphere_unique,
+    ks_statistic_full_grid,
     mesh_chi_quadratic_by_level,
     mesh_chi_sublevel,
     pair_tensor,
@@ -1134,6 +1138,68 @@ class TestPoincare:
         assert one <= bound * 8 * n
         three = self._peak_bytes((100, 400, 1600), d, n)
         assert three <= one + 0.25 * 8 * n
+
+
+def _limit_cdf(xs, d):
+    """The limit CDF of the projection check, out of place."""
+    return ndtr(xs) if d == 1 else gammainc(d / 2.0, np.square(xs) / 2.0)
+
+
+def _limit_quantiles(n, d):
+    """The (i + 0.5) / n quantiles of the limit law, i = 0..n-1."""
+    q = (np.arange(n) + 0.5) / n
+    return ndtri(q) if d == 1 else np.sqrt(2.0 * gammaincinv(d / 2.0, q))
+
+
+class TestKsCertificate:
+    """The certified KS distance against every term of the full grid; the
+    terms are the same floats, so the distances agree bit for bit."""
+
+    @staticmethod
+    def _both(xs, d):
+        xs = np.sort(xs)
+        scratch = np.full(len(xs), math.nan)
+        return _ks_statistic(xs, d, scratch), ks_statistic_full_grid(xs, _limit_cdf(xs, d))
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize(
+        "n", [1, 2, 31, 32, 33, 3 * 32 + 5, 63, 64, 65, 1000, 3 * 64 + 5, 20000]
+    )
+    def test_matches_full_grid(self, d, n):
+        gen = RngStream(29, 10 * n + d).generator()
+        base = gen.standard_normal(n) if d == 1 else np.sqrt(gen.chisquare(d, n))
+        for xs in (base, base + 0.2, 1.3 * base, np.round(base, 1)):
+            got, expected = self._both(xs, d)
+            assert got == expected
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("n", [1000, 20000])
+    def test_maximum_inside_a_block(self, d, n):
+        # quantile samples put every term near 0.5 / n; a run of ties at
+        # ranks 330..360 raises the term (i + 1) / n - F_i to its maximum at
+        # rank 360, inside the block of ranks 352..383
+        xs = _limit_quantiles(n, d)
+        xs[330:361] = xs[330]
+        grid = np.arange(1.0, n + 1.0) / n
+        F = _limit_cdf(xs, d)
+        terms = np.maximum(grid - F, F - (grid - 1 / n))
+        assert np.argmax(terms) == 360 and 360 % _RANKS not in (0, _RANKS - 1)
+        got, expected = self._both(xs, d)
+        assert got == expected == terms[360]
+
+    @pytest.mark.parametrize("d,name", [(1, "ndtr"), (2, "gammainc")])
+    def test_evaluates_few_ranks(self, d, name, monkeypatch):
+        original = getattr(scipy.special, name)
+        evaluated = []
+
+        def counted(*args, **kwargs):
+            evaluated.append(np.size(args[-1]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.special, name, counted)
+        n = 200_000
+        poincare_sweep((400,), d, n, RngStream(7, 0))
+        assert 0 < sum(evaluated) < n / 8
 
 
 class TestNuConvergence:
