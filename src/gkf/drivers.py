@@ -21,12 +21,24 @@ in order add C - 1 roundings and the division one.  Counting one eps per
 rounding (a margin for the rounding of the values and of the prediction)
 and with values bounded by the functional's unit u (1 for chi, t^top(A)
 for the top degree), the floor is (h + C) eps u: 3.3e-14 u at n = 10^6.
+
+The finite-N prediction is refused past N = 10^6 (_MAX_LAW_N).  Its error
+grows with N, consistent with log-scale terms of size N ln N cancelling in
+the sigma values (not traced further).  Against the exact expectation of
+chi on a sphere with a half-space or a slab (a d = 1 ball), in closed form
+through the regularized incomplete beta function, the largest absolute
+error over 32 cases is 2.7e-10 at N = 10^5, 1.8e-9 at 10^6, 3.2e-8 at 10^7
+and 2.4e-7 at 10^8.  Against the limit plus 1/N and 1/N^2 terms fitted at
+N = 2000 and 4000, disks, 3-balls and top degrees are within 3.1e-9
+relative at 10^6 and 1.4e-8 at 10^7.  A disk prediction of 0.7869 reads
+0.7846 at N = 10^12 and 1.64 at 10^15.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -52,6 +64,9 @@ from .sampling import pi_infinity_batch, pi_n_batch, uniform_sphere_batch
 from .scalars import _integer, float_of
 
 CHUNK_SIZE = 8192
+
+# the largest law N the finite-N prediction serves; see the module docstring
+_MAX_LAW_N = 10**6
 
 Z_PASS = 3.0
 Z_WARN = 4.0
@@ -139,6 +154,7 @@ def pull_back_set(D: GaussSet, N: int):
     """The sphere-side trace of a euclidean set: a subsphere tube for a
     centered ball, a cap for a half-space threshold, the whole sphere for
     the full space."""
+    N = _integer(N, "N must be non-negative")
     R = math.sqrt(N)
     if isinstance(D, CenteredBall):
         if D.rho >= R:
@@ -157,9 +173,15 @@ def pi_n_prediction(A: ModelSet, D: GaussSet, N: int, m: int) -> float:
     """Exact finite-N expectation of the degree-m functional: the kinematic
     pairing 2^m sum_k u^(m+k)(A embedded in S^N) nu_k(trace of D), folded in
     the exact ring to the positive-weight sum
-    2^m sum_p binom(m/2 + p, p) sigma_(n-m-2p)(trace of D), n = dim A."""
+    2^m sum_p binom(m/2 + p, p) sigma_(n-m-2p)(trace of D), n = dim A.
+    N above _MAX_LAW_N is refused (module docstring)."""
     if not isinstance(A, (UnitSphere, UnitGreatSubsphere)):
         raise ValueError("finite-N prediction supports spheres and subspheres")
+    N = _integer(N, "N must be non-negative")
+    if N > _MAX_LAW_N:
+        raise ValueError(
+            f"finite-N prediction loses its digits past N = {_MAX_LAW_N}, got {N}"
+        )
     n_embed = top_degree(A)
     if n_embed > N:
         raise ValueError(f"a {n_embed}-sphere does not embed in S^{N}")
@@ -233,6 +255,11 @@ def estimate_lhs(
         chi_values(A, D, np.empty((0, D.d, A.n + 1)))
     # t^top(A) is exact algebra, so it is evaluated once, not per chunk
     t_top = None if degree == 0 else float_of(t_power_unit(A, degree))
+    # below the normal range every value, the stderr and the z floor underflow
+    if t_top is not None and abs(t_top) < sys.float_info.min:
+        raise ValueError(
+            f"top-degree values underflow: t^top(A) = {t_top!r} is below the normal float range"
+        )
     sizes = _chunk_plan(n_samples)
     task = partial(_chunk_task, A, D, t_top, law_n, n_points, rng)
     if workers > 1:

@@ -440,7 +440,13 @@ def gauss_set_membership(D: GaussSet, points: np.ndarray) -> np.ndarray:
     if isinstance(D, HalfSpace):
         return points[:, 0] >= D.u
     if isinstance(D, CenteredBall):
-        return np.einsum("ij,ij->i", points, points) <= D.rho**2
+        # float ** raises OverflowError past the float range; pow and * may
+        # differ in the last bit, so a finite square stays rho**2
+        try:
+            level = D.rho**2
+        except OverflowError:
+            level = math.inf
+        return np.einsum("ij,ij->i", points, points) <= level
     if isinstance(D, Origin):
         return np.einsum("ij,ij->i", points, points) <= 0.0
     raise TypeError(f"unknown set {D!r}")

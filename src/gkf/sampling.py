@@ -20,10 +20,10 @@ with no per-matrix LAPACK call.
 
 The Poincare projection check, poincare_sweep, draws its Gaussian block
 once for a whole list of N and forms each N's projection one block of rows
-at a time, so it holds d + 2 arrays of n doubles (the Gaussian block, the
-samples and one scratch array) at any N; the chi-square tail is drawn block
-by block in stream order, so the draws are those of one whole-length call.
-A single N is a sweep over a one-entry list.
+at a time, so it holds d + 1 arrays of n doubles (the Gaussian block and
+the samples) at any N, and one more while it takes the second moment; the
+chi-square tail is drawn block by block in stream order, so the draws are
+those of one whole-length call.  A single N is a one-entry list.
 
 The KS distance of each N is certified, not formed term by term.  The
 sorted samples split into blocks of 32 consecutive ranks.  The limit CDF F
@@ -101,7 +101,8 @@ def pi_n_batch(
     # the rows of T, then those of R, so that G = factors^T factors
     factors = np.zeros((d + rows, k, size))
     factors[:d] = top.transpose(1, 2, 0)
-    factors[d + diag, diag] = np.sqrt(gen.chisquare(m - diag, (size, rows))).T
+    # float degrees of freedom (numpy draws with them anyway) pass int64's range
+    factors[d + diag, diag] = np.sqrt(gen.chisquare(float(m) - diag, (size, rows))).T
     factors[d + upper[0], upper[1]] = gen.standard_normal((size, len(upper[0]))).T
     lower = []  # lower[j] holds the column L[j:, j]
     for j in range(k):
@@ -197,78 +198,41 @@ def _cdf(x: np.ndarray, d: int) -> np.ndarray:
     return scipy.special.gammainc(d / 2.0, x, out=x)
 
 
-def _ks_statistic(xs: np.ndarray, d: int, scratch: np.ndarray) -> float:
+def _ks_statistic(xs: np.ndarray, d: int) -> float:
     """Two-sided KS distance between the empirical law of the sorted samples
     xs and the limit CDF F of _cdf: the largest of the terms
     (i + 1.0) / n - F_i and F_i - ((i + 1.0) / n - 1 / n) over the ranks i,
-    evaluated only in the blocks of ranks that _candidate_blocks keeps.
-    scratch is an array of len(xs) doubles whose contents are overwritten."""
+    certified as in the module docstring.  The last block ends at rank
+    n - 1, so it may overlap the one before it."""
     n = len(xs)
     w = min(_RANKS, n)
-    top, starts = _candidate_blocks(xs, d, scratch, w)
-    per_chunk = max(1, _CANDIDATE_RANKS // w)
-    for lo in range(0, len(starts), per_chunk):
-        top = max(top, _block_terms_max(xs, d, starts[lo : lo + per_chunk], w))
-    return float(top)
-
-
-def _candidate_blocks(
-    xs: np.ndarray, d: int, scratch: np.ndarray, w: int
-) -> tuple[float, np.ndarray]:
-    """The largest KS term at the block ends, and the first ranks of the
-    blocks of w ranks whose bound reaches it less _SLACK (the certificate
-    of the module docstring): every term of the other blocks lies below a
-    term already evaluated.  The blocks start at ranks 0, w, 2w, ..., and
-    the last one ends at rank n - 1, so it may overlap the one before it.
-    The end values, the grid at the ends and the bounds live in scratch."""
-    n = len(xs)
-    nb = -(-n // w)
-    if nb == 1:
-        return -math.inf, np.zeros(1, dtype=np.intp)
-    # 6 nb <= n, since nb >= 2 and w = _RANKS >= 12
-    F_a, F_b, grid_a, grid_b, bound, spare = scratch[: 6 * nb].reshape(6, nb)
-    F_a[:-1] = xs[: (nb - 1) * w : w]
-    F_a[-1] = xs[n - w]
-    F_b[:-1] = xs[w - 1 : (nb - 1) * w : w]
-    F_b[-1] = xs[n - 1]
-    _cdf(scratch[: 2 * nb], d)
-    grid_a[:] = np.arange(1.0, nb * w, w)
-    grid_a[-1] = n - w + 1
-    np.add(grid_a, w - 1, out=grid_b)
-    grid_a /= n
-    grid_b /= n
-    np.subtract(grid_b, F_a, out=bound)
-    top = max(
-        np.max(np.subtract(grid_a, F_a, out=spare)),
-        np.max(np.subtract(grid_b, F_b, out=spare)),
-    )
+    starts = np.arange(0, n, w)
+    starts[-1] = n - w
+    ends = starts + (w - 1)
+    # fancy indexing copies, so the in-place _cdf leaves xs as it is
+    F_a = _cdf(xs[starts], d)
+    F_b = _cdf(xs[ends], d)
+    grid_a = (starts + 1.0) / n
+    grid_b = (ends + 1.0) / n
+    bound = grid_b - F_a
+    top = max(np.max(grid_a - F_a), np.max(grid_b - F_b))
     grid_a -= 1 / n
     grid_b -= 1 / n
-    np.maximum(bound, np.subtract(F_b, grid_a, out=spare), out=bound)
-    top = max(
-        top,
-        np.max(np.subtract(F_a, grid_a, out=spare)),
-        np.max(np.subtract(F_b, grid_b, out=spare)),
-    )
-    starts = np.flatnonzero(bound >= top - _SLACK)
-    starts *= w
-    np.minimum(starts, n - w, out=starts)
-    return top, starts
-
-
-def _block_terms_max(xs: np.ndarray, d: int, starts: np.ndarray, w: int) -> float:
-    """The largest KS term over the blocks of w ranks that begin at starts,
-    each term formed as on the full grid."""
-    n = len(xs)
-    F = np.lib.stride_tricks.sliding_window_view(xs, w)[starts]
-    _cdf(F, d)
-    grid = np.add.outer(starts, np.arange(1.0, w + 1.0))
-    grid /= n
-    terms = grid - F
-    above = np.max(terms)
-    grid -= 1 / n
-    below = np.max(np.subtract(F, grid, out=terms))
-    return float(max(above, below))
+    np.maximum(bound, F_b - grid_a, out=bound)
+    top = max(top, np.max(F_a - grid_a), np.max(F_b - grid_b))
+    candidates = starts[bound >= top - _SLACK]
+    windows = np.lib.stride_tricks.sliding_window_view(xs, w)
+    per_chunk = max(1, _CANDIDATE_RANKS // w)
+    for lo in range(0, len(candidates), per_chunk):
+        chunk = candidates[lo : lo + per_chunk]
+        F = _cdf(windows[chunk], d)
+        grid = np.add.outer(chunk, np.arange(1.0, w + 1.0))
+        grid /= n
+        terms = grid - F
+        top = max(top, np.max(terms))
+        grid -= 1 / n
+        top = max(top, np.max(np.subtract(F, grid, out=terms)))
+    return float(top)
 
 
 @dataclass(frozen=True)
@@ -297,8 +261,9 @@ def poincare_sweep(
     is drawn and the projection formed one block of rows at a time; the
     generator fills arrays in stream order, so the blocks hold the values of
     one whole-length draw.  Every N, d and n_samples is validated before
-    the draw.  The sweep holds d + 2 arrays of n_samples doubles (g, the
-    samples and one scratch array) and a few arrays of one block at any N.
+    the draw.  The sweep holds d + 1 arrays of n_samples doubles (g and the
+    samples), one more while it takes the second moment, and a few arrays
+    of one block at any N.
     """
     d = _integer(d, "d must be at least 1", 1)
     n_samples = _integer(n_samples, "n_samples must be at least 1", 1)
@@ -309,12 +274,14 @@ def poincare_sweep(
     g = gen.standard_normal((n_samples, d))
     after_g = gen.bit_generator.state
     samples = np.empty(n_samples)
-    scratch = np.empty(n_samples)
     reports = []
     for N in N_list:
         gen.bit_generator.state = after_g
-        _project(N, g, samples, scratch, gen)
-        ks, second_moment = _score(samples, scratch, d)
+        _project(N, g, samples, gen)
+        # before the sort, so the pairwise mean adds as the out-of-place one
+        second_moment = float(np.mean(np.square(samples))) / d
+        samples.sort()
+        ks = _ks_statistic(samples, d)
         reports.append(
             PoincareReport(
                 N=N,
@@ -329,24 +296,18 @@ def poincare_sweep(
     return reports
 
 
-def _project(
-    N: int,
-    g: np.ndarray,
-    samples: np.ndarray,
-    scratch: np.ndarray,
-    gen: np.random.Generator,
-) -> None:
+def _project(N: int, g: np.ndarray, samples: np.ndarray, gen: np.random.Generator) -> None:
     """Write each row's sample of sqrt(N) g / |(g, tail)| to samples: the
-    projected value for d = 1, its length for d > 1.  The chi-square tail
-    and the (block, d) quotient are formed one block of rows at a time, and
-    the norms in the matching block of scratch."""
+    projected value for d = 1, its length for d > 1.  The chi-square tail,
+    the norms and the (block, d) quotient are formed one block of rows at a
+    time."""
     n, d = g.shape
     scale = math.sqrt(N)
     quotient = None if d == 1 else np.empty((min(n, _BLOCK), d))
     for lo in range(0, n, _BLOCK):
         hi = min(lo + _BLOCK, n)
         g_b = g[lo:hi]
-        norms = np.einsum("ij,ij->i", g_b, g_b, out=scratch[lo:hi])
+        norms = np.einsum("ij,ij->i", g_b, g_b)
         norms += gen.chisquare(N + 1 - d, hi - lo)
         np.sqrt(norms, out=norms)
         x = samples[lo:hi, None] if d == 1 else quotient[: hi - lo]
@@ -355,15 +316,3 @@ def _project(
         if d > 1:
             np.square(x, out=x)
             np.sqrt(np.add.reduce(x, axis=1, out=samples[lo:hi]), out=samples[lo:hi])
-
-
-def _score(samples: np.ndarray, scratch: np.ndarray, d: int) -> tuple[float, float]:
-    """KS distance and second moment of the samples, computed in place in
-    samples and scratch.  The operations and their order are those of the
-    out-of-place formulas (the second moment is a pairwise mean over the
-    whole array, taken before the sort), so every float matches them bit
-    for bit."""
-    second_moment = float(np.mean(np.square(samples, out=scratch))) / d
-    samples.sort()
-    return _ks_statistic(samples, d, scratch), second_moment
-

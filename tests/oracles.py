@@ -7,6 +7,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+import mpmath
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import betainc, gammainc, ndtr
@@ -398,6 +399,29 @@ def pi_n_prediction_nu_route(A: ModelSet, D: GaussSet, N: int, m: int) -> float:
         if u_val:
             total += float(u_val) * nu_vals[k]
     return 2.0**m * total
+
+
+def chi_on_sphere_exact(n: int, D: GaussSet, N: int) -> float:
+    """The finite-N expectation of chi of the excursion of the unit n-sphere
+    through a half-space {x_1 >= u}, u > 0, or a slab (a centered ball with
+    d = 1), in closed form at 40 digits.  The map sends the n-sphere onto a
+    uniform great n-subsphere of the radius-sqrt(N) sphere, and both
+    excursions turn on lambda = |P e_1|^2, P the projection onto its random
+    (n+1)-plane, which is Beta((n+1)/2, (N-n)/2): the cap {x_1 >= u} meets
+    it (chi 1) when N lambda >= u^2; the slab {|x_1| <= rho} holds all of it
+    when N lambda <= rho^2, else a band with the chi of S^(n-1) (two arcs,
+    chi 2, at n = 1)."""
+    with mpmath.workdps(40):
+        a, b = mpmath.mpf(n + 1) / 2, mpmath.mpf(N - n) / 2
+        if isinstance(D, HalfSpace):
+            if D.d != 1 or D.u <= 0:
+                raise ValueError("closed form needs a half-space x_1 >= u with u > 0")
+            return float(1 - mpmath.betainc(a, b, 0, mpmath.mpf(D.u) ** 2 / N, regularized=True))
+        if not isinstance(D, CenteredBall) or D.d != 1:
+            raise ValueError("closed form needs a half-space or a slab")
+        whole = mpmath.betainc(a, b, 0, mpmath.mpf(D.rho) ** 2 / N, regularized=True)
+        band = 2 if n == 1 else 1 + (-1) ** (n - 1)
+        return float((1 + (-1) ** n) * whole + band * (1 - whole))
 
 
 def tube_rhs_nu_route(N: int, d: int, s: float, r: float) -> float:

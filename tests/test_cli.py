@@ -11,6 +11,7 @@ import pytest
 
 from gkf import cli, drivers
 from gkf.cli import GAUSS_SETS, UNIT_SETS, build_parser, main, parse_set, render
+from gkf.evaluate import t_power_unit
 from gkf.gauss import CenteredBall, FullSpace, HalfSpace, Origin
 from gkf.model_sets import UnitCap, UnitGreatSubsphere, UnitSphere
 from gkf.rng import RngStream
@@ -414,6 +415,38 @@ class TestSimulate:
         assert captured.out == ""
         assert message in captured.err
 
+    @pytest.mark.parametrize(
+        "A, D", [("cap:2:1e-300", "halfspace:1:0"), ("cap:300:0.01", "fullspace:3")]
+    )
+    def test_top_degree_underflow_exits_before_drawing(self, capsys, monkeypatch, A, D):
+        # t^top(A) reads 0.0, so every value and the z floor would be 0
+        def no_draws(*args):
+            raise AssertionError("pi_infinity_batch called")
+
+        monkeypatch.setattr("gkf.drivers.pi_infinity_batch", no_draws)
+        code = main(["simulate", "--A", A, "--D", D, "--m", "top", "--samples", "3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "below the normal float range" in captured.err
+
+    def test_ball_past_the_float_square(self, capsys):
+        # rho**2 overflows; every image point lies in the ball
+        argv = ["simulate", "--A", "sphere:1", "--D", "ball:3:1e300", "--m", "top",
+                "--samples", "3"]
+        code, doc = run_json(argv, capsys)
+        assert code == 0
+        assert doc["results"][0]["estimate"] == float_of(t_power_unit(UnitSphere(1), 1))
+
+    def test_law_past_the_prediction_cap_exit_two(self, capsys):
+        argv = ["simulate", "--A", "sphere:2", "--D", "ball:2:1.0", "--samples", "3",
+                "--law", "100000000000000000000"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "finite-N prediction loses its digits past N = 1000000" in captured.err
+
     def test_top_degree_by_number(self, capsys):
         argv = ["simulate", "--A", "sphere:2", "--D", "ball:2:1.0", "--samples", "4096"]
         _, by_name = run_json([*argv, "--m", "top"], capsys)
@@ -479,6 +512,13 @@ class TestConverge:
         assert code == 2
         assert captured.out == ""
         assert "no sphere-side trace for Origin" in captured.err
+
+    def test_nu_mode_negative_n_exit_two(self, capsys):
+        code = main(["converge", "--mode", "nu", "--N-list=-5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "N must be non-negative, got -5" in captured.err
 
     def test_nu_mode_k_max_zero(self, capsys):
         code, doc = run_json(

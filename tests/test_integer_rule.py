@@ -194,6 +194,8 @@ SITES = {
     "pi_n_prediction.m": (lambda x: pi_n_prediction(SPHERE, HalfSpace(1, 0.5), 50, x), 1, 3),
     "pi_n_prediction.N": (lambda x: pi_n_prediction(SPHERE, HalfSpace(1, 0.5), x, 0), 50, 1),
     "pull_back_set.N": (lambda x: pull_back_set(HalfSpace(1, 0.5), x), 9, 0),
+    "pull_back_set.N on a ball": (lambda x: pull_back_set(DISK, x), 4, -1),
+    "pull_back_set.N of the full space": (lambda x: pull_back_set(FullSpace(2), x), 4, -1),
     "nu_convergence.k_max": (lambda x: nu_convergence(DISK, x, (50,)), 2, -1),
     "nu_convergence.N": (lambda x: nu_convergence(DISK, 2, (x,)), 50, 0),
     "kinematic_inequality_check.k": (

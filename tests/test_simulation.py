@@ -16,6 +16,7 @@ from scipy.special import gammainc, gammaincinv, ndtr, ndtri
 from gkf import drivers, functionals
 from gkf.bases import nu_in_sigma_column
 from gkf.drivers import (
+    _MAX_LAW_N,
     CHUNK_SIZE,
     McReport,
     _chunk_moments,
@@ -79,6 +80,7 @@ from gkf.series import u_power_in_sigma
 
 from oracles import (
     chi_halfspace_norm_route,
+    chi_on_sphere_exact,
     chi_quadratic_eigvalsh,
     count_at_most_sign_changes,
     hit_fractions_einsum,
@@ -1001,6 +1003,19 @@ class TestFiniteNPrediction:
         assert pi_n_prediction(A, CenteredBall(2, 1.0), 200, 0) == pytest.approx(2, abs=1e-12)
         assert pi_n_prediction(A, HalfSpace(1, 0.5), 200, 0) == pytest.approx(1, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "n,D",
+        [(2, HalfSpace(1, 0.5)), (3, HalfSpace(1, 1.5)), (2, CenteredBall(1, 1.0)),
+         (3, CenteredBall(1, 0.3)), (4, CenteredBall(1, 2.0))],
+    )
+    def test_digits_up_to_the_cap(self, n, D):
+        # the error grows with N; at the cap it is still below 1e-8
+        for N in (1000, _MAX_LAW_N):
+            exact = chi_on_sphere_exact(n, D, N)
+            assert abs(pi_n_prediction(UnitSphere(n), D, N, 0) - exact) < 1e-8
+        with pytest.raises(ValueError, match="past N = "):
+            pi_n_prediction(UnitSphere(n), D, _MAX_LAW_N + 1, 0)
+
     def test_pull_back_shapes(self):
         assert isinstance(pull_back_set(CenteredBall(2, 1.0), 50), SubsphereTube)
         assert isinstance(pull_back_set(HalfSpace(1, 0.3), 50), GeodesicBall)
@@ -1129,10 +1144,10 @@ class TestPoincare:
 
     @pytest.mark.parametrize("d,bound", [(1, 3.5), (2, 4.75), (3, 6.0)])
     def test_footprint(self, d, bound):
-        # peak traced memory in arrays of n doubles: the sweep holds g, the
-        # samples and one scratch array (d + 2 arrays) and a few blocks of
-        # rows at any N; the out-of-place route peaks at 9 (d = 1) and 12
-        # (d = 2)
+        # peak traced memory in arrays of n doubles: the sweep holds g and
+        # the samples (d + 1 arrays), one more while it takes the second
+        # moment, and a few blocks of rows at any N; the out-of-place route
+        # peaks at 9 (d = 1) and 12 (d = 2)
         n = 200_000
         one = self._peak_bytes((400,), d, n)
         assert one <= bound * 8 * n
@@ -1158,8 +1173,7 @@ class TestKsCertificate:
     @staticmethod
     def _both(xs, d):
         xs = np.sort(xs)
-        scratch = np.full(len(xs), math.nan)
-        return _ks_statistic(xs, d, scratch), ks_statistic_full_grid(xs, _limit_cdf(xs, d))
+        return _ks_statistic(xs, d), ks_statistic_full_grid(xs, _limit_cdf(xs, d))
 
     @pytest.mark.parametrize("d", [1, 3])
     @pytest.mark.parametrize(
@@ -1186,6 +1200,32 @@ class TestKsCertificate:
         assert np.argmax(terms) == 360 and 360 % _RANKS not in (0, _RANKS - 1)
         got, expected = self._both(xs, d)
         assert got == expected == terms[360]
+
+    @pytest.mark.parametrize("d,name", [(1, "ndtr"), (3, "gammainc")])
+    def test_every_block_a_candidate(self, d, name, monkeypatch):
+        # on the (i + 0.5) / n quantiles every term is about 0.5 / n, so every
+        # block is evaluated in full; the chunked loop still peaks below one
+        # array of n doubles
+        n = 200_000
+        xs = _limit_quantiles(n, d)
+        tracemalloc.start()
+        try:
+            got = _ks_statistic(xs, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == ks_statistic_full_grid(xs, _limit_cdf(xs, d))
+        assert peak < 8 * n
+        original = getattr(scipy.special, name)
+        evaluated = []
+
+        def counted(*args, **kwargs):
+            evaluated.append(np.size(args[-1]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.special, name, counted)
+        _ks_statistic(xs, d)
+        assert sum(evaluated) >= n
 
     @pytest.mark.parametrize("d,name", [(1, "ndtr"), (2, "gammainc")])
     def test_evaluates_few_ranks(self, d, name, monkeypatch):
