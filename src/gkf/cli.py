@@ -413,7 +413,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--law", default="infinity", help="'infinity' or a block dimension N")
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--points", type=int, default=1)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument(
+        "--workers", type=int, default=None,
+        help="chunk threads (default: one per usable core, at most one per chunk)",
+    )
     p.set_defaults(handler=cmd_simulate)
 
     p = sub.add_parser("converge", parents=[common], help="convergence sweeps")

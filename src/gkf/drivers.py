@@ -2,13 +2,17 @@
 
 Each driver draws i.i.d. random maps in fixed-size chunks with one child
 stream per chunk and merges the chunk moments in chunk order.  A chunk
-returns its moments alone, and the map over the chunk plan returns them in
-plan order, so results are bit-reproducible for a fixed (seed, stream_id,
-n_samples) and the same at any worker count: chunks can be farmed out to
-worker processes without changing the reduction.  The process pool is
-imported only by a run with workers > 1: `concurrent.futures` loads its
-`.process` submodule, and with it `multiprocessing`, on first access to
-`ProcessPoolExecutor`.
+returns its moments alone, and they are merged in plan order whichever
+thread ran it, so results are bit-reproducible for a fixed (seed,
+stream_id, n_samples) and the same at any worker count.  The chunks run on
+the calling thread and workers - 1 pool threads, by default one per usable
+core and at most one per chunk, so a one-chunk run starts no thread.
+numpy releases the GIL in its normal and uniform draws and in large ufunc
+loops, so threads fill the cores with no pickling and no fork.  Each
+thread that allocates gets its own glibc malloc arena, which keeps freed
+blocks: the calling thread runs chunks too, so a run on two cores adds one
+arena, not two, and `_hit_fractions` scores its points in blocks, so what
+an arena keeps stays small.  The pool's module loads on first use.
 
 The z-score divides the gap between estimate and prediction by the
 standard error, floored at a bound on the rounding of the mean, so a run
@@ -38,7 +42,9 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
+import os
 import sys
+import threading
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -224,6 +230,46 @@ def _chunk_task(A, D, t_top, law_n, n_points, rng, index, size):
     return _chunk_moments(values)
 
 
+def _usable_cores() -> int:
+    """The cores this process may run on: its affinity set where the
+    platform has one, else the machine's core count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_chunks(task, sizes: list[int], workers: int) -> list:
+    """task(i, sizes[i]) for every chunk i, in plan order.  With workers > 1
+    the calling thread and workers - 1 pool threads take chunks in turn
+    until none is left; the first fault stops every thread from taking
+    another and reaches the caller."""
+    if workers == 1:
+        return list(map(task, range(len(sizes)), sizes))
+    plan = iter(enumerate(sizes))
+    lock = threading.Lock()
+    failed = threading.Event()
+    parts = [None] * len(sizes)
+
+    def drain():
+        try:
+            while not failed.is_set():
+                with lock:
+                    chunk = next(plan, None)
+                if chunk is None:
+                    return
+                parts[chunk[0]] = task(*chunk)
+        except BaseException:
+            failed.set()
+            raise
+
+    with concurrent.futures.ThreadPoolExecutor(max_workers=workers - 1) as pool:
+        helpers = [pool.submit(drain) for _ in range(workers - 1)]
+        drain()
+        for helper in helpers:
+            helper.result()
+    return parts
+
+
 def estimate_lhs(
     A: ModelSet,
     D: GaussSet,
@@ -232,16 +278,19 @@ def estimate_lhs(
     rng: RngStream,
     law_n: int | None = None,
     n_points: int = 1,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> McReport:
     """Monte Carlo estimate of the expected degree-m functional of the
     excursion A intersect F^(-1) D, with the matching closed-form prediction:
     the limit-theorem formula for the Gaussian ensemble, the exact kinematic
     pairing for the finite-N ensemble (where supported).  The counts
-    n_samples, n_points, workers and law_n (when given) must be integers."""
+    n_samples, n_points, workers and law_n (when given) must be integers;
+    workers None means one per usable core.  At most one worker per chunk
+    runs, and the answer is the same at any worker count."""
     n_samples = _integer(n_samples, "need at least 2 samples for a standard error", 2)
     n_points = _integer(n_points, "n_points must be at least 1", 1)
-    workers = _integer(workers, "workers must be at least 1", 1)
+    if workers is not None:
+        workers = _integer(workers, "workers must be at least 1", 1)
     if law_n is not None:
         law_n = _integer(law_n, "law_n must be at least 1", 1)
     degree = _resolve_degree(A, m)
@@ -262,11 +311,8 @@ def estimate_lhs(
         )
     sizes = _chunk_plan(n_samples)
     task = partial(_chunk_task, A, D, t_top, law_n, n_points, rng)
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(task, range(len(sizes)), sizes))
-    else:
-        parts = list(map(task, range(len(sizes)), sizes))
+    workers = min(_usable_cores() if workers is None else workers, len(sizes))
+    parts = _run_chunks(task, sizes, workers)
     unit = 1.0 if t_top is None else abs(t_top)
     return _make_report(parts, prediction, unit, rng)
 

@@ -52,6 +52,7 @@ from .model_sets import (
 )
 from .sampling import (
     LinearMapSample,
+    _cap_points,
     _square_norms,
     uniform_cap_batch,
     uniform_sphere_batch,
@@ -467,16 +468,46 @@ def sample_uniform_on(A: ModelSet, size: int, gen: np.random.Generator) -> np.nd
     raise ValueError("uniform sampling requires a unit-side set")
 
 
+# points drawn and scored at once by _hit_fractions: at --points 256 a chunk
+# of 8192 maps scored in one piece made 2^21 points and their images, and
+# `gkf simulate --m top` peaked at 153 MB; blocked, at 59 MB
+_POINT_BLOCK = 1 << 14
+
+
+def _point_blocks(A: ModelSet, sizes: list[int], gen: np.random.Generator):
+    """Uniform points on A in consecutive blocks of the given sizes, with
+    the draws of sample_uniform_on(A, sum(sizes), gen): a cap draws every
+    colatitude uniform before any direction, so those come first."""
+    if isinstance(A, UnitCap):
+        uniforms = gen.random(sum(sizes))
+        for u in np.split(uniforms, np.cumsum(sizes[:-1])):
+            yield _cap_points(A.n, A.theta, u, gen)
+    else:
+        for size in sizes:
+            yield sample_uniform_on(A, size, gen)
+
+
 def _hit_fractions(
     A: ModelSet, D: GaussSet, F_batch: np.ndarray, n_points: int,
     gen: np.random.Generator,
 ) -> np.ndarray:
     """Hit-or-miss estimate of vol(A intersect F^(-1)D) / vol(A) for each
-    map of a batch (size, d, n+1), from n_points uniform points per map."""
+    map of a batch (size, d, n+1), from n_points uniform points per map.
+    The points are drawn in stream order (map by map) and scored in blocks
+    of at most _POINT_BLOCK: whole maps at a time, or parts of one map
+    when it has more points.  Each map's hits are counted exactly, so the
+    fraction is the same at any block size."""
     _check_maps(A, D, F_batch)
-    points = sample_uniform_on(A, len(F_batch) * n_points, gen)
-    points = points.reshape(len(F_batch), n_points, -1)
-    images = points @ np.ascontiguousarray(F_batch.transpose(0, 2, 1))
-    hits = gauss_set_membership(D, images.reshape(-1, D.d))
-    return hits.reshape(len(F_batch), n_points).mean(axis=1)
-
+    size = len(F_batch)
+    maps = max(_POINT_BLOCK // n_points, 1)
+    step = min(n_points, _POINT_BLOCK)
+    parts = [min(step, n_points - j) for j in range(0, n_points, step)]
+    blocks = [(slice(i, min(i + maps, size)), k) for i in range(0, size, maps) for k in parts]
+    hits = np.zeros(size, dtype=np.int64)
+    sizes = [(rows.stop - rows.start) * k for rows, k in blocks]
+    for (rows, k), points in zip(blocks, _point_blocks(A, sizes, gen)):
+        F = F_batch[rows]
+        images = points.reshape(len(F), k, -1) @ np.ascontiguousarray(F.transpose(0, 2, 1))
+        inside = gauss_set_membership(D, images.reshape(-1, D.d))
+        hits[rows] += np.count_nonzero(inside.reshape(len(F), k), axis=1)
+    return hits / n_points

@@ -161,9 +161,16 @@ def uniform_cap_batch(
     sin^2 of the colatitude) and a uniform direction."""
     n = _integer(n, "n must be at least 1", 1)
     size = _integer(size, "size must be non-negative")
+    return _cap_points(n, theta, gen.random(size), gen)
+
+
+def _cap_points(n: int, theta: float, u: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+    """The points of uniform_cap_batch whose colatitude uniforms are u,
+    with their directions drawn from gen.  A caller that draws every
+    uniform first can make the points in blocks with the same draws."""
+    size = len(u)
     s_max = math.sin(theta) ** 2
     total = scipy.special.betainc(n / 2.0, 0.5, s_max)
-    u = gen.random(size)
     s = scipy.special.betaincinv(n / 2.0, 0.5, u * total)
     phi = np.arcsin(np.sqrt(s))
     direction = uniform_sphere_batch(n - 1, size, gen)

@@ -675,6 +675,19 @@ def mesh_chi_quadratic_by_level(
     return current
 
 
+def hit_fractions_unblocked(
+    A: ModelSet, D: GaussSet, F_batch: np.ndarray, n_points: int, gen: np.random.Generator
+) -> np.ndarray:
+    """Hit-or-miss volume fractions from every point of the batch at once:
+    one draw of len(F_batch) * n_points uniform points, one batched matmul
+    and one mean per map."""
+    points = sample_uniform_on(A, len(F_batch) * n_points, gen)
+    points = points.reshape(len(F_batch), n_points, -1)
+    images = points @ np.ascontiguousarray(F_batch.transpose(0, 2, 1))
+    hits = gauss_set_membership(D, images.reshape(-1, D.d))
+    return hits.reshape(len(F_batch), n_points).mean(axis=1)
+
+
 def hit_fractions_einsum(
     A: ModelSet, D: GaussSet, F_batch: np.ndarray, n_points: int, gen: np.random.Generator
 ) -> np.ndarray:

@@ -210,6 +210,25 @@ class TestColdStart:
         )
         assert result.stdout.strip() == "[0, 0, 0, 0, 0] False"
 
+    def test_no_process_pool_is_loaded(self):
+        # chunks run on threads: neither the import nor a run on two
+        # workers loads multiprocessing or the process pool
+        probe = (
+            "import sys; from gkf.cli import main; "
+            "loaded = lambda: [name for name in ('multiprocessing', "
+            "'concurrent.futures.process') if name in sys.modules]; "
+            "cold = loaded(); "
+            "code = main(['simulate', '--A', 'sphere:2', '--D', 'ball:2:1.0', "
+            "'--samples', '20000', '--workers', '2', '--out', sys.argv[1]]); "
+            "print(cold, code, loaded())"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe, os.devnull], capture_output=True, text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        )
+        assert result.stdout.strip() == "[] 0 []"
+
 
 class TestNu:
     def test_rows(self, capsys):
@@ -466,6 +485,37 @@ class TestSimulate:
         assert code == 2
         assert captured.out == ""
         assert "n_points" in captured.err
+
+    def test_default_workers_give_the_serial_results(self, capsys):
+        argv = [
+            "simulate", "--A", "sphere:2", "--D", "ball:2:1.0", "--m", "top",
+            "--points", "4", "--samples", "20000",
+        ]
+        _, default = run_json(argv, capsys)
+        _, serial = run_json([*argv, "--workers", "1"], capsys)
+        assert default["results"] == serial["results"]
+        assert "workers" not in default["command"]
+        assert serial["command"]["workers"] == 1
+
+    def test_a_failed_chunk_on_a_worker_exits_two(self, capsys, monkeypatch):
+        failing = RngStream(5).child(2).generator().bit_generator.state
+        real = drivers.pi_infinity_batch
+
+        def draw(n, d, size, gen):
+            if gen.bit_generator.state == failing:
+                raise ValueError("chunk 2 failed")
+            return real(n, d, size, gen)
+
+        monkeypatch.setattr(drivers, "pi_infinity_batch", draw)
+        argv = [
+            "simulate", "--A", "sphere:2", "--D", "ball:2:1.0", "--samples", "40000",
+            "--seed", "5", "--workers", "2",
+        ]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "chunk 2 failed" in captured.err
 
     @pytest.mark.parametrize(
         "flags,message",

@@ -4,7 +4,11 @@ Statistical assertions run at reduced sample sizes here (the full budgets
 live in the acceptance suite) with fixed seeds throughout.
 """
 
+import concurrent.futures
 import math
+import os
+import sys
+import threading
 import tracemalloc
 
 import mpmath
@@ -84,6 +88,7 @@ from oracles import (
     chi_quadratic_eigvalsh,
     count_at_most_sign_changes,
     hit_fractions_einsum,
+    hit_fractions_unblocked,
     icosphere_unique,
     ks_statistic_full_grid,
     mesh_chi_quadratic_by_level,
@@ -471,6 +476,42 @@ class TestDescartesCount:
         want = hit_fractions_einsum(A, D, F, 16, RngStream(42).generator())
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("block", [functionals._POINT_BLOCK, 40, 7])
+    @pytest.mark.parametrize("n_points", [16, 37])
+    @pytest.mark.parametrize(
+        "A, D",
+        [
+            (UnitSphere(2), CenteredBall(2, 1.0)),
+            (UnitCap(2, 1.0), HalfSpace(1, 0.5)),
+            (UnitGreatSubsphere(3, 1), CenteredBall(2, 0.8)),
+        ],
+    )
+    def test_blocked_hit_fractions_match_one_piece(self, monkeypatch, A, D, n_points, block):
+        # blocks of whole maps, a short last block, and below n_points the
+        # points of one map in parts; a cap draws every colatitude first
+        monkeypatch.setattr(functionals, "_POINT_BLOCK", block)
+        F = RngStream(41).generator().standard_normal((301, D.d, A.n + 1))
+        got = _hit_fractions(A, D, F, n_points, RngStream(42).generator())
+        want = hit_fractions_unblocked(A, D, F, n_points, RngStream(42).generator())
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "A, D, per_point",
+        [(UnitSphere(2), CenteredBall(2, 1.0), 0), (UnitCap(2, 1.0), HalfSpace(1, 0.5), 8)],
+    )
+    def test_hit_fractions_memory_is_bounded(self, A, D, per_point):
+        # one chunk at 256 points per map: 2^21 points, whose coordinates
+        # and images took 84 MB scored in one piece; a cap keeps one
+        # colatitude uniform per point
+        F = RngStream(41).generator().standard_normal((CHUNK_SIZE, D.d, A.n + 1))
+        tracemalloc.start()
+        try:
+            _hit_fractions(A, D, F, 256, RngStream(42).generator())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < per_point * CHUNK_SIZE * 256 + 4 * 2**20
+
     def test_gram_overflow_is_refused(self):
         F = np.array([[[1e200, 0.0, 0.0], [0.0, 1.0, 0.0]]])
         with pytest.raises(ValueError, match="too large"), pytest.warns(RuntimeWarning):
@@ -793,11 +834,97 @@ class TestEstimateLhs:
         assert a == b
 
     def test_workers_do_not_change_the_result(self):
-        a = estimate_lhs(UnitSphere(2), CenteredBall(2, 1.0), 0, 20000, RngStream(2, 1))
-        b = estimate_lhs(
-            UnitSphere(2), CenteredBall(2, 1.0), 0, 20000, RngStream(2, 1), workers=2
+        # 20000 samples: two full chunks and a short one; None is one
+        # worker per usable core
+        cases = [
+            (UnitSphere(2), CenteredBall(2, 1.0), 0, {}),
+            (UnitCap(2, 1.0), HalfSpace(1, 0.5), 0, {}),
+            (UnitSphere(2), CenteredBall(2, 1.0), "top", {"n_points": 16}),
+            (UnitCap(2, 1.0), HalfSpace(1, 0.5), "top", {"n_points": 16}),
+            (UnitSphere(2), CenteredBall(2, 1.0), 0, {"law_n": 200}),
+        ]
+        for A, D, m, options in cases:
+            reports = [
+                estimate_lhs(A, D, m, 20000, RngStream(2, 1), workers=workers, **options)
+                for workers in (1, 2, 3, None)
+            ]
+            assert reports[1:] == reports[:1] * 3, (A, D, m, options)
+
+    def test_every_chunk_runs_once_in_plan_order(self):
+        # more threads than cores, switching threads as often as the
+        # interpreter allows: a chunk taken twice or lost breaks the plan
+        runs = []
+
+        def task(index, size):
+            runs.append(index)
+            return index, size
+
+        sizes = [CHUNK_SIZE] * 63 + [5]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            parts = drivers._run_chunks(task, sizes, 5)
+        finally:
+            sys.setswitchinterval(interval)
+        assert parts == list(enumerate(sizes))
+        assert sorted(runs) == list(range(len(sizes)))
+
+    def test_one_chunk_starts_no_thread(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("thread pool started")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        rep = estimate_lhs(
+            UnitSphere(2), CenteredBall(2, 1.0), 0, CHUNK_SIZE, RngStream(2, 1), workers=4
         )
-        assert a == b
+        assert rep.n_samples == CHUNK_SIZE
+
+    def test_usable_cores_without_an_affinity_call(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert drivers._usable_cores() == (os.cpu_count() or 1)
+
+    def test_a_failed_chunk_reaches_the_caller(self, monkeypatch):
+        # chunk 3 of five fails, on whichever thread takes it
+        rng = RngStream(2, 1)
+        failing = rng.child(3).generator().bit_generator.state
+        real = drivers.pi_n_batch
+
+        def draw(n, d, N, size, gen):
+            if gen.bit_generator.state == failing:
+                raise ValueError("chunk 3 failed")
+            return real(n, d, N, size, gen)
+
+        monkeypatch.setattr(drivers, "pi_n_batch", draw)
+        baseline = threading.active_count()
+        with pytest.raises(ValueError, match="chunk 3 failed"):
+            estimate_lhs(
+                UnitSphere(2), CenteredBall(2, 1.0), 0, 5 * CHUNK_SIZE, rng, law_n=50,
+                workers=2,
+            )
+        assert threading.active_count() == baseline
+
+    def test_a_fault_in_a_pool_thread_reaches_the_caller(self, monkeypatch):
+        # the calling thread draws only once a pool thread has failed, so
+        # the fault is raised off the calling thread
+        pool_failed = threading.Event()
+        real = drivers.pi_infinity_batch
+
+        def draw(*args):
+            if threading.current_thread() is threading.main_thread():
+                pool_failed.wait(timeout=60)
+                return real(*args)
+            pool_failed.set()
+            raise ValueError("pool thread failed")
+
+        monkeypatch.setattr(drivers, "pi_infinity_batch", draw)
+        baseline = threading.active_count()
+        with pytest.raises(ValueError, match="pool thread failed"):
+            estimate_lhs(
+                UnitSphere(2), CenteredBall(2, 1.0), 0, 4 * CHUNK_SIZE, RngStream(2, 1),
+                workers=2,
+            )
+        assert pool_failed.is_set()
+        assert threading.active_count() == baseline
 
     def test_chi_case_gate(self):
         rep = estimate_lhs(UnitSphere(2), HalfSpace(1, 0.5), 0, 30000, RngStream(3, 0))
