@@ -99,7 +99,11 @@ def parse_set(text: str, family: dict):
 
 
 def _exact_cell(x: PiScalar) -> dict:
-    return {"symbolic": str(x), "value": float_of(x)}
+    try:
+        value = float_of(x)
+    except OverflowError:
+        raise ValueError(f"{x} is past the float range") from None
+    return {"symbolic": str(x), "value": value}
 
 
 # -- command handlers -----------------------------------------------------------
@@ -183,10 +187,7 @@ def cmd_simulate(args) -> tuple[list[dict], int]:
     rng = RngStream(args.seed, args.stream)
     m = args.m if args.m == "top" else int(args.m)
     law_n = None if args.law == "infinity" else int(args.law)
-    report = estimate_lhs(
-        A, D, m, args.samples, rng, law_n=law_n, n_points=args.points,
-        workers=args.workers,
-    )
+    report = estimate_lhs(A, D, m, args.samples, rng, law_n=law_n, n_points=args.points)
     row = {
         "A": args.A,
         "D": args.D,
@@ -413,10 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--law", default="infinity", help="'infinity' or a block dimension N")
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--points", type=int, default=1)
-    p.add_argument(
-        "--workers", type=int, default=None,
-        help="chunk threads (default: one per usable core, at most one per chunk)",
-    )
     p.set_defaults(handler=cmd_simulate)
 
     p = sub.add_parser("converge", parents=[common], help="convergence sweeps")

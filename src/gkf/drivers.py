@@ -4,15 +4,16 @@ Each driver draws i.i.d. random maps in fixed-size chunks with one child
 stream per chunk and merges the chunk moments in chunk order.  A chunk
 returns its moments alone, and they are merged in plan order whichever
 thread ran it, so results are bit-reproducible for a fixed (seed,
-stream_id, n_samples) and the same at any worker count.  The chunks run on
-the calling thread and workers - 1 pool threads, by default one per usable
-core and at most one per chunk, so a one-chunk run starts no thread.
-numpy releases the GIL in its normal and uniform draws and in large ufunc
-loops, so threads fill the cores with no pickling and no fork.  Each
-thread that allocates gets its own glibc malloc arena, which keeps freed
-blocks: the calling thread runs chunks too, so a run on two cores adds one
-arena, not two, and `_hit_fractions` scores its points in blocks, so what
-an arena keeps stays small.  The pool's module loads on first use.
+stream_id, n_samples) and the same at any thread count.  The chunks run
+on one thread per usable core (the affinity set, so `taskset -c 0` runs
+them serially) and at most one per chunk: the calling thread and a pool
+of the rest, so a one-chunk run starts no thread.  numpy releases the GIL
+in its normal and uniform draws and in large ufunc loops, so threads fill
+the cores with no pickling and no fork.  Each thread that allocates gets
+its own glibc malloc arena, which keeps freed blocks: the calling thread
+runs chunks too, so a run on two cores adds one arena, not two, and
+`_hit_fractions` scores its points in blocks, so what an arena keeps stays
+small.  The pool's module loads on first use.
 
 The z-score divides the gap between estimate and prediction by the
 standard error, floored at a bound on the rounding of the mean, so a run
@@ -27,15 +28,19 @@ and with values bounded by the functional's unit u (1 for chi, t^top(A)
 for the top degree), the floor is (h + C) eps u: 3.3e-14 u at n = 10^6.
 
 The finite-N prediction is refused past N = 10^6 (_MAX_LAW_N).  Its error
-grows with N, consistent with log-scale terms of size N ln N cancelling in
-the sigma values (not traced further).  Against the exact expectation of
-chi on a sphere with a half-space or a slab (a d = 1 ball), in closed form
-through the regularized incomplete beta function, the largest absolute
-error over 32 cases is 2.7e-10 at N = 10^5, 1.8e-9 at 10^6, 3.2e-8 at 10^7
-and 2.4e-7 at 10^8.  Against the limit plus 1/N and 1/N^2 terms fitted at
-N = 2000 and 4000, disks, 3-balls and top degrees are within 3.1e-9
-relative at 10^6 and 1.4e-8 at 10^7.  A disk prediction of 0.7869 reads
-0.7846 at N = 10^12 and 1.64 at 10^15.
+grows as eps (N/2) ln N: the log of a boundary sigma value adds terms of
+size (N/2) ln N (the powers of N, the log sphere areas and (N-1) ln sin
+theta) that cancel to O(ln N).  Against the exact expectation of chi on
+S^n, n = 1..4, with a half-space or a slab (a d = 1 ball) of u or rho in
+{0.25, 0.5, 1, 2}, in closed form through the regularized incomplete beta
+function, the largest absolute error over the 32 cases is 2.5e-10 at
+N = 10^5, 1.2e-9 at 10^6, 4.0e-8 at 10^7 and 2.8e-7 at 10^8, against
+eps (N/2) ln N = 1.3e-10, 1.5e-9, 1.8e-8 and 2.0e-7.  At n = 1, where the
+prediction is one boundary sigma and no volume fraction, it is as large.
+Against the limit plus 1/N and 1/N^2 terms fitted at N = 2000 and 4000,
+disks, 3-balls and top degrees are within 3.1e-9 relative at 10^6 and
+1.4e-8 at 10^7.  A disk prediction of 0.7869 reads 0.7848 at N = 10^12
+and 1.97 at 10^15.
 """
 
 from __future__ import annotations
@@ -214,20 +219,12 @@ def _chunk_plan(n_samples: int) -> list[int]:
     return [min(CHUNK_SIZE, n_samples - offset) for offset in offsets]
 
 
-def _chunk_task(A, D, t_top, law_n, n_points, rng, index, size):
-    """The moments of chunk index: its maps, drawn from rng.child(index),
-    scored by chi of the excursion when t_top is None, else by t_top times
-    the hit-or-miss volume fraction."""
+def _chunk_task(draw, score, rng, index, size):
+    """The moments of chunk index: score of its maps, drawn by draw(size,
+    gen) with gen from rng.child(index); score(F_batch, gen) gives one value
+    per map."""
     gen = rng.child(index).generator()
-    if law_n is None:
-        F_batch = pi_infinity_batch(A.n, D.d, size, gen)
-    else:
-        F_batch = pi_n_batch(A.n, D.d, law_n, size, gen)
-    if t_top is None:
-        values = chi_values(A, D, F_batch).astype(float)
-    else:
-        values = t_top * _hit_fractions(A, D, F_batch, n_points, gen)
-    return _chunk_moments(values)
+    return _chunk_moments(score(draw(size, gen), gen))
 
 
 def _usable_cores() -> int:
@@ -238,12 +235,13 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _run_chunks(task, sizes: list[int], workers: int) -> list:
-    """task(i, sizes[i]) for every chunk i, in plan order.  With workers > 1
-    the calling thread and workers - 1 pool threads take chunks in turn
-    until none is left; the first fault stops every thread from taking
-    another and reaches the caller."""
-    if workers == 1:
+def _run_chunks(task, sizes: list[int]) -> list:
+    """task(i, sizes[i]) for every chunk i, in plan order, on one thread per
+    usable core and at most one per chunk.  The calling thread and the pool
+    threads take chunks in turn until none is left; the first fault stops
+    every thread from taking another and reaches the caller."""
+    threads = min(_usable_cores(), len(sizes))
+    if threads == 1:
         return list(map(task, range(len(sizes)), sizes))
     plan = iter(enumerate(sizes))
     lock = threading.Lock()
@@ -262,8 +260,8 @@ def _run_chunks(task, sizes: list[int], workers: int) -> list:
             failed.set()
             raise
 
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers - 1) as pool:
-        helpers = [pool.submit(drain) for _ in range(workers - 1)]
+    with concurrent.futures.ThreadPoolExecutor(max_workers=threads - 1) as pool:
+        helpers = [pool.submit(drain) for _ in range(threads - 1)]
         drain()
         for helper in helpers:
             helper.result()
@@ -278,19 +276,16 @@ def estimate_lhs(
     rng: RngStream,
     law_n: int | None = None,
     n_points: int = 1,
-    workers: int | None = None,
 ) -> McReport:
     """Monte Carlo estimate of the expected degree-m functional of the
     excursion A intersect F^(-1) D, with the matching closed-form prediction:
     the limit-theorem formula for the Gaussian ensemble, the exact kinematic
     pairing for the finite-N ensemble (where supported).  The counts
-    n_samples, n_points, workers and law_n (when given) must be integers;
-    workers None means one per usable core.  At most one worker per chunk
-    runs, and the answer is the same at any worker count."""
+    n_samples, n_points and law_n (when given) must be integers.  Each map
+    is scored by chi of its excursion at degree 0, else by t^top(A) times
+    its hit-or-miss volume fraction from n_points points."""
     n_samples = _integer(n_samples, "need at least 2 samples for a standard error", 2)
     n_points = _integer(n_points, "n_points must be at least 1", 1)
-    if workers is not None:
-        workers = _integer(workers, "workers must be at least 1", 1)
     if law_n is not None:
         law_n = _integer(law_n, "law_n must be at least 1", 1)
     degree = _resolve_degree(A, m)
@@ -298,22 +293,26 @@ def estimate_lhs(
     # empty batch the pairs chi_values has no count for, before any draw
     if law_n is None:
         prediction = gkf_predict(A, D, degree)
+        draw = partial(pi_infinity_batch, A.n, D.d)
     else:
         prediction = pi_n_prediction(A, D, law_n, degree)
+        draw = partial(pi_n_batch, A.n, D.d, law_n)
     if degree == 0:
         chi_values(A, D, np.empty((0, D.d, A.n + 1)))
-    # t^top(A) is exact algebra, so it is evaluated once, not per chunk
-    t_top = None if degree == 0 else float_of(t_power_unit(A, degree))
-    # below the normal range every value, the stderr and the z floor underflow
-    if t_top is not None and abs(t_top) < sys.float_info.min:
-        raise ValueError(
-            f"top-degree values underflow: t^top(A) = {t_top!r} is below the normal float range"
-        )
-    sizes = _chunk_plan(n_samples)
-    task = partial(_chunk_task, A, D, t_top, law_n, n_points, rng)
-    workers = min(_usable_cores() if workers is None else workers, len(sizes))
-    parts = _run_chunks(task, sizes, workers)
-    unit = 1.0 if t_top is None else abs(t_top)
+        unit = 1.0
+        score = lambda F_batch, gen: chi_values(A, D, F_batch).astype(float)
+    else:
+        # t^top(A) is exact algebra, so it is evaluated once, not per chunk
+        t_top = float_of(t_power_unit(A, degree))
+        # below the normal range every value, the stderr and the z floor underflow
+        if abs(t_top) < sys.float_info.min:
+            raise ValueError(
+                f"top-degree values underflow: t^top(A) = {t_top!r} is below the normal float range"
+            )
+        unit = abs(t_top)
+        score = lambda F_batch, gen: t_top * _hit_fractions(A, D, F_batch, n_points, gen)
+    task = partial(_chunk_task, draw, score, rng)
+    parts = _run_chunks(task, _chunk_plan(n_samples))
     return _make_report(parts, prediction, unit, rng)
 
 

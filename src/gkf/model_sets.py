@@ -190,15 +190,14 @@ def ball_volume_fraction(N: int, r: float) -> float:
 
 
 def tube_volume_fraction(N: int, d: int, s: float) -> float:
-    """vol(subsphere tube) / vol(ambient sphere)."""
+    """vol(subsphere tube) / vol(ambient sphere): the meridian integral
+    alpha(d-1) alpha(N-d) / alpha(N) int_0^theta sin^(d-1) cos^(N-d), which
+    is the regularized incomplete beta I(sin^2 theta; d/2, (N-d+1)/2), since
+    alpha(d-1) alpha(N-d) B(d/2, (N-d+1)/2) = 2 alpha(N)."""
     theta = s / math.sqrt(N)
     if theta <= 0:
         return 0.0
-    a, b = d / 2.0, (N - d + 1) / 2.0
-    prefactor = math.exp(
-        log_alpha(d - 1) + log_alpha(N - d) - log_alpha(N) + scipy.special.betaln(a, b)
-    )
-    return 0.5 * prefactor * scipy.special.betainc(a, b, math.sin(theta) ** 2)
+    return scipy.special.betainc(d / 2.0, (N - d + 1) / 2.0, math.sin(theta) ** 2)
 
 
 def euler_characteristic(model_set: ModelSet) -> int:

@@ -260,6 +260,20 @@ def tube_volume_fraction_quadrature(N: int, d: int, s: float) -> float:
     return math.exp(log_alpha(d - 1) + log_alpha(N - d) - log_alpha(N)) * integral
 
 
+def tube_volume_fraction_mpmath(N: int, d: int, s: float) -> float:
+    """vol(subsphere tube) / vol(ambient sphere) at 40 digits, at the float
+    radius s taken exactly: the meridian integral alpha(d-1) alpha(N-d) /
+    alpha(N) int_0^theta sin^(d-1) cos^(N-d), theta = s / sqrt(N), whose
+    integral is half the incomplete beta B(sin^2 theta; d/2, (N-d+1)/2) and
+    alpha(n) = 2 pi^((n+1)/2) / Gamma((n+1)/2) the unit n-sphere's area."""
+    with mpmath.workdps(40):
+        half = lambda n: mpmath.mpf(n + 1) / 2
+        area = lambda n: 2 * mpmath.pi ** half(n) / mpmath.gamma(half(n))
+        x = mpmath.sin(mpmath.mpf(s) / mpmath.sqrt(N)) ** 2
+        integral = mpmath.betainc(half(d - 1), half(N - d), 0, x) / 2
+        return float(area(d - 1) * area(N - d) / area(N) * integral)
+
+
 def u_power_on_euclidean_ball(k: int, N: int, radius: float = 1.0) -> float:
     """u^k of the euclidean N-ball via the intrinsic-volume closed form
     mu_k = (omega_N / omega_(N-k)) binom(N, k) radius^k."""

@@ -182,6 +182,18 @@ class TestConvert:
         assert captured.out == ""
         assert "capped at N = 64" in captured.err
 
+    def test_value_past_the_float_range_exit_two(self, capsys):
+        argv = [
+            "convert", "--N", "2", "--source", "nu", "--target", "mu",
+            "--coeffs", "1,1e400,2",
+        ]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        # the message names the exact value, 2.5e399 sqrt(2) / pi
+        assert captured.err == f"error: 25{'0' * 398}*pi^-1*sqrt(2) is past the float range\n"
+
     def test_zero_dimension_exit_two(self, capsys):
         argv = ["convert", "--N", "0", "--source", "t", "--target", "phi", "--coeffs", "1"]
         code = main(argv)
@@ -212,14 +224,14 @@ class TestColdStart:
 
     def test_no_process_pool_is_loaded(self):
         # chunks run on threads: neither the import nor a run on two
-        # workers loads multiprocessing or the process pool
+        # threads loads multiprocessing or the process pool
         probe = (
-            "import sys; from gkf.cli import main; "
+            "import sys; from gkf import drivers; from gkf.cli import main; "
             "loaded = lambda: [name for name in ('multiprocessing', "
             "'concurrent.futures.process') if name in sys.modules]; "
-            "cold = loaded(); "
+            "cold = loaded(); drivers._usable_cores = lambda: 2; "
             "code = main(['simulate', '--A', 'sphere:2', '--D', 'ball:2:1.0', "
-            "'--samples', '20000', '--workers', '2', '--out', sys.argv[1]]); "
+            "'--samples', '20000', '--out', sys.argv[1]]); "
             "print(cold, code, loaded())"
         )
         result = subprocess.run(
@@ -486,16 +498,17 @@ class TestSimulate:
         assert captured.out == ""
         assert "n_points" in captured.err
 
-    def test_default_workers_give_the_serial_results(self, capsys):
+    def test_default_workers_give_the_serial_results(self, capsys, monkeypatch):
+        # one usable core, as under `taskset -c 0`, runs the chunks serially
         argv = [
             "simulate", "--A", "sphere:2", "--D", "ball:2:1.0", "--m", "top",
             "--points", "4", "--samples", "20000",
         ]
         _, default = run_json(argv, capsys)
-        _, serial = run_json([*argv, "--workers", "1"], capsys)
+        monkeypatch.setattr(drivers, "_usable_cores", lambda: 1)
+        _, serial = run_json(argv, capsys)
         assert default["results"] == serial["results"]
-        assert "workers" not in default["command"]
-        assert serial["command"]["workers"] == 1
+        assert default["command"] == serial["command"]
 
     def test_a_failed_chunk_on_a_worker_exits_two(self, capsys, monkeypatch):
         failing = RngStream(5).child(2).generator().bit_generator.state
@@ -507,9 +520,10 @@ class TestSimulate:
             return real(n, d, size, gen)
 
         monkeypatch.setattr(drivers, "pi_infinity_batch", draw)
+        monkeypatch.setattr(drivers, "_usable_cores", lambda: 2)
         argv = [
             "simulate", "--A", "sphere:2", "--D", "ball:2:1.0", "--samples", "40000",
-            "--seed", "5", "--workers", "2",
+            "--seed", "5",
         ]
         code = main(argv)
         captured = capsys.readouterr()
@@ -522,8 +536,7 @@ class TestSimulate:
         [
             (["--law", "abc"], "invalid literal"),
             (["--m", "abc"], "invalid literal"),
-            (["--workers", "0"], "workers must be at least 1"),
-            (["--workers", "-2"], "workers must be at least 1"),
+            (["--workers", "2"], "unrecognized arguments: --workers 2"),
         ],
     )
     def test_bad_option_exit_two(self, capsys, flags, message):

@@ -41,6 +41,7 @@ from gkf.series import sqrt_pow, u_power_in_sigma
 from oracles import (
     lk_unit_sphere_tube_route,
     omega_float,
+    tube_volume_fraction_mpmath,
     tube_volume_fraction_quadrature,
     u_power_on_euclidean_ball,
 )
@@ -224,6 +225,15 @@ class TestVolumeFractions:
             s = fraction * 0.5 * math.pi * math.sqrt(N)
             assert tube_volume_fraction(N, d, s) == pytest.approx(
                 tube_volume_fraction_quadrature(N, d, s), rel=1e-11
+            )
+
+    @pytest.mark.parametrize("N", [5, 50, 10**3, 10**6, 10**9])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_tube_fraction_against_mpmath(self, N, d):
+        # the regularized incomplete beta alone keeps its digits at every N
+        for s in (0.3, 1.0, 2.0):
+            assert tube_volume_fraction(N, d, s) == pytest.approx(
+                tube_volume_fraction_mpmath(N, d, s), rel=1e-14, abs=0
             )
 
     def test_hemisphere(self):

@@ -189,7 +189,6 @@ SITES = {
     "estimate_lhs.m": (_lhs, 0, 3),
     "estimate_lhs.n_samples": (_counts("n_samples"), 64, 1),
     "estimate_lhs.n_points": (_counts("n_points"), 2, 0),
-    "estimate_lhs.workers": (_counts("workers"), 1, 0),
     "estimate_lhs.law_n": (_counts("law_n"), 50, 0),
     "pi_n_prediction.m": (lambda x: pi_n_prediction(SPHERE, HalfSpace(1, 0.5), 50, x), 1, 3),
     "pi_n_prediction.N": (lambda x: pi_n_prediction(SPHERE, HalfSpace(1, 0.5), x, 0), 50, 1),

@@ -833,24 +833,41 @@ class TestEstimateLhs:
         b = estimate_lhs(UnitSphere(2), HalfSpace(1, 1.0), 0, 5000, RngStream(1, 5))
         assert a == b
 
-    def test_workers_do_not_change_the_result(self):
-        # 20000 samples: two full chunks and a short one; None is one
-        # worker per usable core
+    def test_workers_do_not_change_the_result(self, monkeypatch):
+        # 20000 samples: two full chunks and a short one, run on this
+        # machine's usable cores and on 1, 2, 3 and 5 of them
         cases = [
             (UnitSphere(2), CenteredBall(2, 1.0), 0, {}),
             (UnitCap(2, 1.0), HalfSpace(1, 0.5), 0, {}),
             (UnitSphere(2), CenteredBall(2, 1.0), "top", {"n_points": 16}),
             (UnitCap(2, 1.0), HalfSpace(1, 0.5), "top", {"n_points": 16}),
             (UnitSphere(2), CenteredBall(2, 1.0), 0, {"law_n": 200}),
+            (UnitSphere(2), CenteredBall(2, 1.0), "top", {"law_n": 200, "n_points": 4}),
         ]
         for A, D, m, options in cases:
-            reports = [
-                estimate_lhs(A, D, m, 20000, RngStream(2, 1), workers=workers, **options)
-                for workers in (1, 2, 3, None)
-            ]
-            assert reports[1:] == reports[:1] * 3, (A, D, m, options)
+            run = lambda: estimate_lhs(A, D, m, 20000, RngStream(2, 1), **options)
+            real = run()
+            for cores in (1, 2, 3, 5):
+                monkeypatch.setattr(drivers, "_usable_cores", lambda: cores)
+                assert run() == real, (A, D, m, options, cores)
+            monkeypatch.undo()
 
-    def test_every_chunk_runs_once_in_plan_order(self):
+    @pytest.mark.parametrize("cores, pool", [(1, None), (2, 1), (3, 2), (5, 2)])
+    def test_one_thread_per_usable_core_and_chunk(self, monkeypatch, cores, pool):
+        # three chunks: the calling thread and a pool of the other threads
+        sizes = []
+        real = concurrent.futures.ThreadPoolExecutor
+
+        def executor(max_workers):
+            sizes.append(max_workers)
+            return real(max_workers=max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", executor)
+        monkeypatch.setattr(drivers, "_usable_cores", lambda: cores)
+        assert drivers._run_chunks(lambda index, size: size, [3, 2, 1]) == [3, 2, 1]
+        assert sizes == ([] if pool is None else [pool])
+
+    def test_every_chunk_runs_once_in_plan_order(self, monkeypatch):
         # more threads than cores, switching threads as often as the
         # interpreter allows: a chunk taken twice or lost breaks the plan
         runs = []
@@ -860,10 +877,11 @@ class TestEstimateLhs:
             return index, size
 
         sizes = [CHUNK_SIZE] * 63 + [5]
+        monkeypatch.setattr(drivers, "_usable_cores", lambda: 5)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            parts = drivers._run_chunks(task, sizes, 5)
+            parts = drivers._run_chunks(task, sizes)
         finally:
             sys.setswitchinterval(interval)
         assert parts == list(enumerate(sizes))
@@ -874,9 +892,8 @@ class TestEstimateLhs:
             raise AssertionError("thread pool started")
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
-        rep = estimate_lhs(
-            UnitSphere(2), CenteredBall(2, 1.0), 0, CHUNK_SIZE, RngStream(2, 1), workers=4
-        )
+        monkeypatch.setattr(drivers, "_usable_cores", lambda: 4)
+        rep = estimate_lhs(UnitSphere(2), CenteredBall(2, 1.0), 0, CHUNK_SIZE, RngStream(2, 1))
         assert rep.n_samples == CHUNK_SIZE
 
     def test_usable_cores_without_an_affinity_call(self, monkeypatch):
@@ -895,11 +912,11 @@ class TestEstimateLhs:
             return real(n, d, N, size, gen)
 
         monkeypatch.setattr(drivers, "pi_n_batch", draw)
+        monkeypatch.setattr(drivers, "_usable_cores", lambda: 2)
         baseline = threading.active_count()
         with pytest.raises(ValueError, match="chunk 3 failed"):
             estimate_lhs(
-                UnitSphere(2), CenteredBall(2, 1.0), 0, 5 * CHUNK_SIZE, rng, law_n=50,
-                workers=2,
+                UnitSphere(2), CenteredBall(2, 1.0), 0, 5 * CHUNK_SIZE, rng, law_n=50
             )
         assert threading.active_count() == baseline
 
@@ -917,11 +934,11 @@ class TestEstimateLhs:
             raise ValueError("pool thread failed")
 
         monkeypatch.setattr(drivers, "pi_infinity_batch", draw)
+        monkeypatch.setattr(drivers, "_usable_cores", lambda: 2)
         baseline = threading.active_count()
         with pytest.raises(ValueError, match="pool thread failed"):
             estimate_lhs(
-                UnitSphere(2), CenteredBall(2, 1.0), 0, 4 * CHUNK_SIZE, RngStream(2, 1),
-                workers=2,
+                UnitSphere(2), CenteredBall(2, 1.0), 0, 4 * CHUNK_SIZE, RngStream(2, 1)
             )
         assert pool_failed.is_set()
         assert threading.active_count() == baseline
@@ -1016,7 +1033,7 @@ class TestEstimateLhs:
         "bad",
         [
             {"n_samples": 2.5},
-            {"workers": 1.5},
+            {"n_samples": True},
             {"law_n": 2.5},
             {"n_points": 1.5},
             {"n_points": True},
